@@ -49,7 +49,6 @@ from .littlewood_paley import (
 )
 from .solver import (
     BlowUpSuspected,
-    DerivedFields,
     InvariantViolation,
     RunReport,
     RunStatus,

@@ -28,14 +28,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .solver import DerivedFields, State, derive
+from .solver import State, derive
 from .spectral import (
     VOLUME,
     RealField,
-    backward_transform,
     forward_transform,
     grad_l2_norm_sq,
-    gradient,
     l2_norm_sq,
     lp_norm,
     sobolev_norm,
@@ -53,11 +51,11 @@ def positivity_term(state: State) -> float:
     return float(np.sum((v + w) * (v - w) ** 2) * state.grid.cell_volume)
 
 
-def _u_h3_norm(derived: DerivedFields) -> float:
+def _u_h3_norm(derived: State) -> float:
     return math.sqrt(sum(sobolev_norm(c, 3.0) ** 2 for c in derived.u_hat.components))
 
 
-def log_sobolev_ratio(state: State, derived: DerivedFields | None = None) -> float:
+def log_sobolev_ratio(state: State, derived: State | None = None) -> float:
     """||grad u||_inf / (1 + ||omega||_2 + ||omega||_inf ln(e + ||u||_H3)).
 
     The bounding constant is not known, so only boundedness of this series
@@ -74,7 +72,7 @@ def log_sobolev_ratio(state: State, derived: DerivedFields | None = None) -> flo
     return num / denom
 
 
-def y_growth(state: State, derived: DerivedFields | None = None) -> float:
+def y_growth(state: State, derived: State | None = None) -> float:
     """Y(t) = e + ||u||_H3^2 + ||v||_H2^2 + ||w||_H2^2."""
     if derived is None:
         derived = derive(state)
@@ -145,7 +143,7 @@ class AuditLedger:
     _last: dict | None = None
 
     @classmethod
-    def from_state(cls, state: State, derived: DerivedFields | None = None) -> "AuditLedger":
+    def from_state(cls, state: State, derived: State | None = None) -> "AuditLedger":
         if derived is None:
             derived = derive(state)
         e0_charges = l2_norm_sq(derived.v_hat) + l2_norm_sq(derived.w_hat)
@@ -157,7 +155,7 @@ class AuditLedger:
     # -- balance checks ----------------------------------------------------
 
     def check_charge_identity(self, state: State, tol: float | None = None,
-                              derived: DerivedFields | None = None) -> float:
+                              derived: State | None = None) -> float:
         """Relative residual of the exact charge-energy identity; flags above tol."""
         if derived is None:
             derived = derive(state)
@@ -176,7 +174,7 @@ class AuditLedger:
         return residual
 
     def check_velocity_decay(self, state: State,
-                             derived: DerivedFields | None = None) -> float:
+                             derived: State | None = None) -> float:
         """Decay margin e0 - (||u||^2 + ||grad psi||^2 + d_vel).
 
         Nonnegative (within tolerance) whenever the charges are nonnegative;
@@ -198,14 +196,15 @@ class AuditLedger:
 
     # -- per-step update ---------------------------------------------------
 
-    def update(self, state: State, derived: DerivedFields, dt: float) -> AuditRecord:
+    def update(self, state: State, derived: State, dt: float) -> AuditRecord:
         """Accumulate dissipation integrals (trapezoid) and evaluate all monitors."""
         g = state.grid
         lap_psi_sq = float(VOLUME * ((g.k2**2) * spectral_power(derived.psi_hat)).sum())
-        dpsi = [
-            backward_transform(d).samples for d in gradient(derived.psi_hat).components
-        ]
-        grad_psi_mag_sq = dpsi[0] ** 2 + dpsi[1] ** 2 + dpsi[2] ** 2
+        dpsi = derived.grad_psi  # shared with the solver's CFL bound and stage 1
+        coupling = 0.0
+        if dpsi is not None:
+            grad_psi_mag_sq = dpsi[0] ** 2 + dpsi[1] ** 2 + dpsi[2] ** 2
+            coupling = 2.0 * float(np.sum(derived.zeta.samples * grad_psi_mag_sq) * g.cell_volume)
 
         integrands = {
             "charges": 2.0
@@ -213,8 +212,7 @@ class AuditLedger:
             "cross": positivity_term(state),
             "vel": 2.0
             * (sum(grad_l2_norm_sq(c) for c in derived.u_hat.components) + lap_psi_sq),
-            "coupling": 2.0
-            * float(np.sum(derived.zeta.samples * grad_psi_mag_sq) * g.cell_volume),
+            "coupling": coupling,
         }
         if self._last is not None and dt > 0.0:
             self.d_charges += 0.5 * dt * (self._last["charges"] + integrands["charges"])

@@ -18,11 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .littlewood_paley import BesovParams, besov_norm
-from .solver import BlowUpSuspected, DerivedFields, State
+from .solver import BlowUpSuspected, State
 from .spectral import (
     RealField,
-    SpectralField,
-    backward_transform,
     forward_transform,
     lp_norm,
     vector_magnitude,
@@ -89,22 +87,22 @@ def scaling_defect(acc: CriterionAccumulator) -> float:
     return abs(2.0 / acc.q + 3.0 / acc.p - target)
 
 
-def horizontal_block_magnitude(derived: DerivedFields) -> RealField:
+def horizontal_block_magnitude(derived: State) -> RealField:
     """Pointwise Euclidean magnitude of (d1 u1, d2 u1, d1 u2, d2 u2).
 
     The four entries are collapsed to one scalar before any band norm is
     taken; any fixed finite-dimensional norm here changes constants only.
+    The entries are the snapshot's shared velocity-gradient samples.
     """
-    g = derived.psi.grid
-    c1 = derived.u_hat.x.coeffs
-    c2 = derived.u_hat.y.coeffs
+    g = derived.grid
     sq = np.zeros((g.n,) * 3)
-    for coeffs, kk in ((c1, g.kx), (c1, g.ky), (c2, g.kx), (c2, g.ky)):
-        sq += backward_transform(SpectralField(g, 1j * kk * coeffs)).samples ** 2
+    for row in derived.grad_u[:2]:
+        for d in row[:2]:
+            sq += d**2
     return RealField(g, np.sqrt(sq))
 
 
-def instantaneous_quantity(acc: CriterionAccumulator, state: State, derived: DerivedFields) -> float:
+def instantaneous_quantity(acc: CriterionAccumulator, state: State, derived: State) -> float:
     if acc.kind is CriterionKind.BKM:
         return lp_norm(vector_magnitude(derived.omega), math.inf)
     if acc.kind is CriterionKind.PS_U:
@@ -115,7 +113,7 @@ def instantaneous_quantity(acc: CriterionAccumulator, state: State, derived: Der
     return besov_norm(forward_transform(block), BesovParams(0.0, acc.p, acc.r))
 
 
-def observe(acc: CriterionAccumulator, state: State, derived: DerivedFields, dt: float) -> CriterionAccumulator:
+def observe(acc: CriterionAccumulator, state: State, derived: State, dt: float) -> CriterionAccumulator:
     """Update one accumulator after an accepted step.
 
     The first call (dt = 0 from the run loop) primes the trapezoid with the

@@ -93,20 +93,15 @@ def band_range(grid: Grid) -> tuple[int, int]:
     return j_min, j_max
 
 
-_weight_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
 def band_weight(grid: Grid, j: int, cutoff: Cutoff = DEFAULT_CUTOFF) -> np.ndarray:
-    """varphi(2^-j |k|) on the grid's wavenumber lattice."""
-    key = (grid.n, j)
-    if cutoff is DEFAULT_CUTOFF and key in _weight_cache:
-        return _weight_cache[key]
+    """varphi(2^-j |k|) on the grid's wavenumber lattice (kept on the grid
+    for the default cutoff)."""
     # Written as a difference of phi at exactly halved radii so that the sum
     # over j telescopes without rounding residue.
-    w = cutoff.phi(grid.kmag / 2.0**j) - cutoff.phi(grid.kmag / 2.0 ** (j - 1))
-    if cutoff is DEFAULT_CUTOFF:
-        _weight_cache[key] = w
-    return w
+    def make():
+        return cutoff.phi(grid.kmag / 2.0**j) - cutoff.phi(grid.kmag / 2.0 ** (j - 1))
+
+    return grid.table(("band", j), make) if cutoff is DEFAULT_CUTOFF else make()
 
 
 def decompose(f: SpectralField, cutoff: Cutoff = DEFAULT_CUTOFF) -> list[DyadicBand]:

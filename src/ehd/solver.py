@@ -10,8 +10,11 @@ exactly by exp(-|k|^2 dt) on coefficients, the nonlinear and coupling terms
 by a third-order explicit Runge-Kutta (Kutta's tableau, written so that only
 decaying exponential factors appear).
 
-The run loop owns a single mutable state and steps sequentially; observer
-hooks receive read-only snapshots and must not mutate them.
+The run loop steps one snapshot (a `State`) at a time.  Hooks receive that
+snapshot; its coefficients and derived fields are computed on first use,
+once, and shared by every hook and by the next step, so hooks must treat
+them as read-only.  The arrays the next step reuses (samples, coefficients,
+grad psi) are flagged read-only, and writing into them raises.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-from scipy import fft as _fft
 
 from .spectral import (
     ChargeNeutralityError,
@@ -30,14 +33,15 @@ from .spectral import (
     RealField,
     SpectralField,
     VectorField,
+    _coeffs_from_samples,
+    _samples_from_coeffs,
     backward_transform,
     curl,
-    fft_workers,
+    divergence,
     forward_transform,
     gradient,
     solve_poisson,
     vector_backward,
-    vector_forward,
 )
 
 DIVERGENCE_TOL = 1e-9
@@ -58,19 +62,111 @@ class RunStatus(str, enum.Enum):
     INVARIANT_VIOLATION = "invariant_violation"
 
 
+def _readonly(arrays):
+    for a in arrays or ():
+        a.flags.writeable = False
+    return arrays
+
+
 @dataclass
 class State:
-    """Solution snapshot: velocity u, charge densities v and w, clock."""
+    """Solution snapshot: velocity u, charge densities v and w, clock.
+
+    Coefficients and derived fields are computed on first use and cached.
+    A state the run materializes carries the run's coefficient arrays, its
+    samples are their inverse transforms, and its samples are read-only;
+    any other state's coefficients are the forward transforms of its
+    samples.  Coefficient and grad psi arrays are always read-only.
+    """
 
     u: VectorField
     v: RealField
     w: RealField
     t: float = 0.0
     step_index: int = 0
+    _coeffs: tuple | None = field(default=None, repr=False)
 
     @property
     def grid(self) -> Grid:
         return self.u.grid
+
+    @property
+    def samples(self) -> tuple:
+        return (*(c.samples for c in self.u.components), self.v.samples, self.w.samples)
+
+    @cached_property
+    def coeffs(self) -> tuple:
+        """The (ux, uy, uz, v, w) coefficient arrays (read-only)."""
+        if self._coeffs is not None:
+            return self._coeffs
+        fields = (*self.u.components, self.v, self.w)
+        return _readonly(tuple(forward_transform(f).coeffs for f in fields))
+
+    @cached_property
+    def u_hat(self) -> VectorField:
+        return VectorField(*(SpectralField(self.grid, c) for c in self.coeffs[:3]))
+
+    @property
+    def v_hat(self) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[3])
+
+    @property
+    def w_hat(self) -> SpectralField:
+        return SpectralField(self.grid, self.coeffs[4])
+
+    @cached_property
+    def psi_hat(self) -> SpectralField:
+        return solve_poisson(SpectralField(self.grid, self.coeffs[3] - self.coeffs[4]))
+
+    @cached_property
+    def psi(self) -> RealField:
+        return backward_transform(self.psi_hat)
+
+    @cached_property
+    def omega(self) -> VectorField:
+        return vector_backward(curl(self.u_hat))
+
+    @cached_property
+    def zeta(self) -> RealField:
+        return RealField(self.grid, self.v.samples + self.w.samples)
+
+    @cached_property
+    def eta(self) -> RealField:
+        return RealField(self.grid, self.v.samples - self.w.samples)
+
+    @cached_property
+    def grad_psi(self) -> list | None:
+        """Samples of the three components of grad psi (read-only); None
+        when both charge densities vanish."""
+        if not (self.coeffs[3].any() or self.coeffs[4].any()):
+            return None
+        return _readonly(_grad_psi(self.grid, self.psi_hat.coeffs))
+
+    @cached_property
+    def grad_u(self) -> list:
+        """Samples of the velocity gradient, d_j u_i as grad_u[i][j]."""
+        return [
+            [backward_transform(d).samples for d in gradient(c).components]
+            for c in self.u_hat.components
+        ]
+
+    @cached_property
+    def _grad_u_magnitude(self) -> RealField:
+        sq = np.zeros((self.grid.n,) * 3)
+        for row in self.grad_u:
+            for d in row:
+                sq += d**2
+        return RealField(self.grid, np.sqrt(sq))
+
+    def grad_u_magnitude(self) -> RealField:
+        """Pointwise Frobenius magnitude of the velocity gradient."""
+        return self._grad_u_magnitude
+
+    def _release(self):
+        """Drop the fields computed on first use; asking again recomputes them."""
+        for name, attr in vars(State).items():
+            if isinstance(attr, cached_property):
+                self.__dict__.pop(name, None)
 
 
 @dataclass
@@ -90,36 +186,6 @@ class StepControl:
 
 
 @dataclass
-class DerivedFields:
-    """Per-step diagnostics: potential, vorticity, charge sum/difference.
-
-    The spectral coefficient views (u_hat, v_hat, w_hat, psi_hat) are cached
-    so observers do not repeat transforms.
-    """
-
-    psi: RealField
-    omega: VectorField
-    zeta: RealField
-    eta: RealField
-    u_hat: VectorField
-    v_hat: SpectralField
-    w_hat: SpectralField
-    psi_hat: SpectralField
-    _grad_u_mag: RealField | None = None
-
-    def grad_u_magnitude(self) -> RealField:
-        """Pointwise Frobenius magnitude of the velocity gradient (cached)."""
-        if self._grad_u_mag is None:
-            g = self.psi.grid
-            sq = np.zeros((g.n,) * 3)
-            for comp in self.u_hat.components:
-                for d in gradient(comp).components:
-                    sq += backward_transform(d).samples ** 2
-            self._grad_u_mag = RealField(g, np.sqrt(sq))
-        return self._grad_u_mag
-
-
-@dataclass
 class RunReport:
     """Outcome of a run: termination status, checksum, wall-clock stats."""
 
@@ -132,89 +198,55 @@ class RunReport:
     final_state: State | None = field(default=None, repr=False)
 
 
-def derive(state: State, coeffs=None) -> DerivedFields:
-    """Potential, vorticity and symmetrized charges for one snapshot.
-
-    coeffs, when given, are the state's (ux, uy, uz, v, w) coefficient arrays
-    and skip the forward transforms.
-    """
-    g = state.grid
-    if coeffs is None:
-        coeffs = _state_coeffs(state)
-    u_hat = VectorField(
-        SpectralField(g, coeffs[0]), SpectralField(g, coeffs[1]), SpectralField(g, coeffs[2])
-    )
-    v_hat = SpectralField(g, coeffs[3])
-    w_hat = SpectralField(g, coeffs[4])
-    eta_hat = SpectralField(g, v_hat.coeffs - w_hat.coeffs)
-    psi_hat = solve_poisson(eta_hat)
-    return DerivedFields(
-        psi=backward_transform(psi_hat),
-        omega=vector_backward(curl(u_hat)),
-        zeta=RealField(g, state.v.samples + state.w.samples),
-        eta=RealField(g, state.v.samples - state.w.samples),
-        u_hat=u_hat,
-        v_hat=v_hat,
-        w_hat=w_hat,
-        psi_hat=psi_hat,
-    )
-
-
-def _ifft_real(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return _fft.irfftn(coeffs, s=(grid.n,) * 3, workers=fft_workers()) * grid.n**3
-
-
-def _fft_coeffs(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    return _fft.rfftn(samples, workers=fft_workers()) / grid.n**3
-
-
-_exp_cache: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
+def derive(state: State) -> State:
+    """The snapshot of state's samples, with coefficients from their forward
+    transforms: state itself unless the run materialized it."""
+    if state._coeffs is None:
+        return state
+    return State(state.u, state.v, state.w, state.t, state.step_index)
 
 
 def _diffusion_factors(grid: Grid, dt: float):
-    """exp(-|k|^2 dt) and its half-step companion, cached per (n, dt)."""
-    key = (grid.n, float(dt))
-    pair = _exp_cache.get(key)
-    if pair is None:
-        if len(_exp_cache) > 8:
-            _exp_cache.clear()
-        pair = _exp_cache.setdefault(
-            key, (np.exp(-grid.k2 * dt), np.exp(-grid.k2 * (0.5 * dt)))
+    """exp(-|k|^2 dt) and its half-step companion, kept on the grid for the last dt."""
+    dt = float(dt)
+    entry = grid.tables.get("diffusion")
+    if entry is None or entry[0] != dt:
+        entry = grid.tables["diffusion"] = (
+            dt, np.exp(-grid.k2 * dt), np.exp(-grid.k2 * (0.5 * dt))
         )
-    return pair
+    return entry[1:]
 
 
-def _nonlinear(grid: Grid, c):
+def _grad_psi(grid: Grid, psi_hat: np.ndarray) -> list:
+    return [_samples_from_coeffs(grid, 1j * kk * psi_hat) for kk in (grid.kx, grid.ky, grid.kz)]
+
+
+def _nonlinear(grid: Grid, c, samples=None, dpsi=None):
     """Dealiased nonlinear + coupling right-hand sides on raw coefficients.
 
     c = (ux, uy, uz, v, w) coefficient arrays.  Returns the same layout:
     the projected momentum terms P[-(u.grad)u + lap(psi) grad(psi)] and the
     divergence-form charge fluxes; diffusion is left to the integrator.
+    samples (the inverse transforms of c) and dpsi (the samples of grad psi)
+    are computed here unless given; stage 1 takes them from the snapshot.
 
     The momentum terms are evaluated through the flux tensor
     u_i u_j - d_i(psi) d_j(psi): with div u = 0 its negative divergence
     differs from -(u.grad)u + lap(psi) grad(psi) by a pure gradient, which
     the projection annihilates exactly.
     """
-    cux, cuy, cuz, cv, cw = c
+    cv, cw = c[3], c[4]
     mask = grid.dealias_mask
     kx, ky, kz, inv_k2 = grid.kx, grid.ky, grid.kz, grid.inv_k2
 
     charged = bool(cv.any() or cw.any())
-    u = [_ifft_real(grid, a) for a in (cux, cuy, cuz)]
-
+    if samples is None:
+        samples = [_samples_from_coeffs(grid, a) for a in (c if charged else c[:3])]
+    u = samples[:3]
     if charged:
-        eta_mean = cv[0, 0, 0] - cw[0, 0, 0]
-        if abs(eta_mean) > NEUTRALITY_TOL:
-            raise ChargeNeutralityError(
-                f"right-hand side is not neutral: mean(v - w) = {eta_mean.real:.6e}"
-            )
-        eta_hat = cv - cw
-        eta_hat[0, 0, 0] = 0.0
-        psi_hat = -eta_hat * inv_k2
-        v = _ifft_real(grid, cv)
-        w = _ifft_real(grid, cw)
-        dpsi = [_ifft_real(grid, 1j * kk * psi_hat) for kk in (kx, ky, kz)]
+        v, w = samples[3], samples[4]
+        if dpsi is None:
+            dpsi = _grad_psi(grid, solve_poisson(SpectralField(grid, cv - cw)).coeffs)
 
     flux = {}
     for i in range(3):
@@ -222,7 +254,7 @@ def _nonlinear(grid: Grid, c):
             prod = u[i] * u[j]
             if charged:
                 prod -= dpsi[i] * dpsi[j]
-            flux[i, j] = _fft_coeffs(grid, prod)
+            flux[i, j] = _coeffs_from_samples(grid, prod)
     kvec = (kx, ky, kz)
     nu_hat = [
         -1j
@@ -244,14 +276,14 @@ def _nonlinear(grid: Grid, c):
     # Charges in divergence form (exact mean conservation): the drift carries
     # v down and w up the potential gradient.
     nv_hat = -1j * (
-        kx * _fft_coeffs(grid, u[0] * v + v * dpsi[0])
-        + ky * _fft_coeffs(grid, u[1] * v + v * dpsi[1])
-        + kz * _fft_coeffs(grid, u[2] * v + v * dpsi[2])
+        kx * _coeffs_from_samples(grid, u[0] * v + v * dpsi[0])
+        + ky * _coeffs_from_samples(grid, u[1] * v + v * dpsi[1])
+        + kz * _coeffs_from_samples(grid, u[2] * v + v * dpsi[2])
     ) * mask
     nw_hat = -1j * (
-        kx * _fft_coeffs(grid, u[0] * w - w * dpsi[0])
-        + ky * _fft_coeffs(grid, u[1] * w - w * dpsi[1])
-        + kz * _fft_coeffs(grid, u[2] * w - w * dpsi[2])
+        kx * _coeffs_from_samples(grid, u[0] * w - w * dpsi[0])
+        + ky * _coeffs_from_samples(grid, u[1] * w - w * dpsi[1])
+        + kz * _coeffs_from_samples(grid, u[2] * w - w * dpsi[2])
     ) * mask
 
     return (*nu_hat, nv_hat, nw_hat)
@@ -259,8 +291,7 @@ def _nonlinear(grid: Grid, c):
 
 def momentum_rhs(state: State) -> VectorField:
     """Projected momentum right-hand side (viscous term excluded), in samples."""
-    c = _state_coeffs(state)
-    n = _nonlinear(state.grid, c)
+    n = _nonlinear(state.grid, state.coeffs)
     g = state.grid
     return vector_backward(
         VectorField(SpectralField(g, n[0]), SpectralField(g, n[1]), SpectralField(g, n[2]))
@@ -269,23 +300,11 @@ def momentum_rhs(state: State) -> VectorField:
 
 def charge_rhs(state: State) -> tuple[RealField, RealField]:
     """Advection + drift right-hand sides for (v, w), diffusion excluded."""
-    c = _state_coeffs(state)
-    n = _nonlinear(state.grid, c)
+    n = _nonlinear(state.grid, state.coeffs)
     g = state.grid
     return (
         backward_transform(SpectralField(g, n[3])),
         backward_transform(SpectralField(g, n[4])),
-    )
-
-
-def _state_coeffs(state: State):
-    u_hat = vector_forward(state.u)
-    return (
-        u_hat.x.coeffs,
-        u_hat.y.coeffs,
-        u_hat.z.coeffs,
-        forward_transform(state.v).coeffs,
-        forward_transform(state.w).coeffs,
     )
 
 
@@ -312,37 +331,25 @@ def _max_magnitude(components) -> float:
     return scale * float(np.sqrt(sq.max()))
 
 
-def _grad_psi_max(grid: Grid, cv, cw) -> float:
-    if not (cv.any() or cw.any()):
-        return 0.0
-    eta_hat = cv - cw
-    eta_hat[0, 0, 0] = 0.0
-    psi_hat = -eta_hat * grid.inv_k2
-    dpsi = [_ifft_real(grid, 1j * kk * psi_hat) for kk in (grid.kx, grid.ky, grid.kz)]
-    return _max_magnitude(dpsi)
-
-
-def max_advection_speed(state: State, coeffs=None) -> float:
+def max_advection_speed(state: State) -> float:
     """max |u| + max |grad psi|: the effective transport speed for the CFL bound."""
-    if coeffs is None:
-        coeffs = _state_coeffs(state)
     speed = _max_magnitude([c.samples for c in state.u.components])
-    return speed + _grad_psi_max(state.grid, coeffs[3], coeffs[4])
+    dpsi = state.grad_psi
+    return speed + (0.0 if dpsi is None else _max_magnitude(dpsi))
 
 
-def cfl_limit(state: State, cfl: float, coeffs=None) -> float:
+def cfl_limit(state: State, cfl: float) -> float:
     """Largest admissible dt at this state; inf when nothing moves."""
-    speed = max_advection_speed(state, coeffs)
+    speed = max_advection_speed(state)
     if speed <= 0.0:
         return np.inf
     return cfl * state.grid.spacing / speed
 
 
-def _advance(grid: Grid, c0, dt: float):
-    """One integrating-factor RK3 step on coefficient arrays."""
+def _advance(grid: Grid, c0, f1, dt: float):
+    """One integrating-factor RK3 step on coefficient arrays; f1 is stage 1."""
     e_full, e_half = _diffusion_factors(grid, dt)
 
-    f1 = _nonlinear(grid, c0)
     s2 = tuple(e_half * (a + 0.5 * dt * f) for a, f in zip(c0, f1))
     f2 = _nonlinear(grid, s2)
     s3 = tuple(
@@ -368,23 +375,24 @@ def _advance(grid: Grid, c0, dt: float):
 
 
 def _materialize(grid: Grid, c, t: float, step_index: int) -> State:
-    return State(
-        u=VectorField(
-            RealField(grid, _ifft_real(grid, c[0])),
-            RealField(grid, _ifft_real(grid, c[1])),
-            RealField(grid, _ifft_real(grid, c[2])),
-        ),
-        v=RealField(grid, _ifft_real(grid, c[3])),
-        w=RealField(grid, _ifft_real(grid, c[4])),
-        t=t,
-        step_index=step_index,
-    )
+    u = VectorField(*(RealField(grid, _samples_from_coeffs(grid, a)) for a in c[:3]))
+    v, w = (RealField(grid, _samples_from_coeffs(grid, a)) for a in c[3:])
+    state = State(u=u, v=v, w=w, t=t, step_index=step_index, _coeffs=_readonly(c))
+    _readonly(state.samples)
+    return state
 
 
-def _step_coeffs(state: State, control: StepControl, c0):
-    """Shared stepping core; returns (new_state, new_coeffs)."""
+def _step(state: State, control: StepControl) -> State:
+    """Shared stepping core.
+
+    Stage 1 does not depend on dt, so it runs first, on the snapshot's
+    samples and grad psi; the CFL bound then reads the same arrays.
+    """
     grid = state.grid
-    dt_stab = cfl_limit(state, control.cfl, c0)
+    c0 = state.coeffs
+    samples = state.samples if state._coeffs is not None else None
+    f1 = _nonlinear(grid, c0, samples, state.grad_psi)
+    dt_stab = cfl_limit(state, control.cfl)
     dt = min(control.dt, dt_stab)
     if dt < control.dt_min:
         raise BlowUpSuspected(
@@ -395,13 +403,12 @@ def _step_coeffs(state: State, control: StepControl, c0):
     if 0.0 < remaining < dt:
         dt = remaining
 
-    c1 = _advance(grid, c0, dt)
-    new = _materialize(grid, c1, state.t + dt, state.step_index + 1)
+    new = _materialize(grid, _advance(grid, c0, f1, dt), state.t + dt, state.step_index + 1)
     try:
         _check_finite_state(new)
     except BlowUpSuspected as exc:
         raise BlowUpSuspected(f"step produced a non-finite state: {exc}") from exc
-    return new, c1
+    return new
 
 
 def step(state: State, control: StepControl) -> State:
@@ -412,19 +419,7 @@ def step(state: State, control: StepControl) -> State:
     suspected blow-up.
     """
     _check_finite_state(state)
-    new, _ = _step_coeffs(state, control, _state_coeffs(state))
-    return new
-
-
-def _divergence_max(state: State) -> float:
-    div = divergence_field(state.u)
-    return float(np.abs(div.samples).max())
-
-
-def divergence_field(u: VectorField) -> RealField:
-    from .spectral import divergence
-
-    return backward_transform(divergence(vector_forward(u)))
+    return _step(state, control)
 
 
 def validate_initial_state(state: State):
@@ -433,7 +428,7 @@ def validate_initial_state(state: State):
         _check_finite_state(state)
     except BlowUpSuspected as exc:
         raise InvariantViolation(str(exc)) from exc
-    div = _divergence_max(state)
+    div = float(np.abs(backward_transform(divergence(state.u_hat)).samples).max())
     if div > DIVERGENCE_TOL:
         raise InvariantViolation(
             f"initial velocity is not divergence-free: max |div u| = {div:.3e}"
@@ -450,9 +445,10 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
 
     Hooks are callables (state, derived, dt); they are also invoked once on
     the initial state with dt = 0 so time-integral accumulators can record
-    the t = 0 integrand.  A hook raising BlowUpSuspected or
-    InvariantViolation terminates the run with that status and its message
-    as the diagnostic.
+    the t = 0 integrand.  state and derived are the same snapshot: fields
+    are computed on first use, shared by all hooks and the next step, and
+    read-only.  A hook raising BlowUpSuspected or InvariantViolation
+    terminates the run with that status and its message as the diagnostic.
     """
     from .checkpoint import state_checksum
 
@@ -466,20 +462,19 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
         validate_initial_state(s)
         mean_v0 = float(np.mean(s.v.samples))
         mean_w0 = float(np.mean(s.w.samples))
-        c = _state_coeffs(s)
-        derived = derive(s, c)
         for hook in hooks:
-            hook(s, derived, 0.0)
+            hook(s, s, 0.0)
 
         while s.t < control.t_end - 1e-12 * max(1.0, control.t_end):
             t_prev = s.t
-            s, c = _step_coeffs(s, control, c)
+            s = _step(s, control)
+            if steps == 0:
+                state0._release()  # the caller keeps state0; step 1 was its last use
             steps += 1
-            _check_run_invariants(s, c, mean_v0, mean_w0)
-            derived = derive(s, c)
+            _check_run_invariants(s, mean_v0, mean_w0)
             dt_used = s.t - t_prev
             for hook in hooks:
-                hook(s, derived, dt_used)
+                hook(s, s, dt_used)
     except BlowUpSuspected as exc:
         status, diagnostic = RunStatus.BLOW_UP_SUSPECTED, str(exc)
     except (InvariantViolation, ChargeNeutralityError) as exc:
@@ -496,10 +491,9 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     )
 
 
-def _check_run_invariants(state: State, coeffs, mean_v0: float, mean_w0: float):
-    g = state.grid
-    div_hat = 1j * (g.kx * coeffs[0] + g.ky * coeffs[1] + g.kz * coeffs[2])
-    div = float(np.abs(_ifft_real(g, div_hat)).max())
+def _check_run_invariants(state: State, mean_v0: float, mean_w0: float):
+    coeffs = state.coeffs
+    div = float(np.abs(_samples_from_coeffs(state.grid, divergence(state.u_hat).coeffs)).max())
     if div > DIVERGENCE_TOL:
         raise InvariantViolation(
             f"divergence invariant failed at t={state.t:.6f}: max |div u| = {div:.3e}"

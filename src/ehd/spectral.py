@@ -97,6 +97,17 @@ class Grid:
         self.y = x[None, :, None]
         self.z = x[None, None, :]
 
+        # Tables derived from the wavenumbers (weights, diffusion factors),
+        # computed on first use by the modules that need them.
+        self.tables: dict = {}
+
+    def table(self, key, make) -> np.ndarray:
+        """The table stored under key, built by make() on first request."""
+        value = self.tables.get(key)
+        if value is None:
+            value = self.tables[key] = make()
+        return value
+
     @property
     def spectral_shape(self) -> tuple[int, int, int]:
         return (self.n, self.n, self.n // 2 + 1)
@@ -307,18 +318,12 @@ def grad_l2_norm_sq(F: SpectralField) -> float:
     return float(VOLUME * (F.grid.k2 * spectral_power(F)).sum())
 
 
-_sobolev_weights: dict[tuple[int, float], np.ndarray] = {}
-
-
 def sobolev_norm(F: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm ((2*pi)^3 sum (1+|k|^2)^s |c_k|^2)^(1/2)."""
     if s < 0:
         raise ValueError(f"Sobolev index must satisfy s >= 0, got {s}")
     g = F.grid
-    key = (g.n, float(s))
-    weights = _sobolev_weights.get(key)
-    if weights is None:
-        weights = _sobolev_weights.setdefault(key, (1.0 + g.k2) ** s)
+    weights = g.table(("sobolev", float(s)), lambda: (1.0 + g.k2) ** s)
     return float(np.sqrt(VOLUME * (weights * spectral_power(F)).sum()))
 
 
