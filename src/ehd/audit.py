@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .criteria import jsonable
 from .solver import State, derive
 from .spectral import (
     VOLUME,
@@ -53,6 +54,11 @@ def positivity_term(state: State) -> float:
 
 def _u_h3_norm(derived: State) -> float:
     return math.sqrt(sum(sobolev_norm(c, 3.0) ** 2 for c in derived.u_hat.components))
+
+
+def _velocity_energy(derived: State) -> float:
+    """||u||^2 + ||grad psi||^2, the energy of the velocity / potential balance."""
+    return sum(l2_norm_sq(c) for c in derived.u_hat.components) + grad_l2_norm_sq(derived.psi_hat)
 
 
 def log_sobolev_ratio(state: State, derived: State | None = None) -> float:
@@ -110,7 +116,7 @@ def gn_ratios(state: State) -> tuple[float, float]:
 
 @dataclass
 class AuditRecord:
-    """One audited step (matches the audit CSV columns)."""
+    """One audited step; its fields, in order, are the audit CSV columns."""
 
     t: float
     charge_identity_residual: float
@@ -147,10 +153,7 @@ class AuditLedger:
         if derived is None:
             derived = derive(state)
         e0_charges = l2_norm_sq(derived.v_hat) + l2_norm_sq(derived.w_hat)
-        e0_vel = sum(l2_norm_sq(c) for c in derived.u_hat.components) + grad_l2_norm_sq(
-            derived.psi_hat
-        )
-        return cls(e0_charges=e0_charges, e0_vel=e0_vel)
+        return cls(e0_charges=e0_charges, e0_vel=_velocity_energy(derived))
 
     # -- balance checks ----------------------------------------------------
 
@@ -183,10 +186,7 @@ class AuditLedger:
         """
         if derived is None:
             derived = derive(state)
-        current = sum(l2_norm_sq(c) for c in derived.u_hat.components) + grad_l2_norm_sq(
-            derived.psi_hat
-        )
-        margin = self.e0_vel - (current + self.d_vel)
+        margin = self.e0_vel - (_velocity_energy(derived) + self.d_vel)
         if margin < -DECAY_MARGIN_TOL * max(self.e0_vel, 1e-300):
             self.flags.append(
                 f"velocity decay margin {margin:.3e} negative beyond tolerance "
@@ -245,7 +245,7 @@ class AuditLedger:
             t=state.t,
             charge_identity_residual=residual,
             velocity_margin=margin,
-            positivity_term=positivity_term(state),
+            positivity_term=integrands["cross"],
             ls_ratio=lsr,
             y=y,
             gn_ratio_l4=gn4,
@@ -254,20 +254,16 @@ class AuditLedger:
 
     def summary(self) -> dict:
         """Extrema for the run report; NaNs serialized as strings."""
-        def j(x):
-            x = float(x)
-            return x if math.isfinite(x) else str(x)
-
         ls_values = [r for _, r in self.ls_ratio_series]
-        return {
-            "e0_charges": j(self.e0_charges),
-            "e0_vel": j(self.e0_vel),
-            "max_charge_identity_residual": j(self.max_charge_residual),
-            "min_velocity_margin": j(self.min_velocity_margin),
-            "max_margin_vs_coupling_mismatch": j(self.max_margin_mismatch),
-            "min_charge_value": j(self.min_charge),
-            "max_ls_ratio": j(max(ls_values) if ls_values else math.nan),
-            "final_y": j(self.y_series[-1][1] if self.y_series else math.nan),
+        return jsonable({
+            "e0_charges": self.e0_charges,
+            "e0_vel": self.e0_vel,
+            "max_charge_identity_residual": self.max_charge_residual,
+            "min_velocity_margin": self.min_velocity_margin,
+            "max_margin_vs_coupling_mismatch": self.max_margin_mismatch,
+            "min_charge_value": self.min_charge,
+            "max_ls_ratio": max(ls_values) if ls_values else math.nan,
+            "final_y": self.y_series[-1][1] if self.y_series else math.nan,
             # Heuristic for "growing without bound": strictly monotone over
             # the whole run AND at least doubled.  Small monotone creep is
             # normal on decaying flows.
@@ -277,4 +273,4 @@ class AuditLedger:
                 and ls_values[-1] >= 2.0 * max(ls_values[0], 1e-300)
             ),
             "flags": list(self.flags),
-        }
+        })

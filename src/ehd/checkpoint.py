@@ -11,6 +11,7 @@ followed by the CRC32 of the payload as u32 LE.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -42,9 +43,21 @@ def state_checksum(state) -> str:
 
 
 def write_checkpoint(path, state) -> None:
+    """Write state to path through a temporary file in the same directory.
+
+    The file at path is either the old one or the complete new one, never a
+    partial write, even if the process dies mid-write.  There is no fsync,
+    so a power loss can still lose or truncate the new file.
+    """
+    path = Path(path)
     payload = _payload(state)
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    Path(path).write_bytes(MAGIC + payload + struct.pack("<I", crc))
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(MAGIC + payload + struct.pack("<I", crc))
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def read_checkpoint(path):

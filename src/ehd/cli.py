@@ -15,15 +15,14 @@ import json
 import math
 import sys
 import time
+from dataclasses import astuple
 from pathlib import Path
-
-import numpy as np
 
 from . import criteria as _criteria
 from .audit import AuditLedger
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .config import ConfigError, RunConfig, parse_config
-from .initial_conditions import charged_shear, random_smooth, taylor_green
+from .initial_conditions import PRESETS
 from .littlewood_paley import BesovParams, besov_norm
 from .solver import (
     InvariantViolation,
@@ -41,7 +40,7 @@ from .spectral import (
     grad_l2_norm_sq,
     l2_norm_sq,
     lp_norm,
-    spectral_power,
+    spectral_tail_fraction,
     vector_forward,
     vector_magnitude,
 )
@@ -152,17 +151,8 @@ def _build_initial_state(config: RunConfig) -> State:
     ic = config.initial_condition
     if ic.name == "from_checkpoint":
         return read_checkpoint(ic.params["path"])
-    grid = Grid(config.grid_n)
-    if ic.name == "taylor_green":
-        return taylor_green(grid)
-    if ic.name == "charged_shear":
-        return charged_shear(grid)
-    return random_smooth(
-        grid,
-        seed=ic.params["seed"],
-        energy=ic.params.get("energy", 1.0),
-        peak_wavenumber=ic.params.get("peak_wavenumber", 3.0),
-    )
+    builder = PRESETS[ic.name][0]
+    return builder(Grid(config.grid_n), **ic.params)
 
 
 class _Orchestra:
@@ -200,18 +190,7 @@ class _Orchestra:
         potential = grad_l2_norm_sq(derived.psi_hat)
         self.energy_writer.writerow([state.t, kinetic, potential])
         self._write_series_row(state, dt)
-        self.audit_writer.writerow(
-            [
-                record.t,
-                record.charge_identity_residual,
-                record.velocity_margin,
-                record.positivity_term,
-                record.ls_ratio,
-                record.y,
-                record.gn_ratio_l4,
-                record.gn_ratio_l3,
-            ]
-        )
+        self.audit_writer.writerow(astuple(record))
         for acc in self.accs:
             s = self.series[acc.kind.value]
             s["t"].append(state.t)
@@ -244,19 +223,6 @@ class _Orchestra:
                 get("BESOV_ANISO", "integral"),
             ]
         )
-
-
-def _vector_tail_fraction(u_hat) -> float:
-    g = u_hat.x.grid
-    cap = np.floor(g.n / 3.0)
-    outer = (np.abs(g.kx) > cap / 2) | (np.abs(g.ky) > cap / 2) | (np.abs(g.kz) > cap / 2)
-    total = 0.0
-    tail = 0.0
-    for comp in u_hat.components:
-        power = spectral_power(comp)
-        total += power.sum()
-        tail += power[np.broadcast_to(outer, power.shape)].sum()
-    return float(tail / total) if total > 0 else 0.0
 
 
 def cmd_run_path(config_path: str) -> int:
@@ -319,11 +285,11 @@ def cmd_run(config: RunConfig) -> int:
     linf = {
         "u": {
             "value": lp_norm(vector_magnitude(final.u), math.inf),
-            "tail_fraction": _vector_tail_fraction(u_hat),
+            "tail_fraction": spectral_tail_fraction(*u_hat.components),
         },
         "omega": {
             "value": lp_norm(vector_magnitude(final_derived.omega), math.inf),
-            "tail_fraction": _vector_tail_fraction(omega_hat),
+            "tail_fraction": spectral_tail_fraction(*omega_hat.components),
         },
     }
 
@@ -362,6 +328,18 @@ def _fmt(x, spec=".6g"):
     return format(x, spec) if isinstance(x, (int, float)) else str(x)
 
 
+def _print_criteria_table(rows):
+    print(f"{'criterion':<12} {'p':>6} {'q':>8} {'integral':>14} "
+          f"{'peak integrand':>16} {'crossed at':>11}")
+    for row in rows:
+        crossed = row["crossed_at"] if row["crossed_at"] is not None else "-"
+        print(
+            f"{row['kind']:<12} {str(row['p']):>6} {str(row['q'])[:8]:>8} "
+            f"{_fmt(row['integral']):>14} {_fmt(row['peak_integrand']):>16} "
+            f"{str(crossed):>11}"
+        )
+
+
 def _print_run_summary(report, series_path, audit_path, energy_path, report_path):
     print(f"status: {report['status']}  steps: {report['steps']}  "
           f"t_final: {_fmt(report['t_final'])}")
@@ -371,15 +349,7 @@ def _print_run_summary(report, series_path, audit_path, energy_path, report_path
             f"max |{name}| = {_fmt(entry['value'])}  "
             f"(spectral tail fraction {_fmt(entry['tail_fraction'], '.3g')})"
         )
-    print(f"{'criterion':<12} {'p':>6} {'q':>8} {'integral':>14} "
-          f"{'peak integrand':>16} {'crossed at':>11}")
-    for row in report["criteria"]:
-        crossed = row["crossed_at"] if row["crossed_at"] is not None else "-"
-        print(
-            f"{row['kind']:<12} {str(row['p']):>6} {str(row['q'])[:8]:>8} "
-            f"{_fmt(row['integral']):>14} {_fmt(row['peak_integrand']):>16} "
-            f"{str(crossed):>11}"
-        )
+    _print_criteria_table(report["criteria"])
     audit = report["audit"]
     print(
         "audit: charge-identity residual max "
@@ -456,14 +426,7 @@ def cmd_report(report_json: str) -> int:
     print(f"run status: {report['status']}  steps: {report['steps']}  "
           f"t_final: {report['t_final']}")
     print(f"state checksum: {report['state_checksum']}")
-    print(f"{'criterion':<12} {'p':>6} {'q':>8} {'integral':>14} "
-          f"{'peak integrand':>16} {'crossed at':>11}")
-    for row in report["criteria"]:
-        crossed = row["crossed_at"] if row["crossed_at"] is not None else "-"
-        print(
-            f"{row['kind']:<12} {str(row['p']):>6} {str(row['q'])[:8]:>8} "
-            f"{row['integral']:>14.6g} {row['peak_integrand']:>16.6g} {str(crossed):>11}"
-        )
+    _print_criteria_table(report["criteria"])
     if report.get("criteria_ranking"):
         print("ranking (earliest alarm first): " + ", ".join(report["criteria_ranking"]))
     audit = report["audit"]

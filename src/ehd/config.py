@@ -10,7 +10,7 @@ values:
   ``from_checkpoint(path=run/final.ehds)``.
 * ``criterion`` (repeatable): a triple ``kind, p, threshold`` such as
   ``PS_u, 6, auto``; threshold ``auto`` defers to the 10x-at-10%-horizon
-  heuristic.
+  heuristic, any other threshold is a positive number or ``inf``.
 
 Parsing reports every violation, not just the first.
 """
@@ -19,10 +19,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field
 
-from .criteria import make_accumulator
-from .initial_conditions import PRESET_NAMES
+from .criteria import jsonable, make_accumulator
+from .initial_conditions import PRESETS
+from .solver import StepControl
 
 
 class ConfigError(ValueError):
@@ -60,9 +62,9 @@ class RunConfig:
     t_end: float
     initial_condition: InitialConditionSpec
     grid_n: int = 32
-    cfl: float = 0.4
-    dt: float = 5e-4
-    dt_min: float = 1e-10
+    cfl: float = StepControl.cfl
+    dt: float = StepControl.dt
+    dt_min: float = StepControl.dt_min
     criteria: list[CriterionSpec] = field(default_factory=_default_criteria)
     output_dir: str = "."
     series_csv: str = "series.csv"
@@ -73,67 +75,20 @@ class RunConfig:
     checkpoint_every: int = 0  # extra checkpoints every k steps; 0 = final only
 
     def as_dict(self) -> dict:
-        def j(x):
-            if isinstance(x, float) and not math.isfinite(x):
-                return str(x)
-            return x
-
-        return {
-            "grid_n": self.grid_n,
-            "t_end": self.t_end,
-            "cfl": self.cfl,
-            "dt": self.dt,
-            "dt_min": self.dt_min,
-            "initial_condition": {
-                "name": self.initial_condition.name,
-                "params": {k: j(v) for k, v in self.initial_condition.params.items()},
-            },
-            "criteria": [
-                {"kind": c.kind, "p": j(c.p), "threshold": j(c.threshold)}
-                for c in self.criteria
-            ],
-            "output_dir": self.output_dir,
-            "series_csv": self.series_csv,
-            "audit_csv": self.audit_csv,
-            "energy_csv": self.energy_csv,
-            "report_json": self.report_json,
-            "checkpoint_path": self.checkpoint_path,
-            "checkpoint_every": self.checkpoint_every,
-        }
+        return jsonable(asdict(self))
 
 
+# Every int, float and str field of RunConfig is a config key of that type.
 _SCALAR_KEYS = {
-    "grid_n": int,
-    "t_end": float,
-    "cfl": float,
-    "dt": float,
-    "dt_min": float,
-    "checkpoint_every": int,
-    "output_dir": str,
-    "series_csv": str,
-    "audit_csv": str,
-    "energy_csv": str,
-    "report_json": str,
-    "checkpoint_path": str,
+    name: typ
+    for name, typ in typing.get_type_hints(RunConfig).items()
+    if typ in (int, float, str)
 }
 
 _KIND_ALIASES = {"bkm": "BKM", "ps_u": "PS_u", "ps_grad_u": "PS_grad_u",
                  "besov_aniso": "BESOV_ANISO"}
 
 _IC_CALL = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
-
-_IC_PARAM_TYPES = {
-    "random_smooth": {"seed": int, "energy": float, "peak_wavenumber": float},
-    "from_checkpoint": {"path": str},
-    "taylor_green": {},
-    "charged_shear": {},
-}
-_IC_REQUIRED = {"random_smooth": ("seed",), "from_checkpoint": ("path",)}
-
-
-def _parse_float(text: str) -> float:
-    value = float(text)  # accepts 'inf'
-    return value
 
 
 def _parse_criterion(value: str, lineno: int, violations: list) -> CriterionSpec | None:
@@ -151,17 +106,20 @@ def _parse_criterion(value: str, lineno: int, violations: list) -> CriterionSpec
         )
         return None
     try:
-        p = _parse_float(parts[1])
+        p = float(parts[1])  # accepts 'inf'
     except ValueError:
         violations.append(f"line {lineno}: criterion exponent {parts[1]!r} is not a number")
         return None
     threshold = None
     if len(parts) == 3 and parts[2].lower() not in ("auto", "none", ""):
         try:
-            threshold = _parse_float(parts[2])
+            threshold = float(parts[2])
         except ValueError:
+            threshold = math.nan
+        if not threshold > 0:
             violations.append(
-                f"line {lineno}: criterion threshold {parts[2]!r} is not a number or 'auto'"
+                f"line {lineno}: criterion threshold {parts[2]!r} is not 'auto', "
+                f"a positive number or inf"
             )
             return None
     try:
@@ -178,11 +136,12 @@ def _parse_initial_condition(value: str, lineno: int, violations: list):
         violations.append(f"line {lineno}: malformed initial_condition {value!r}")
         return None
     name, argtext = m.group(1), m.group(2)
-    if name not in PRESET_NAMES:
+    if name not in PRESETS:
         violations.append(
-            f"line {lineno}: unknown preset {name!r} (expected one of {', '.join(PRESET_NAMES)})"
+            f"line {lineno}: unknown preset {name!r} (expected one of {', '.join(PRESETS)})"
         )
         return None
+    _, param_types, required = PRESETS[name]
     params = {}
     if argtext and argtext.strip():
         for item in argtext.split(","):
@@ -192,7 +151,7 @@ def _parse_initial_condition(value: str, lineno: int, violations: list):
                 )
                 continue
             k, v = (s.strip() for s in item.split("=", 1))
-            typ = _IC_PARAM_TYPES[name].get(k)
+            typ = param_types.get(k)
             if typ is None:
                 violations.append(f"line {lineno}: preset {name} has no parameter {k!r}")
                 continue
@@ -200,7 +159,7 @@ def _parse_initial_condition(value: str, lineno: int, violations: list):
                 params[k] = typ(v.strip("'\""))
             except ValueError:
                 violations.append(f"line {lineno}: bad value {v!r} for {name}.{k}")
-    for req in _IC_REQUIRED.get(name, ()):
+    for req in required:
         if req not in params:
             violations.append(f"line {lineno}: preset {name} requires parameter {req!r}")
             return None
@@ -256,40 +215,27 @@ def parse_config(text: str) -> RunConfig:
     if ic is None and "initial_condition" not in seen:
         violations.append("missing required key 'initial_condition'")
 
+    config = RunConfig(
+        **{"t_end": math.nan, **values},  # a missing t_end is reported above
+        initial_condition=ic,
+        criteria=criteria or _default_criteria(),
+    )
     # Range checks on whatever parsed.
-    n = values.get("grid_n", 32)
+    n = config.grid_n
     if n < 8 or (n & (n - 1)) != 0:
         violations.append(f"grid_n must be a power of two >= 8, got {n}")
-    if "t_end" in values and not values["t_end"] > 0:
-        violations.append(f"t_end must be positive, got {values['t_end']}")
-    cfl = values.get("cfl", 0.4)
-    if not 0 < cfl < 1:
-        violations.append(f"cfl must lie strictly between 0 and 1, got {cfl}")
-    dt = values.get("dt", 5e-4)
-    dt_min = values.get("dt_min", 1e-10)
+    if "t_end" in values and not 0 < config.t_end < math.inf:
+        violations.append(f"t_end must be positive and finite, got {config.t_end}")
+    if not 0 < config.cfl < 1:
+        violations.append(f"cfl must lie strictly between 0 and 1, got {config.cfl}")
+    dt, dt_min = config.dt, config.dt_min
     if not dt > 0:
         violations.append(f"dt must be positive, got {dt}")
     elif not 0 < dt_min <= dt:
         violations.append(f"need 0 < dt_min <= dt, got dt_min={dt_min}, dt={dt}")
-    if values.get("checkpoint_every", 0) < 0:
+    if config.checkpoint_every < 0:
         violations.append("checkpoint_every must be >= 0")
 
     if violations:
         raise ConfigError(violations)
-
-    return RunConfig(
-        t_end=values["t_end"],
-        initial_condition=ic,
-        grid_n=n,
-        cfl=cfl,
-        dt=dt,
-        dt_min=dt_min,
-        criteria=criteria or _default_criteria(),
-        output_dir=values.get("output_dir", "."),
-        series_csv=values.get("series_csv", "series.csv"),
-        audit_csv=values.get("audit_csv", "audit.csv"),
-        energy_csv=values.get("energy_csv", "energy.csv"),
-        report_json=values.get("report_json", "report.json"),
-        checkpoint_path=values.get("checkpoint_path", "final.ehds"),
-        checkpoint_every=values.get("checkpoint_every", 0),
-    )
+    return config

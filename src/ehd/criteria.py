@@ -15,10 +15,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .littlewood_paley import BesovParams, besov_norm
-from .solver import BlowUpSuspected, State
+from .solver import BlowUpSuspected, State, entry_magnitude
 from .spectral import (
     RealField,
     forward_transform,
@@ -94,12 +92,7 @@ def horizontal_block_magnitude(derived: State) -> RealField:
     taken; any fixed finite-dimensional norm here changes constants only.
     The entries are the snapshot's shared velocity-gradient samples.
     """
-    g = derived.grid
-    sq = np.zeros((g.n,) * 3)
-    for row in derived.grad_u[:2]:
-        for d in row[:2]:
-            sq += d**2
-    return RealField(g, np.sqrt(sq))
+    return entry_magnitude(derived.grid, [row[:2] for row in derived.grad_u[:2]])
 
 
 def instantaneous_quantity(acc: CriterionAccumulator, state: State, derived: State) -> float:
@@ -149,30 +142,36 @@ class CriteriaReport:
         return {"status": self.status, "criteria": self.rows, "ranking": self.ranking}
 
 
-def _jsonable(x):
-    if x is None or isinstance(x, str):
-        return x
-    x = float(x)
-    return x if math.isfinite(x) else str(x)
+def jsonable(x):
+    """x for json.dumps: non-finite floats become 'inf', '-inf' or 'nan'
+    inside any dicts and lists; ints, None and strings pass unchanged."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, list):
+        return [jsonable(v) for v in x]
+    if isinstance(x, float):
+        return float(x) if math.isfinite(x) else str(x)
+    return x
 
 
 def report(accs, status) -> CriteriaReport:
     """Summarize accumulators; rank by earliest threshold crossing on blow-up."""
     status = status.value if hasattr(status, "value") else str(status)
-    rows = []
-    for acc in accs:
-        rows.append(
+    rows = [
+        jsonable(
             {
                 "kind": acc.kind.value,
-                "p": _jsonable(acc.p),
-                "q": _jsonable(acc.q),
-                "r": _jsonable(acc.r),
-                "integral": _jsonable(acc.integral),
-                "peak_integrand": _jsonable(acc.peak_integrand),
-                "threshold": _jsonable(acc.threshold),
-                "crossed_at": _jsonable(acc.crossed_at),
+                "p": acc.p,
+                "q": acc.q,
+                "r": acc.r,
+                "integral": acc.integral,
+                "peak_integrand": acc.peak_integrand,
+                "threshold": acc.threshold,
+                "crossed_at": acc.crossed_at,
             }
         )
+        for acc in accs
+    ]
     crossers = sorted(
         (acc for acc in accs if acc.crossed_at is not None), key=lambda a: a.crossed_at
     )

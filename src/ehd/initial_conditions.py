@@ -102,4 +102,15 @@ def random_smooth(
     return State(u=u, v=v, w=w)
 
 
-PRESET_NAMES = ("taylor_green", "charged_shear", "random_smooth", "from_checkpoint")
+# name -> (builder called as builder(grid, **params), parameter types,
+# required parameters).  from_checkpoint reads its state from a file.
+PRESETS = {
+    "taylor_green": (taylor_green, {}, ()),
+    "charged_shear": (charged_shear, {}, ()),
+    "random_smooth": (
+        random_smooth,
+        {"seed": int, "energy": float, "peak_wavenumber": float},
+        ("seed",),
+    ),
+    "from_checkpoint": (None, {"path": str}, ("path",)),
+}

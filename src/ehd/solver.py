@@ -34,6 +34,7 @@ from .spectral import (
     SpectralField,
     VectorField,
     _coeffs_from_samples,
+    _leray_coeffs,
     _samples_from_coeffs,
     backward_transform,
     curl,
@@ -152,11 +153,7 @@ class State:
 
     @cached_property
     def _grad_u_magnitude(self) -> RealField:
-        sq = np.zeros((self.grid.n,) * 3)
-        for row in self.grad_u:
-            for d in row:
-                sq += d**2
-        return RealField(self.grid, np.sqrt(sq))
+        return entry_magnitude(self.grid, self.grad_u)
 
     def grad_u_magnitude(self) -> RealField:
         """Pointwise Frobenius magnitude of the velocity gradient."""
@@ -198,6 +195,16 @@ class RunReport:
     final_state: State | None = field(default=None, repr=False)
 
 
+def entry_magnitude(grid: Grid, rows) -> RealField:
+    """Pointwise sqrt of the sum of squares of every entry of rows, summed in
+    row order (the Frobenius magnitude of a block of grad_u)."""
+    sq = np.zeros((grid.n,) * 3)
+    for row in rows:
+        for d in row:
+            sq += d**2
+    return RealField(grid, np.sqrt(sq))
+
+
 def derive(state: State) -> State:
     """The snapshot of state's samples, with coefficients from their forward
     transforms: state itself unless the run materialized it."""
@@ -237,7 +244,7 @@ def _nonlinear(grid: Grid, c, samples=None, dpsi=None):
     """
     cv, cw = c[3], c[4]
     mask = grid.dealias_mask
-    kx, ky, kz, inv_k2 = grid.kx, grid.ky, grid.kz, grid.inv_k2
+    kx, ky, kz = grid.kx, grid.ky, grid.kz
 
     charged = bool(cv.any() or cw.any())
     if samples is None:
@@ -266,8 +273,7 @@ def _nonlinear(grid: Grid, c, samples=None, dpsi=None):
         * mask
         for i in range(3)
     ]
-    kd = (kx * nu_hat[0] + ky * nu_hat[1] + kz * nu_hat[2]) * inv_k2
-    nu_hat = [nu_hat[0] - kx * kd, nu_hat[1] - ky * kd, nu_hat[2] - kz * kd]
+    nu_hat = _leray_coeffs(grid, *nu_hat)
 
     if not charged:
         zero = np.zeros_like(cv)
@@ -363,15 +369,8 @@ def _advance(grid: Grid, c0, f1, dt: float):
     )
 
     # Re-project and re-mask against roundoff drift.
-    kd = (grid.kx * c1[0] + grid.ky * c1[1] + grid.kz * c1[2]) * grid.inv_k2
     mask = grid.dealias_mask
-    return (
-        (c1[0] - grid.kx * kd) * mask,
-        (c1[1] - grid.ky * kd) * mask,
-        (c1[2] - grid.kz * kd) * mask,
-        c1[3] * mask,
-        c1[4] * mask,
-    )
+    return (*(a * mask for a in _leray_coeffs(grid, *c1[:3])), c1[3] * mask, c1[4] * mask)
 
 
 def _materialize(grid: Grid, c, t: float, step_index: int) -> State:

@@ -266,12 +266,14 @@ def leray_project(U: VectorField) -> VectorField:
     Idempotent; divergence-free fields (including the mean mode) pass through.
     """
     g = _require_same_grid(*U.components)
-    kd = (g.kx * U.x.coeffs + g.ky * U.y.coeffs + g.kz * U.z.coeffs) * g.inv_k2
-    return VectorField(
-        SpectralField(g, U.x.coeffs - g.kx * kd),
-        SpectralField(g, U.y.coeffs - g.ky * kd),
-        SpectralField(g, U.z.coeffs - g.kz * kd),
-    )
+    projected = _leray_coeffs(g, U.x.coeffs, U.y.coeffs, U.z.coeffs)
+    return VectorField(*(SpectralField(g, c) for c in projected))
+
+
+def _leray_coeffs(grid: Grid, cx, cy, cz) -> tuple:
+    """leray_project on raw coefficient arrays."""
+    kd = (grid.kx * cx + grid.ky * cy + grid.kz * cz) * grid.inv_k2
+    return cx - grid.kx * kd, cy - grid.ky * kd, cz - grid.kz * kd
 
 
 def solve_poisson(eta: SpectralField) -> SpectralField:
@@ -341,19 +343,24 @@ def vector_magnitude(U: VectorField) -> RealField:
     return RealField(g, np.sqrt(U.x.samples**2 + U.y.samples**2 + U.z.samples**2))
 
 
-def spectral_tail_fraction(F: SpectralField) -> float:
+def spectral_tail_fraction(*fields: SpectralField) -> float:
     """Energy fraction in the outer half of the retained band.
 
-    Reported beside grid-max L-inf values, which under-report for marginally
-    resolved fields; a large tail means the maximum is not trustworthy.
+    Given several fields (the components of a vector field), the fraction
+    of their summed power.  Reported beside grid-max L-inf values, which
+    under-report for marginally resolved fields; a large tail means the
+    maximum is not trustworthy.
     """
-    g = F.grid
+    g = fields[0].grid
     cap = np.floor(g.n / 3.0)
     outer = (
         (np.abs(g.kx) > cap / 2) | (np.abs(g.ky) > cap / 2) | (np.abs(g.kz) > cap / 2)
     )
-    power = spectral_power(F)
-    total = power.sum()
+    total = tail = 0.0
+    for F in fields:
+        power = spectral_power(F)
+        total += power.sum()
+        tail += power[np.broadcast_to(outer, power.shape)].sum()
     if total == 0.0:
         return 0.0
-    return float(power[np.broadcast_to(outer, power.shape)].sum() / total)
+    return float(tail / total)

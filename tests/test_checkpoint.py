@@ -1,5 +1,7 @@
 """Binary checkpoint format: bit-exact round trips and corruption detection."""
 
+import os
+import pathlib
 import struct
 import zlib
 
@@ -56,6 +58,43 @@ class TestRoundTrip:
         assert second == state.u.x.samples[1, 0, 0]
         (row_jump,) = struct.unpack_from("<d", raw, base + 8 * n)
         assert row_jump == state.u.x.samples[0, 1, 0]
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_leaves_no_temporary(
+        self, tmp_path, state, monkeypatch
+    ):
+        path = tmp_path / "state_00000001.ehds"
+        ehd.write_checkpoint(path, state)
+        old = path.read_bytes()
+
+        def write_half_then_fail(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pathlib.Path, "write_bytes", write_half_then_fail)
+        state.t = 1.5
+        with pytest.raises(OSError, match="disk full"):
+            ehd.write_checkpoint(path, state)
+        monkeypatch.undo()
+
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_temporary_name_does_not_match_step_checkpoints(self, tmp_path, state, monkeypatch):
+        seen = []
+        real_replace = os.replace
+
+        def spy(src, dst):
+            seen.append(pathlib.Path(src))
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", spy)
+        ehd.write_checkpoint(tmp_path / "state_00000002.ehds", state)
+        assert len(seen) == 1 and seen[0].parent == tmp_path
+        assert not seen[0].match("state_*.ehds")
+        assert [p.name for p in tmp_path.glob("state_*.ehds")] == ["state_00000002.ehds"]
 
 
 class TestCorruption:

@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import ehd
-from ehd.cli import main
+from ehd.cli import _build_initial_state, main
+from ehd.initial_conditions import PRESETS
 
 PI = math.pi
 
@@ -230,6 +232,41 @@ class TestReportCommand:
             rows = list(csv.reader(fh))
         assert rows[0] == ["t", "integrand", "integral"]
         assert len(rows) > 2
+
+    def test_non_finite_integral_prints_inf(self, tmp_path, capsys):
+        golden = Path(__file__).parent / "golden" / "random_smooth.json"
+        report = json.loads(golden.read_text())
+        report["criteria"][0]["integral"] = "inf"
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["report", str(path)]) == 0
+        row = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith(report["criteria"][0]["kind"]))
+        assert "inf" in row.split()
+
+
+def preset_call(name):
+    """The preset with a sample value for each required parameter."""
+    _, types, required = PRESETS[name]
+    sample = {int: "3", float: "1.5", str: "final.ehds"}
+    args = ", ".join(f"{k}={sample[types[k]]}" for k in required)
+    return f"{name}({args})" if args else name
+
+
+class TestPresetTable:
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_parses(self, name):
+        cfg = ehd.parse_config(f"t_end = 0.1\ninitial_condition = {preset_call(name)}\n")
+        assert cfg.initial_condition.name == name
+
+    @pytest.mark.parametrize("name", sorted(set(PRESETS) - {"from_checkpoint"}))
+    def test_every_builder_preset_builds_at_16(self, name):
+        cfg = ehd.parse_config(
+            f"grid_n = 16\nt_end = 0.1\ninitial_condition = {preset_call(name)}\n"
+        )
+        state = _build_initial_state(cfg)
+        assert state.grid.n == 16
+        ehd.validate_initial_state(state)
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from ehd import ConfigError, parse_config
+from ehd import ConfigError, RunConfig, StepControl, parse_config
 
 MINIMAL = """
 grid_n = 32
@@ -25,6 +25,12 @@ class TestParsing:
         assert [c.kind for c in cfg.criteria] == ["BKM", "PS_u", "PS_grad_u", "BESOV_ANISO"]
         assert cfg.series_csv == "series.csv"
         assert cfg.report_json == "report.json"
+
+    def test_minimal_config_defaults_are_the_dataclass_defaults(self):
+        cfg = parse_config("t_end = 0.5\ninitial_condition = taylor_green\n")
+        assert cfg == RunConfig(t_end=0.5, initial_condition=cfg.initial_condition)
+        control = StepControl()
+        assert (cfg.dt, cfg.cfl, cfg.dt_min) == (control.dt, control.cfl, control.dt_min)
 
     def test_comments_and_blank_lines_ignored(self):
         cfg = parse_config("# leading comment\n\nt_end = 1.0  # trailing\n"
@@ -99,6 +105,24 @@ class TestViolations:
                          "dt = 1e-4\ndt_min = 1e-3\n")
         with pytest.raises(ConfigError, match="cfl"):
             parse_config("t_end = 0.1\ninitial_condition = taylor_green\ncfl = 1.0\n")
+
+    def test_configs_that_cannot_run_each_reported(self):
+        text = ("t_end = inf\n"
+                "initial_condition = taylor_green\n"
+                "criterion = BKM, inf, -5\n"
+                "criterion = BKM, inf, nan\n")
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        violations = err.value.violations
+        assert len(violations) == 3
+        assert "t_end" in violations[2] and "finite" in violations[2]
+        assert violations[0].startswith("line 3:") and "'-5'" in violations[0]
+        assert violations[1].startswith("line 4:") and "'nan'" in violations[1]
+
+    def test_infinite_threshold_accepted(self):
+        cfg = parse_config("t_end = 0.1\ninitial_condition = taylor_green\n"
+                           "criterion = BKM, inf, inf\n")
+        assert cfg.criteria[0].threshold == math.inf
 
     def test_bad_scalar_type(self):
         with pytest.raises(ConfigError, match="expected int"):

@@ -344,3 +344,19 @@ class TestNorms:
         assert ehd.spectral_tail_fraction(high) == pytest.approx(1.0)
         zero = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
         assert ehd.spectral_tail_fraction(zero) == 0.0
+
+    def test_tail_fraction_of_several_fields(self, grid16, band_limited):
+        from ehd.spectral import spectral_power
+
+        fields = [ehd.forward_transform(band_limited(grid16)) for _ in range(3)]
+        g = grid16
+        cap = np.floor(g.n / 3.0) / 2
+        outer = (np.abs(g.kx) > cap) | (np.abs(g.ky) > cap) | (np.abs(g.kz) > cap)
+        powers = [spectral_power(F) for F in fields]
+        tail = sum(float(P[np.broadcast_to(outer, P.shape)].sum()) for P in powers)
+        total = sum(float(P.sum()) for P in powers)
+        assert ehd.spectral_tail_fraction(*fields) == tail / total  # same summation order
+        # One field: the fraction of that field's own power, bit for bit.
+        P = powers[0]
+        one = float(P[np.broadcast_to(outer, P.shape)].sum() / P.sum())
+        assert ehd.spectral_tail_fraction(fields[0]) == one
