@@ -52,6 +52,11 @@ def positivity_term(state: State) -> float:
     return float(np.sum((v + w) * (v - w) ** 2) * state.grid.cell_volume)
 
 
+def _snapshot(state: State, derived: State | None) -> State:
+    """derived, or when none is given the snapshot of state's samples."""
+    return derive(state) if derived is None else derived
+
+
 def _u_h3_norm(derived: State) -> float:
     return math.sqrt(sum(sobolev_norm(c, 3.0) ** 2 for c in derived.u_hat.components))
 
@@ -68,8 +73,7 @@ def log_sobolev_ratio(state: State, derived: State | None = None) -> float:
     over a smooth run is meaningful; monotone unbounded growth is flagged in
     the report.
     """
-    if derived is None:
-        derived = derive(state)
+    derived = _snapshot(state, derived)
     num = lp_norm(derived.grad_u_magnitude(), math.inf)
     omega_mag = vector_magnitude(derived.omega)
     denom = 1.0 + lp_norm(omega_mag, 2.0) + lp_norm(omega_mag, math.inf) * math.log(
@@ -80,8 +84,7 @@ def log_sobolev_ratio(state: State, derived: State | None = None) -> float:
 
 def y_growth(state: State, derived: State | None = None) -> float:
     """Y(t) = e + ||u||_H3^2 + ||v||_H2^2 + ||w||_H2^2."""
-    if derived is None:
-        derived = derive(state)
+    derived = _snapshot(state, derived)
     return (
         math.e
         + _u_h3_norm(derived) ** 2
@@ -150,8 +153,7 @@ class AuditLedger:
 
     @classmethod
     def from_state(cls, state: State, derived: State | None = None) -> "AuditLedger":
-        if derived is None:
-            derived = derive(state)
+        derived = _snapshot(state, derived)
         e0_charges = l2_norm_sq(derived.v_hat) + l2_norm_sq(derived.w_hat)
         return cls(e0_charges=e0_charges, e0_vel=_velocity_energy(derived))
 
@@ -160,8 +162,7 @@ class AuditLedger:
     def check_charge_identity(self, state: State, tol: float | None = None,
                               derived: State | None = None) -> float:
         """Relative residual of the exact charge-energy identity; flags above tol."""
-        if derived is None:
-            derived = derive(state)
+        derived = _snapshot(state, derived)
         tol = self.charge_tol if tol is None else tol
         lhs = (
             l2_norm_sq(derived.v_hat)
@@ -184,8 +185,7 @@ class AuditLedger:
         equals the accumulated coupling integral d_coupling up to time
         quadrature, which pins its expected value.
         """
-        if derived is None:
-            derived = derive(state)
+        derived = _snapshot(state, derived)
         margin = self.e0_vel - (_velocity_energy(derived) + self.d_vel)
         if margin < -DECAY_MARGIN_TOL * max(self.e0_vel, 1e-300):
             self.flags.append(

@@ -60,6 +60,18 @@ def write_checkpoint(path, state) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def checkpoint_grid_size(path) -> int:
+    """The grid size n of the checkpoint at path, from its header alone."""
+    with open(path, "rb") as fh:
+        head = fh.read(len(MAGIC) + _HEADER.size)
+    if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
+        raise CheckpointError(f"checkpoint {path} has no valid header")
+    version, n, _, _ = _HEADER.unpack_from(head, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint format version {version}")
+    return n
+
+
 def read_checkpoint(path):
     """Read a checkpoint back into a State (CRC-verified, bit-exact)."""
     from .solver import State

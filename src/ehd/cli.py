@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import astuple
+from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import criteria as _criteria
@@ -234,6 +234,8 @@ def cmd_run(config: RunConfig) -> int:
     """Wire solver + criteria + audit observers, run, and write all outputs."""
     t_start = time.monotonic()
     state0 = _build_initial_state(config)
+    # A restart runs on its checkpoint's grid; the report echoes that size.
+    config = replace(config, grid_n=state0.grid.n)
     try:
         validate_initial_state(state0)
     except InvariantViolation as exc:
@@ -423,18 +425,23 @@ def cmd_report(report_json: str) -> int:
     """Print a stored run report and emit per-criterion (t, integrand, integral) CSVs."""
     path = Path(report_json)
     report = json.loads(path.read_text())
-    print(f"run status: {report['status']}  steps: {report['steps']}  "
-          f"t_final: {report['t_final']}")
-    print(f"state checksum: {report['state_checksum']}")
-    _print_criteria_table(report["criteria"])
-    if report.get("criteria_ranking"):
-        print("ranking (earliest alarm first): " + ", ".join(report["criteria_ranking"]))
-    audit = report["audit"]
-    print(
-        "audit extremes: residual "
-        f"{audit['max_charge_identity_residual']}, margin "
-        f"{audit['min_velocity_margin']}, min charge {audit['min_charge_value']}"
-    )
+    if not isinstance(report, dict):
+        raise ValueError(f"{path} is not a run report: not a JSON object")
+    try:
+        print(f"run status: {report['status']}  steps: {report['steps']}  "
+              f"t_final: {report['t_final']}")
+        print(f"state checksum: {report['state_checksum']}")
+        _print_criteria_table(report["criteria"])
+        if report.get("criteria_ranking"):
+            print("ranking (earliest alarm first): " + ", ".join(report["criteria_ranking"]))
+        audit = report["audit"]
+        print(
+            "audit extremes: residual "
+            f"{audit['max_charge_identity_residual']}, margin "
+            f"{audit['min_velocity_margin']}, min charge {audit['min_charge_value']}"
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path} is not a run report: missing key {exc}") from exc
 
     for kind, series in report.get("criteria_series", {}).items():
         out = path.with_name(f"{path.stem}_criterion_{kind.lower()}.csv")

@@ -18,10 +18,12 @@ Parsing reports every violation, not just the first.
 from __future__ import annotations
 
 import math
+import os
 import re
 import typing
 from dataclasses import asdict, dataclass, field
 
+from .checkpoint import CheckpointError, checkpoint_grid_size
 from .criteria import jsonable, make_accumulator
 from .initial_conditions import PRESETS
 from .solver import StepControl
@@ -84,6 +86,20 @@ _SCALAR_KEYS = {
     for name, typ in typing.get_type_hints(RunConfig).items()
     if typ in (int, float, str)
 }
+
+# Peak memory of `ehd run`, in states (a state is five n^3 float64 fields):
+# the snapshot, the RK3 stage and work arrays, and the observers' fields.
+# tracemalloc measured 14.7 states at 32^3 and 14.3 at 64^3.
+RUN_PEAK_STATES = 15
+
+
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the system does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
 
 _KIND_ALIASES = {"bkm": "BKM", "ps_u": "PS_u", "ps_grad_u": "PS_grad_u",
                  "besov_aniso": "BESOV_ANISO"}
@@ -170,7 +186,9 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError carrying every violation found.
 
     Named charge presets are neutral and nonnegative by construction;
-    checkpoint-loaded states are validated when the run starts.
+    checkpoint-loaded states are validated when the run starts.  A restart
+    runs on the checkpoint's grid: an explicit grid_n must match the size in
+    the checkpoint's header.
     """
     violations: list[str] = []
     seen: dict[str, int] = {}
@@ -222,8 +240,28 @@ def parse_config(text: str) -> RunConfig:
     )
     # Range checks on whatever parsed.
     n = config.grid_n
+    memory = _physical_memory()
+    need = RUN_PEAK_STATES * 5 * n**3 * 8
     if n < 8 or (n & (n - 1)) != 0:
         violations.append(f"grid_n must be a power of two >= 8, got {n}")
+    elif memory is not None and need > memory:
+        violations.append(
+            f"grid_n = {n} needs about {need / 2**30:.3g} GiB ({RUN_PEAK_STATES} x 5 "
+            f"fields of {n}^3 float64), more than the {memory / 2**30:.3g} GiB "
+            f"of physical memory"
+        )
+    if ic is not None and ic.name == "from_checkpoint" and "grid_n" in values:
+        path = ic.params["path"]
+        try:
+            stored = checkpoint_grid_size(path)
+        except (OSError, CheckpointError) as exc:
+            violations.append(f"cannot read the grid size of checkpoint {path}: {exc}")
+        else:
+            if stored != n:
+                violations.append(
+                    f"grid_n = {n} does not match checkpoint {path}, "
+                    f"which holds a {stored}^3 grid"
+                )
     if "t_end" in values and not 0 < config.t_end < math.inf:
         violations.append(f"t_end must be positive and finite, got {config.t_end}")
     if not 0 < config.cfl < 1:

@@ -181,12 +181,15 @@ class VectorField:
         return isinstance(self.x, SpectralField)
 
 
+# The 1/n^3 of the Fourier convention is applied inside the transform
+# (norm="forward").  n^3 is a power of two, so this equals dividing the
+# unnormalized forward transform by n^3, bit for bit.
 def _coeffs_from_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    return _fft.rfftn(samples, workers=fft_workers()) / grid.n**3
+    return _fft.rfftn(samples, workers=fft_workers(), norm="forward")
 
 
 def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return _fft.irfftn(coeffs, s=(grid.n,) * 3, workers=fft_workers()) * grid.n**3
+    return _fft.irfftn(coeffs, s=(grid.n,) * 3, workers=fft_workers(), norm="forward")
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -242,8 +245,12 @@ def gradient(F: SpectralField) -> VectorField:
 
 def divergence(U: VectorField) -> SpectralField:
     g = _require_same_grid(*U.components)
-    c = 1j * (g.kx * U.x.coeffs + g.ky * U.y.coeffs + g.kz * U.z.coeffs)
-    return SpectralField(g, c)
+    # 1j * (kx*cx + ky*cy + kz*cz), in that order, in two arrays.
+    c = np.multiply(g.kx, U.x.coeffs)
+    tmp = np.multiply(g.ky, U.y.coeffs)
+    c += tmp
+    c += np.multiply(g.kz, U.z.coeffs, out=tmp)
+    return SpectralField(g, np.multiply(1j, c, out=c))
 
 
 def laplacian(F: SpectralField) -> SpectralField:
@@ -266,14 +273,25 @@ def leray_project(U: VectorField) -> VectorField:
     Idempotent; divergence-free fields (including the mean mode) pass through.
     """
     g = _require_same_grid(*U.components)
-    projected = _leray_coeffs(g, U.x.coeffs, U.y.coeffs, U.z.coeffs)
+    projected = _leray_coeffs(g, *(c.coeffs.copy() for c in U.components))
     return VectorField(*(SpectralField(g, c) for c in projected))
 
 
-def _leray_coeffs(grid: Grid, cx, cy, cz) -> tuple:
-    """leray_project on raw coefficient arrays."""
-    kd = (grid.kx * cx + grid.ky * cy + grid.kz * cz) * grid.inv_k2
-    return cx - grid.kx * kd, cy - grid.ky * kd, cz - grid.kz * kd
+def _leray_coeffs(grid: Grid, cx, cy, cz, work=None) -> tuple:
+    """leray_project on raw coefficient arrays, in place; returns them.
+
+    Computes c_i - k_i * ((kx*cx + ky*cy + kz*cz) * inv_k2) with the
+    operations and operand order of that expression, in the two
+    spectral-shape arrays of work (allocated when not given).
+    """
+    kd, tmp = work if work is not None else (np.empty_like(cx), np.empty_like(cx))
+    np.multiply(grid.kx, cx, out=kd)
+    kd += np.multiply(grid.ky, cy, out=tmp)
+    kd += np.multiply(grid.kz, cz, out=tmp)
+    kd *= grid.inv_k2
+    for kk, c in zip((grid.kx, grid.ky, grid.kz), (cx, cy, cz)):
+        c -= np.multiply(kk, kd, out=tmp)
+    return cx, cy, cz
 
 
 def solve_poisson(eta: SpectralField) -> SpectralField:
@@ -290,7 +308,8 @@ def solve_poisson(eta: SpectralField) -> SpectralField:
             f"right-hand side is not neutral: mean={mean.real:.6e}, "
             f"net charge over the box = {mean.real * VOLUME:.6e}"
         )
-    psi = -eta.coeffs * g.inv_k2
+    psi = np.negative(eta.coeffs)
+    psi *= g.inv_k2
     psi[0, 0, 0] = 0.0
     return SpectralField(g, psi)
 

@@ -245,6 +245,47 @@ class TestReportCommand:
         assert "inf" in row.split()
 
 
+    def test_file_that_is_not_a_report_is_a_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        for text, detail in (("{}", "missing key 'status'"), ("[1, 2]", "not a JSON object")):
+            path.write_text(text)
+            assert main(["report", str(path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("EHD-E1:") and "not a run report" in err and detail in err
+
+
+class TestRestartGrid:
+    """A restart runs on its checkpoint's grid; an explicit grid_n must match."""
+
+    @pytest.fixture
+    def checkpoint16(self, tmp_path):
+        path = tmp_path / "tg16.ehds"
+        ehd.write_checkpoint(path, ehd.taylor_green(ehd.Grid(16)))
+        return path
+
+    def restart_config(self, tmp_path, ckpt, grid_line=""):
+        return write_config(
+            tmp_path,
+            f"{grid_line}t_end = 0.001\ninitial_condition = from_checkpoint(path={ckpt})\n"
+            f"output_dir = {tmp_path}\n",
+        )
+
+    @pytest.mark.parametrize("grid_line", ["", "grid_n = 16\n"])
+    def test_report_echoes_the_checkpoint_grid(self, tmp_path, checkpoint16, grid_line):
+        assert main(["run", self.restart_config(tmp_path, checkpoint16, grid_line)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["config"]["grid_n"] == 16
+
+    def test_explicit_grid_other_than_the_checkpoint_is_rejected(
+        self, tmp_path, checkpoint16, capsys
+    ):
+        code = main(["run", self.restart_config(tmp_path, checkpoint16, "grid_n = 64\n")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("EHD-E1:") and "grid_n = 64" in err and "16^3" in err
+        assert not (tmp_path / "report.json").exists()
+
+
 def preset_call(name):
     """The preset with a sample value for each required parameter."""
     _, types, required = PRESETS[name]

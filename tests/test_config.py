@@ -124,6 +124,13 @@ class TestViolations:
                            "criterion = BKM, inf, inf\n")
         assert cfg.criteria[0].threshold == math.inf
 
+    def test_grid_that_cannot_fit_in_memory_rejected(self):
+        with pytest.raises(ConfigError, match="grid_n = 4096 needs about .* GiB") as err:
+            parse_config("t_end = 0.1\ninitial_condition = taylor_green\ngrid_n = 4096\n")
+        assert "physical memory" in str(err.value)
+        cfg = parse_config("t_end = 0.1\ninitial_condition = taylor_green\ngrid_n = 64\n")
+        assert cfg.grid_n == 64
+
     def test_bad_scalar_type(self):
         with pytest.raises(ConfigError, match="expected int"):
             parse_config("t_end = 0.1\ninitial_condition = taylor_green\ngrid_n = many\n")

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import ehd
+from ehd import solver
 from ehd import (
     BlowUpSuspected,
     ChargeNeutralityError,
@@ -354,3 +356,150 @@ class TestCflLimit:
         # psi = -(sin x - sin y)/2, so max |grad psi| = sqrt(1/2)
         expected = 0.4 * grid16.spacing / math.sqrt(0.5)
         assert ehd.cfl_limit(s, 0.4) == pytest.approx(expected, rel=1e-12)
+
+
+# The expression-form right-hand side and RK3 step that the in-place solver
+# arithmetic replaced, with the unnormalized transforms scaled by n^3 by hand.
+# The solver must reproduce them bit for bit, sign of zero included, because
+# state checksums hash the sample bytes.
+def _ref_forward(grid, samples):
+    return scipy.fft.rfftn(samples, workers=1) / grid.n**3
+
+
+def _ref_inverse(grid, coeffs):
+    return scipy.fft.irfftn(coeffs, s=(grid.n,) * 3, workers=1) * grid.n**3
+
+
+def _ref_leray(grid, cx, cy, cz):
+    kd = (grid.kx * cx + grid.ky * cy + grid.kz * cz) * grid.inv_k2
+    return cx - grid.kx * kd, cy - grid.ky * kd, cz - grid.kz * kd
+
+
+def _ref_grad_psi(grid, psi_hat):
+    return [_ref_inverse(grid, 1j * kk * psi_hat) for kk in (grid.kx, grid.ky, grid.kz)]
+
+
+def _ref_nonlinear(grid, c, samples=None, dpsi=None):
+    cv, cw = c[3], c[4]
+    mask = grid.dealias_mask
+    kx, ky, kz = grid.kx, grid.ky, grid.kz
+    charged = bool(cv.any() or cw.any())
+    if samples is None:
+        samples = [_ref_inverse(grid, a) for a in (c if charged else c[:3])]
+    u = samples[:3]
+    if charged:
+        v, w = samples[3], samples[4]
+        if dpsi is None:
+            psi = -(cv - cw) * grid.inv_k2
+            psi[0, 0, 0] = 0.0
+            dpsi = _ref_grad_psi(grid, psi)
+    flux = {}
+    for i in range(3):
+        for j in range(i, 3):
+            prod = u[i] * u[j]
+            if charged:
+                prod -= dpsi[i] * dpsi[j]
+            flux[i, j] = _ref_forward(grid, prod)
+    kvec = (kx, ky, kz)
+    nu_hat = [
+        -1j
+        * (
+            kvec[0] * flux[min(i, 0), max(i, 0)]
+            + kvec[1] * flux[min(i, 1), max(i, 1)]
+            + kvec[2] * flux[min(i, 2), max(i, 2)]
+        )
+        * mask
+        for i in range(3)
+    ]
+    nu_hat = _ref_leray(grid, *nu_hat)
+    if not charged:
+        zero = np.zeros_like(cv)
+        return (*nu_hat, zero, zero.copy())
+    nv_hat = -1j * (
+        kx * _ref_forward(grid, u[0] * v + v * dpsi[0])
+        + ky * _ref_forward(grid, u[1] * v + v * dpsi[1])
+        + kz * _ref_forward(grid, u[2] * v + v * dpsi[2])
+    ) * mask
+    nw_hat = -1j * (
+        kx * _ref_forward(grid, u[0] * w - w * dpsi[0])
+        + ky * _ref_forward(grid, u[1] * w - w * dpsi[1])
+        + kz * _ref_forward(grid, u[2] * w - w * dpsi[2])
+    ) * mask
+    return (*nu_hat, nv_hat, nw_hat)
+
+
+def _ref_advance(grid, c0, f1, dt):
+    e_full = np.exp(-grid.k2 * dt)
+    e_half = np.exp(-grid.k2 * (0.5 * dt))
+    s2 = tuple(e_half * (a + 0.5 * dt * f) for a, f in zip(c0, f1))
+    f2 = _ref_nonlinear(grid, s2)
+    s3 = tuple(
+        e_full * a + dt * (-e_full * fa + 2.0 * e_half * fb)
+        for a, fa, fb in zip(c0, f1, f2)
+    )
+    f3 = _ref_nonlinear(grid, s3)
+    c1 = tuple(
+        e_full * a + (dt / 6.0) * (e_full * fa + 4.0 * e_half * fb + fc)
+        for a, fa, fb, fc in zip(c0, f1, f2, f3)
+    )
+    mask = grid.dealias_mask
+    return (*(a * mask for a in _ref_leray(grid, *c1[:3])), c1[3] * mask, c1[4] * mask)
+
+
+def assert_bitwise_equal(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestInPlaceArithmetic:
+    """The in-place transforms, right-hand sides and RK3 step are bitwise the
+    expression forms above."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_transform_helpers_equal_scaled_unnormalized_transforms(self, n, rng):
+        grid = ehd.Grid(n)
+        x = rng.standard_normal((n,) * 3)
+        c = solver._coeffs_from_samples(grid, x)
+        assert_bitwise_equal([c], [scipy.fft.rfftn(x, workers=1) / n**3])
+        c *= grid.dealias_mask  # exact zeros of both signs
+        assert_bitwise_equal(
+            [solver._samples_from_coeffs(grid, c)],
+            [scipy.fft.irfftn(c, s=(n,) * 3, workers=1) * n**3],
+        )
+
+    @pytest.mark.parametrize("preset", ["random_smooth", "taylor_green"])
+    @pytest.mark.parametrize("dt", [5e-4, 0.0201 - 0.02])  # base and horizon-clamped
+    def test_step_equals_expression_form(self, preset, dt, grid16):
+        build = {"random_smooth": lambda g: ehd.random_smooth(g, seed=5),
+                 "taylor_green": ehd.taylor_green}[preset]
+        user = build(grid16)
+        snapshot = ehd.step(user, StepControl(dt=dt))  # carries the run's coefficients
+        assert (user.coeffs[3].any()) == (preset == "random_smooth")
+        for s, samples in ((user, None), (snapshot, snapshot.samples)):
+            c0 = tuple(a.copy() for a in s.coeffs)  # writable, so a write would land
+            before = tuple(a.copy() for a in c0)
+            f1 = solver._nonlinear(grid16, c0, samples, s.grad_psi)
+            ref_f1 = _ref_nonlinear(grid16, c0, samples, s.grad_psi)
+            assert_bitwise_equal(f1, ref_f1)
+            assert_bitwise_equal(solver._nonlinear(grid16, c0), _ref_nonlinear(grid16, c0))
+            c1 = solver._advance(grid16, c0, f1, dt, solver._Work(grid16))
+            assert_bitwise_equal(c1, _ref_advance(grid16, c0, ref_f1, dt))
+            assert_bitwise_equal(c0, before)
+
+    @pytest.mark.parametrize("preset", ["random_smooth", "taylor_green"])
+    def test_work_arrays_carry_nothing_between_steps(self, preset, grid16):
+        """Steps reusing one set of work arrays, filled with NaN to start,
+        equal steps with fresh ones: nothing is read before it is written."""
+        control = StepControl(t_end=1.0)
+        s = ehd.random_smooth(grid16, seed=5) if preset == "random_smooth" else (
+            ehd.taylor_green(grid16))
+        work = solver._Work(grid16)
+        for a in (*work.real, *work.spectral, *work.stages[0], *work.stages[1]):
+            a.fill(np.nan)
+        for _ in range(3):
+            reused = solver._step(s, control, work)
+            fresh = solver._step(s, control, solver._Work(grid16))
+            assert_bitwise_equal(reused.coeffs, fresh.coeffs)
+            s = reused

@@ -245,6 +245,27 @@ class TestLerayProjection:
             for a, b in zip(once.components, twice.components):
                 assert np.abs(a.coeffs - b.coeffs).max() < 1e-12
 
+    def test_in_place_operators_are_bitwise_the_expressions(self, grid16, band_limited):
+        """leray_project, divergence and solve_poisson compute in place, yet
+        equal their expression forms bit for bit and leave their input alone."""
+        g = grid16
+        U = ehd.vector_forward(VectorField(*[band_limited(g) for _ in range(3)]))
+        cx, cy, cz = (c.coeffs.copy() for c in U.components)
+        kd = (g.kx * cx + g.ky * cy + g.kz * cz) * g.inv_k2
+        want = [cx - g.kx * kd, cy - g.ky * kd, cz - g.kz * kd,
+                1j * (g.kx * cx + g.ky * cy + g.kz * cz)]
+        eta = ehd.forward_transform(band_limited(g)).coeffs
+        eta[0, 0, 0] = 0.0
+        psi = -eta * g.inv_k2
+        psi[0, 0, 0] = 0.0
+        got = [*(c.coeffs for c in ehd.leray_project(U).components),
+               ehd.divergence(U).coeffs,
+               ehd.solve_poisson(SpectralField(g, eta)).coeffs]
+        for a, b in zip(got, [*want, psi], strict=True):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        for c, before in zip(U.components, (cx, cy, cz)):
+            assert np.array_equal(c.coeffs.view(np.int64), before.view(np.int64))
+
     def test_projected_field_is_divergence_free(self, grid16, band_limited):
         U = ehd.vector_forward(VectorField(*[band_limited(grid16) for _ in range(3)]))
         div = ehd.backward_transform(ehd.divergence(ehd.leray_project(U)))
