@@ -98,8 +98,11 @@ def interpolation_ratios(f: RealField) -> tuple[float, float]:
 
     Scale-invariant by construction (degree-zero homogeneity in f).  For a
     constant field the gradient vanishes and the ratios are undefined;
-    reported as NaN (not applicable).
+    reported as NaN (not applicable).  An identically zero field (the
+    charges of an uncharged run) is answered before any transform.
     """
+    if not f.samples.any():
+        return (math.nan, math.nan)
     F = forward_transform(f)
     l2_sq = l2_norm_sq(F)
     grad_sq = grad_l2_norm_sq(F)

@@ -260,6 +260,13 @@ class _Work:
         shape = self.grid.spectral_shape
         return tuple([np.empty(shape, dtype=complex) for _ in range(5)] for _ in range(2))
 
+    @cached_property
+    def zeros(self) -> tuple:
+        """One zero sample array and one zero coefficient array: v and w,
+        each time, of every uncharged snapshot of the run (which flags them
+        read-only)."""
+        return np.zeros((self.grid.n,) * 3), np.zeros(self.grid.spectral_shape, dtype=complex)
+
 
 def _finish_divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
     """-1j * a * mask, in place: the last two factors of a divergence term."""
@@ -270,10 +277,12 @@ def _finish_divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
 def _nonlinear(grid: Grid, c, samples=None, dpsi=None, work=None, out=None):
     """Dealiased nonlinear + coupling right-hand sides on raw coefficients.
 
-    c = (ux, uy, uz, v, w) coefficient arrays.  Returns the same layout, in
-    the five arrays of out (new arrays when not given): the projected
-    momentum terms P[-(u.grad)u + lap(psi) grad(psi)] and the
-    divergence-form charge fluxes; diffusion is left to the integrator.
+    c = (ux, uy, uz, v, w) coefficient arrays, or (ux, uy, uz) alone for an
+    uncharged flow (v = w = 0, which the charge equations keep exactly
+    zero).  Returns the same layout, in the arrays of out (new arrays when
+    not given): the projected momentum terms P[-(u.grad)u + lap(psi)
+    grad(psi)] and the divergence-form charge fluxes; diffusion is left to
+    the integrator.
     samples (the inverse transforms of c) and dpsi (the samples of grad
     psi) are computed here unless given; stage 1 takes them from the
     snapshot.  c is read before out is first written, so out may be c.
@@ -288,24 +297,23 @@ def _nonlinear(grid: Grid, c, samples=None, dpsi=None, work=None, out=None):
     F, accumulated in place with that expression's operations and operand
     order, so the result is bitwise the expression's.
     """
-    cv, cw = c[3], c[4]
     kvec = (grid.kx, grid.ky, grid.kz)
     if work is None:
         work = _Work(grid)
     prod, rwork = work.real
     cwork = work.spectral[0]
 
-    charged = bool(cv.any() or cw.any())
+    charged = len(c) == 5
     if samples is None:
-        samples = [_samples_from_coeffs(grid, a) for a in (c if charged else c[:3])]
+        samples = [_samples_from_coeffs(grid, a) for a in c]
     u = samples[:3]
     if charged:
         v, w = samples[3], samples[4]
         if dpsi is None:
-            eta = SpectralField(grid, np.subtract(cv, cw, out=work.spectral[1]))
+            eta = SpectralField(grid, np.subtract(c[3], c[4], out=work.spectral[1]))
             dpsi = _grad_psi(grid, solve_poisson(eta).coeffs, cwork)
     if out is None:
-        out = [np.empty_like(cv) for _ in range(5)]
+        out = [np.empty_like(a) for a in c]
 
     def product(i, j):
         """u_i u_j - d_i(psi) d_j(psi), in prod."""
@@ -333,8 +341,6 @@ def _nonlinear(grid: Grid, c, samples=None, dpsi=None, work=None, out=None):
     _leray_coeffs(grid, *(_finish_divergence(grid, a) for a in nu), work.spectral)
 
     if not charged:
-        for a in out[3:]:
-            a.fill(0.0)
         return tuple(out)
 
     # Charges in divergence form (exact mean conservation): the drift carries
@@ -383,10 +389,17 @@ def _max_magnitude(components) -> float:
     Components are rescaled by their largest entry before squaring, so
     finite inputs near the float ceiling still yield a finite speed.
     """
-    scale = max(float(np.abs(a).max()) for a in components)
+    scale = max(max(float(a.max()), -float(a.min())) for a in components)
     if scale == 0.0 or not np.isfinite(scale):
-        return scale
-    sq = sum((a / scale) ** 2 for a in components)
+        return abs(scale)  # the maximum of a.max() and -a.min() can be -0.0 or -NaN
+    # sum((a / scale) ** 2) in two arrays: the sum starts from the first
+    # square (0 + x is x, bit for bit, for every square x).
+    first, *rest = components
+    sq = np.divide(first, scale)
+    np.square(sq, out=sq)
+    tmp = np.empty_like(sq)
+    for a in rest:
+        sq += np.square(np.divide(a, scale, out=tmp), out=tmp)
     return scale * float(np.sqrt(sq.max()))
 
 
@@ -408,6 +421,9 @@ def cfl_limit(state: State, cfl: float) -> float:
 def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
     """One integrating-factor RK3 step on coefficient arrays; f1 is stage 1.
 
+    c0 holds five arrays, or the three velocity arrays of an uncharged flow;
+    as many are carried.
+
     The stage sums are evaluated in place, with the operations and operand
     order of
 
@@ -420,7 +436,7 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
     consumed; c0 is only read.
     """
     e_full, e_half, neg_e_full, two_e_half, four_e_half = _diffusion_factors(grid, dt)
-    s2, s3 = work.stages
+    s2, s3 = (s[: len(c0)] for s in work.stages)
     tmp = work.spectral[0]
 
     half_dt = 0.5 * dt
@@ -452,9 +468,16 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
     return tuple(c1)
 
 
-def _materialize(grid: Grid, c, t: float, step_index: int) -> State:
-    u = VectorField(*(RealField(grid, _samples_from_coeffs(grid, a)) for a in c[:3]))
-    v, w = (RealField(grid, _samples_from_coeffs(grid, a)) for a in c[3:])
+def _materialize(grid: Grid, c, t: float, step_index: int, work: _Work) -> State:
+    """The snapshot of coefficient arrays c; given only the three velocity
+    arrays, v and w share the run's read-only zeros."""
+    samples = [_samples_from_coeffs(grid, a) for a in c]
+    if len(c) == 3:
+        zero_samples, zero_coeffs = work.zeros
+        samples += [zero_samples] * 2
+        c = (*c, zero_coeffs, zero_coeffs)
+    u = VectorField(*(RealField(grid, a) for a in samples[:3]))
+    v, w = (RealField(grid, a) for a in samples[3:])
     state = State(u=u, v=v, w=w, t=t, step_index=step_index, _coeffs=_readonly(c))
     _readonly(state.samples)
     return state
@@ -464,12 +487,16 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     """Shared stepping core.
 
     Stage 1 does not depend on dt, so it runs first, on the snapshot's
-    samples and grad psi; the CFL bound then reads the same arrays.
+    samples and grad psi; the CFL bound then reads the same arrays.  With
+    no charge (grad psi is None) only the three velocity arrays are
+    carried: the charge equations are linear and homogeneous in (v, w), so
+    zero charges stay exactly zero.
     """
     grid = state.grid
-    c0 = state.coeffs
+    dpsi = state.grad_psi
+    c0 = state.coeffs if dpsi is not None else state.coeffs[:3]
     samples = state.samples if state._coeffs is not None else None
-    f1 = _nonlinear(grid, c0, samples, state.grad_psi, work)
+    f1 = _nonlinear(grid, c0, samples, dpsi, work)
     dt_stab = cfl_limit(state, control.cfl)
     dt = min(control.dt, dt_stab)
     if dt < control.dt_min:
@@ -482,7 +509,7 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
         dt = remaining
 
     new = _materialize(
-        grid, _advance(grid, c0, f1, dt, work), state.t + dt, state.step_index + 1
+        grid, _advance(grid, c0, f1, dt, work), state.t + dt, state.step_index + 1, work
     )
     try:
         _check_finite_state(new)

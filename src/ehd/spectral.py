@@ -223,9 +223,13 @@ def hermitian_defect(F: SpectralField) -> float:
 
 
 def backward_transform(F: SpectralField) -> RealField:
-    """Transform coefficients back to samples; rejects broken Hermitian symmetry."""
-    scale = float(np.abs(F.coeffs).max())
-    if hermitian_defect(F) > 1e-12 * max(1.0, scale):
+    """Transform coefficients back to samples; rejects broken Hermitian symmetry.
+
+    The tolerance is 1e-12 * max(1, max |c|), so a defect of at most 1e-12
+    passes at any scale and the scale is only measured above that.
+    """
+    defect = hermitian_defect(F)
+    if defect > 1e-12 and defect > 1e-12 * max(1.0, float(np.abs(F.coeffs).max())):
         raise HermitianSymmetryError(
             "coefficients violate c(-k) = conj(c(k)) on a self-conjugate plane; "
             "field is not real"

@@ -135,6 +135,15 @@ class TestInterpolationRatios:
         r4, r3 = ehd.interpolation_ratios(f)
         assert math.isnan(r4) and math.isnan(r3)
 
+    def test_zero_field_not_applicable_without_a_transform(self, grid16, monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a zero field was transformed")
+
+        monkeypatch.setattr(ehd.audit, "forward_transform", no_transform)
+        for zero in (0.0, -0.0):
+            r4, r3 = ehd.interpolation_ratios(RealField(grid16, full(grid16, zero)))
+            assert math.isnan(r4) and math.isnan(r3)
+
     def test_gn_ratios_use_v(self, grid16):
         s = ehd.charged_shear(grid16)
         assert ehd.gn_ratios(s) == ehd.interpolation_ratios(s.v)

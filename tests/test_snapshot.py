@@ -48,10 +48,11 @@ class TestTransformBudget:
         # The first step also inverts the initial coefficients for stage 1.
         assert [len(s) for s in steps[1:]] == [61] * 4
 
-    def test_uncharged_step_makes_30_transforms(self, grid16, monkeypatch):
+    def test_uncharged_step_makes_28_transforms(self, grid16, monkeypatch):
         steps = _step_windows(monkeypatch, ehd.taylor_green(grid16),
                               StepControl(dt=1e-3, t_end=5e-3))
-        assert [len(s) for s in steps[1:]] == [30] * 4
+        # Only the velocity is carried: no transform of the zero charges.
+        assert [len(s) for s in steps[1:]] == [28] * 4
 
     def test_no_transform_repeats_within_a_step(self, grid16, monkeypatch):
         steps = _step_windows(monkeypatch, ehd.random_smooth(grid16, seed=3),

@@ -487,6 +487,9 @@ class TestInPlaceArithmetic:
             c1 = solver._advance(grid16, c0, f1, dt, solver._Work(grid16))
             assert_bitwise_equal(c1, _ref_advance(grid16, c0, ref_f1, dt))
             assert_bitwise_equal(c0, before)
+            if preset == "taylor_green":
+                # Five arrays take the charged arithmetic; zero charges stay +0.
+                assert not any(np.signbit(a.view(float)).any() for a in (*f1[3:], *c1[3:]))
 
     @pytest.mark.parametrize("preset", ["random_smooth", "taylor_green"])
     def test_work_arrays_carry_nothing_between_steps(self, preset, grid16):
@@ -503,3 +506,88 @@ class TestInPlaceArithmetic:
             fresh = solver._step(s, control, solver._Work(grid16))
             assert_bitwise_equal(reused.coeffs, fresh.coeffs)
             s = reused
+
+
+class TestUnchargedPath:
+    """With v = w = 0 a step carries only the three velocity arrays, bitwise
+    the five-array expression form, and the charges stay exact +0."""
+
+    @pytest.mark.parametrize("dt", [5e-4, 1e-4])  # base and horizon-clamped
+    def test_step_equals_five_array_expression_form(self, dt, grid16):
+        def control_for(s):
+            t_end = 1.0 if dt == 5e-4 else s.t + dt
+            return StepControl(dt=5e-4, t_end=t_end)
+
+        user = ehd.taylor_green(grid16)
+        snapshot = ehd.step(user, StepControl(dt=5e-4))  # carries the run's coefficients
+        for s, samples in ((user, None), (snapshot, snapshot.samples)):
+            assert s.grad_psi is None
+            control = control_for(s)
+            used = min(control.dt, control.t_end - s.t)
+            c0 = s.coeffs
+            want = _ref_advance(grid16, c0, _ref_nonlinear(grid16, c0, samples), used)
+
+            work = solver._Work(grid16)
+            new = solver._step(s, control, work)
+            assert new.t == s.t + used
+            assert_bitwise_equal(new.coeffs, want)
+            assert_bitwise_equal(new.samples, [_ref_inverse(grid16, a) for a in want])
+            for a in (*new.coeffs[3:], *new.samples[3:]):
+                assert not np.signbit(a.view(float)).any()
+
+            # v and w are one shared read-only array, held by the run.
+            assert new.v.samples is new.w.samples is work.zeros[0]
+            assert new.coeffs[3] is new.coeffs[4] is work.zeros[1]
+            assert not any(a.flags.writeable for a in work.zeros)
+
+    def test_three_arrays_carried(self, grid16, monkeypatch):
+        seen = []
+        nonlinear = solver._nonlinear
+
+        def record(grid, c, *args, **kwargs):
+            seen.append(len(c))
+            return nonlinear(grid, c, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "_nonlinear", record)
+        ehd.run(ehd.taylor_green(grid16), StepControl(dt=1e-3, t_end=2e-3))
+        ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=2e-3))
+        assert seen == [3] * 6 + [5] * 6
+
+
+def _old_max_magnitude(components):
+    """The CFL magnitude before it reused two arrays."""
+    scale = max(float(np.abs(a).max()) for a in components)
+    if scale == 0.0 or not np.isfinite(scale):
+        return scale
+    sq = sum((a / scale) ** 2 for a in components)
+    return scale * float(np.sqrt(sq.max()))
+
+
+def _fields_for_max_magnitude(rng):
+    shape = (8, 8, 8)
+    yield "random", [rng.standard_normal(shape) for _ in range(3)]
+    yield "negative", [-np.abs(rng.standard_normal(shape)) for _ in range(3)]
+    yield "1e300", [1e300 * rng.standard_normal(shape) for _ in range(3)]
+    yield "zero", [np.zeros(shape) for _ in range(3)]
+    yield "negative zero", [np.full(shape, -0.0) for _ in range(3)]
+    yield "mixed zero", [np.zeros(shape), np.full(shape, -0.0), np.zeros(shape)]
+    for name, bad in (("nan", np.nan), ("-nan", -np.nan), ("inf", np.inf),
+                      ("-inf", -np.inf), ("inf - inf", np.inf - np.inf)):
+        for i in range(3):
+            fields = [rng.standard_normal(shape) for _ in range(3)]
+            fields[i][1, 2, 3] = bad
+            yield f"{name} in component {i}", fields
+    fields = [rng.standard_normal(shape) for _ in range(3)]
+    fields[0][0, 0, 0], fields[2][4, 4, 4] = np.inf, np.nan
+    yield "inf and nan", fields
+
+
+class TestMaxMagnitude:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_same_bits_as_the_old_formula(self, rng):
+        for name, fields in _fields_for_max_magnitude(rng):
+            before = [a.copy() for a in fields]
+            got = np.float64(solver._max_magnitude(fields))
+            want = np.float64(_old_max_magnitude(fields))
+            assert got.view(np.int64) == want.view(np.int64), (name, got, want)
+            assert_bitwise_equal(fields, before)

@@ -141,6 +141,26 @@ class TestTransforms:
         with pytest.raises(HermitianSymmetryError):
             ehd.backward_transform(SpectralField(grid16, coeffs))
 
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_symmetry_verdict_is_the_scaled_tolerance(self, scale, grid16, band_limited):
+        """Accepted exactly when defect <= 1e-12 * max(1, max |c|), the
+        expression the check measured the scale for on every call."""
+        symmetric = scale * ehd.forward_transform(band_limited(grid16)).coeffs
+        verdicts = []
+        for defect in (0.0, 1e-14, 9e-13, 3e-12, 1e-9, 1e-6, 1e-3):
+            coeffs = symmetric.copy()
+            coeffs[1, 2, 0] += defect  # its mirror (-1, -2, 0) is left as it was
+            F = SpectralField(grid16, coeffs)
+            old = ehd.hermitian_defect(F) > 1e-12 * max(1.0, float(np.abs(coeffs).max()))
+            try:
+                ehd.backward_transform(F)
+                rejected = False
+            except HermitianSymmetryError:
+                rejected = True
+            assert rejected == old, defect
+            verdicts.append(rejected)
+        assert verdicts[0] is False and verdicts[-1] is True
+
 
 class TestOperators:
     def test_gradient_of_sine(self, grid16):
