@@ -27,9 +27,9 @@ for acc in accs:
           f"scaling closure defect {defect:.1e}")
 
 
-def monitor(state, derived, dt):
+def monitor(state, _, dt):
     for acc in accs:
-        ehd.observe(acc, state, derived, dt)
+        ehd.observe(acc, state, dt)
 
 
 report = ehd.run(state, ehd.StepControl(dt=1e-3, t_end=0.15), hooks=[monitor])

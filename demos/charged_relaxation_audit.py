@@ -18,8 +18,8 @@ ledger = ehd.AuditLedger.from_state(state)
 rows = []
 
 
-def audit(state, derived, dt):
-    rows.append(ledger.update(state, derived, dt))
+def audit(state, _, dt):
+    rows.append(ledger.update(state, dt))
 
 
 report = ehd.run(state, ehd.StepControl(dt=1e-3, t_end=0.2), hooks=[audit])

@@ -21,8 +21,8 @@ control = ehd.StepControl(dt=1e-3, t_end=0.4)
 samples = []
 
 
-def record(state, derived, dt):
-    energy = sum(ehd.l2_norm_sq(c) for c in derived.u_hat.components)
+def record(state, _, dt):
+    energy = sum(ehd.l2_norm_sq(c) for c in state.u_hat.components)
     samples.append((state.t, energy))
 
 

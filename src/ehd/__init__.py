@@ -54,10 +54,9 @@ from .solver import (
     RunStatus,
     State,
     StepControl,
-    charge_rhs,
     cfl_limit,
     derive,
-    momentum_rhs,
+    nonlinear_rhs,
     run,
     step,
     validate_initial_state,

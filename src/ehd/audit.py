@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import jsonable
-from .solver import State, derive
+from .solver import State
 from .spectral import (
     VOLUME,
     RealField,
@@ -52,44 +52,37 @@ def positivity_term(state: State) -> float:
     return float(np.sum((v + w) * (v - w) ** 2) * state.grid.cell_volume)
 
 
-def _snapshot(state: State, derived: State | None) -> State:
-    """derived, or when none is given the snapshot of state's samples."""
-    return derive(state) if derived is None else derived
+def _u_h3_norm(state: State) -> float:
+    return math.sqrt(sum(sobolev_norm(c, 3.0) ** 2 for c in state.u_hat.components))
 
 
-def _u_h3_norm(derived: State) -> float:
-    return math.sqrt(sum(sobolev_norm(c, 3.0) ** 2 for c in derived.u_hat.components))
-
-
-def _velocity_energy(derived: State) -> float:
+def _velocity_energy(state: State) -> float:
     """||u||^2 + ||grad psi||^2, the energy of the velocity / potential balance."""
-    return sum(l2_norm_sq(c) for c in derived.u_hat.components) + grad_l2_norm_sq(derived.psi_hat)
+    return sum(l2_norm_sq(c) for c in state.u_hat.components) + grad_l2_norm_sq(state.psi_hat)
 
 
-def log_sobolev_ratio(state: State, derived: State | None = None) -> float:
+def log_sobolev_ratio(state: State) -> float:
     """||grad u||_inf / (1 + ||omega||_2 + ||omega||_inf ln(e + ||u||_H3)).
 
     The bounding constant is not known, so only boundedness of this series
     over a smooth run is meaningful; monotone unbounded growth is flagged in
     the report.
     """
-    derived = _snapshot(state, derived)
-    num = lp_norm(derived.grad_u_magnitude(), math.inf)
-    omega_mag = vector_magnitude(derived.omega)
+    num = lp_norm(state.grad_u_magnitude(), math.inf)
+    omega_mag = vector_magnitude(state.omega)
     denom = 1.0 + lp_norm(omega_mag, 2.0) + lp_norm(omega_mag, math.inf) * math.log(
-        math.e + _u_h3_norm(derived)
+        math.e + _u_h3_norm(state)
     )
     return num / denom
 
 
-def y_growth(state: State, derived: State | None = None) -> float:
+def y_growth(state: State) -> float:
     """Y(t) = e + ||u||_H3^2 + ||v||_H2^2 + ||w||_H2^2."""
-    derived = _snapshot(state, derived)
     return (
         math.e
-        + _u_h3_norm(derived) ** 2
-        + sobolev_norm(derived.v_hat, 2.0) ** 2
-        + sobolev_norm(derived.w_hat, 2.0) ** 2
+        + _u_h3_norm(state) ** 2
+        + sobolev_norm(state.v_hat, 2.0) ** 2
+        + sobolev_norm(state.w_hat, 2.0) ** 2
     )
 
 
@@ -155,21 +148,18 @@ class AuditLedger:
     _last: dict | None = None
 
     @classmethod
-    def from_state(cls, state: State, derived: State | None = None) -> "AuditLedger":
-        derived = _snapshot(state, derived)
-        e0_charges = l2_norm_sq(derived.v_hat) + l2_norm_sq(derived.w_hat)
-        return cls(e0_charges=e0_charges, e0_vel=_velocity_energy(derived))
+    def from_state(cls, state: State) -> "AuditLedger":
+        e0_charges = l2_norm_sq(state.v_hat) + l2_norm_sq(state.w_hat)
+        return cls(e0_charges=e0_charges, e0_vel=_velocity_energy(state))
 
     # -- balance checks ----------------------------------------------------
 
-    def check_charge_identity(self, state: State, tol: float | None = None,
-                              derived: State | None = None) -> float:
+    def check_charge_identity(self, state: State, tol: float | None = None) -> float:
         """Relative residual of the exact charge-energy identity; flags above tol."""
-        derived = _snapshot(state, derived)
         tol = self.charge_tol if tol is None else tol
         lhs = (
-            l2_norm_sq(derived.v_hat)
-            + l2_norm_sq(derived.w_hat)
+            l2_norm_sq(state.v_hat)
+            + l2_norm_sq(state.w_hat)
             + self.d_charges
             + self.d_cross
         )
@@ -180,16 +170,14 @@ class AuditLedger:
             )
         return residual
 
-    def check_velocity_decay(self, state: State,
-                             derived: State | None = None) -> float:
+    def check_velocity_decay(self, state: State) -> float:
         """Decay margin e0 - (||u||^2 + ||grad psi||^2 + d_vel).
 
         Nonnegative (within tolerance) whenever the charges are nonnegative;
         equals the accumulated coupling integral d_coupling up to time
         quadrature, which pins its expected value.
         """
-        derived = _snapshot(state, derived)
-        margin = self.e0_vel - (_velocity_energy(derived) + self.d_vel)
+        margin = self.e0_vel - (_velocity_energy(state) + self.d_vel)
         if margin < -DECAY_MARGIN_TOL * max(self.e0_vel, 1e-300):
             self.flags.append(
                 f"velocity decay margin {margin:.3e} negative beyond tolerance "
@@ -199,22 +187,22 @@ class AuditLedger:
 
     # -- per-step update ---------------------------------------------------
 
-    def update(self, state: State, derived: State, dt: float) -> AuditRecord:
+    def update(self, state: State, dt: float) -> AuditRecord:
         """Accumulate dissipation integrals (trapezoid) and evaluate all monitors."""
         g = state.grid
-        lap_psi_sq = float(VOLUME * ((g.k2**2) * spectral_power(derived.psi_hat)).sum())
-        dpsi = derived.grad_psi  # shared with the solver's CFL bound and stage 1
+        lap_psi_sq = float(VOLUME * ((g.k2**2) * spectral_power(state.psi_hat)).sum())
+        dpsi = state.grad_psi  # shared with the solver's CFL bound and stage 1
         coupling = 0.0
         if dpsi is not None:
             grad_psi_mag_sq = dpsi[0] ** 2 + dpsi[1] ** 2 + dpsi[2] ** 2
-            coupling = 2.0 * float(np.sum(derived.zeta.samples * grad_psi_mag_sq) * g.cell_volume)
+            coupling = 2.0 * float(np.sum(state.zeta.samples * grad_psi_mag_sq) * g.cell_volume)
 
         integrands = {
             "charges": 2.0
-            * (grad_l2_norm_sq(derived.v_hat) + grad_l2_norm_sq(derived.w_hat)),
+            * (grad_l2_norm_sq(state.v_hat) + grad_l2_norm_sq(state.w_hat)),
             "cross": positivity_term(state),
             "vel": 2.0
-            * (sum(grad_l2_norm_sq(c) for c in derived.u_hat.components) + lap_psi_sq),
+            * (sum(grad_l2_norm_sq(c) for c in state.u_hat.components) + lap_psi_sq),
             "coupling": coupling,
         }
         if self._last is not None and dt > 0.0:
@@ -224,10 +212,10 @@ class AuditLedger:
             self.d_coupling += 0.5 * dt * (self._last["coupling"] + integrands["coupling"])
         self._last = integrands
 
-        residual = self.check_charge_identity(state, derived=derived)
-        margin = self.check_velocity_decay(state, derived=derived)
-        lsr = log_sobolev_ratio(state, derived)
-        y = y_growth(state, derived)
+        residual = self.check_charge_identity(state)
+        margin = self.check_velocity_decay(state)
+        lsr = log_sobolev_ratio(state)
+        y = y_growth(state)
         gn4, gn3 = gn_ratios(state)
 
         self.max_charge_residual = max(self.max_charge_residual, residual)

@@ -52,17 +52,19 @@ EXIT_INVARIANT = 3
 
 REPORT_FORMAT_VERSION = 1
 
-SERIES_COLUMNS = [
-    "t",
-    "dt",
-    "bkm_integrand",
-    "bkm_integral",
-    "ps_u_p",
-    "ps_u_integral",
-    "ps_gradu_integral",
-    "besov_aniso_integrand",
-    "besov_aniso_integral",
-]
+# The criteria columns of series.csv: each is filled from one attribute of the
+# run's first accumulator of one kind, and left empty if the run has none.
+SERIES_CRITERIA = {
+    "bkm_integrand": ("BKM", "last_integrand"),
+    "bkm_integral": ("BKM", "integral"),
+    "ps_u_p": ("PS_u", "p"),
+    "ps_u_integral": ("PS_u", "integral"),
+    "ps_gradu_integral": ("PS_grad_u", "integral"),
+    "besov_aniso_integrand": ("BESOV_ANISO", "last_integrand"),
+    "besov_aniso_integral": ("BESOV_ANISO", "integral"),
+}
+
+SERIES_COLUMNS = ["t", "dt", *SERIES_CRITERIA]
 
 AUDIT_COLUMNS = [
     "t",
@@ -177,17 +179,17 @@ class _Orchestra:
             a.kind.value: {"t": [], "integrand": [], "integral": []} for a in accs
         }
 
-    def __call__(self, state, derived, dt):
+    def __call__(self, state, _, dt):
         for acc in self.accs:
-            _criteria.observe(acc, state, derived, dt)
+            _criteria.observe(acc, state, dt)
         if self.thresholds_pending and state.t >= 0.1 * self.config.t_end:
             for acc in self.thresholds_pending:
                 if acc.integral > 0.0:
                     acc.threshold = 10.0 * acc.integral
             self.thresholds_pending = []
-        record = self.ledger.update(state, derived, dt)
-        kinetic = sum(l2_norm_sq(c) for c in derived.u_hat.components)
-        potential = grad_l2_norm_sq(derived.psi_hat)
+        record = self.ledger.update(state, dt)
+        kinetic = sum(l2_norm_sq(c) for c in state.u_hat.components)
+        potential = grad_l2_norm_sq(state.psi_hat)
         self.energy_writer.writerow([state.t, kinetic, potential])
         self._write_series_row(state, dt)
         self.audit_writer.writerow(astuple(record))
@@ -204,23 +206,12 @@ class _Orchestra:
             write_checkpoint(self.out_dir / f"state_{state.step_index:08d}.ehds", state)
 
     def _write_series_row(self, state, dt):
-        first = {}
-        for acc in self.accs:
-            first.setdefault(acc.kind.value, acc)
-        def get(kind, attr):
-            acc = first.get(kind)
-            return getattr(acc, attr) if acc is not None else ""
+        first = {acc.kind.value: acc for acc in reversed(self.accs)}
         self.series_writer.writerow(
-            [
-                state.t,
-                dt,
-                get("BKM", "last_integrand"),
-                get("BKM", "integral"),
-                get("PS_u", "p"),
-                get("PS_u", "integral"),
-                get("PS_grad_u", "integral"),
-                get("BESOV_ANISO", "last_integrand"),
-                get("BESOV_ANISO", "integral"),
+            [state.t, dt]
+            + [
+                getattr(first[kind], attr) if kind in first else ""
+                for kind, attr in SERIES_CRITERIA.values()
             ]
         )
 
@@ -254,8 +245,7 @@ def cmd_run(config: RunConfig) -> int:
         )
 
     accs = [_criteria.make_accumulator(c.kind, c.p, c.threshold) for c in config.criteria]
-    derived0 = derive(state0)
-    ledger = AuditLedger.from_state(state0, derived0)
+    ledger = AuditLedger.from_state(state0)
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -281,16 +271,17 @@ def cmd_run(config: RunConfig) -> int:
     write_checkpoint(out_dir / config.checkpoint_path, final)
 
     crit_report = _criteria.report(accs, run_report.status)
-    final_derived = derive(final)
-    u_hat = final_derived.u_hat
-    omega_hat = vector_forward(final_derived.omega)
+    # The report's norms are taken from the forward transforms of the final samples.
+    fresh = derive(final)
+    u_hat = fresh.u_hat
+    omega_hat = vector_forward(fresh.omega)
     linf = {
         "u": {
             "value": lp_norm(vector_magnitude(final.u), math.inf),
             "tail_fraction": spectral_tail_fraction(*u_hat.components),
         },
         "omega": {
-            "value": lp_norm(vector_magnitude(final_derived.omega), math.inf),
+            "value": lp_norm(vector_magnitude(fresh.omega), math.inf),
             "tail_fraction": spectral_tail_fraction(*omega_hat.components),
         },
     }
@@ -374,8 +365,8 @@ def cmd_besov(checkpoint: str, s: float, p: float, r: float, field_name: str = "
         "uz": lambda: state.u.z,
         "v": lambda: state.v,
         "w": lambda: state.w,
-        "zeta": lambda: derive(state).zeta,
-        "eta": lambda: derive(state).eta,
+        "zeta": lambda: state.zeta,
+        "eta": lambda: state.eta,
     }
     f = fields[field_name]()
     value = besov_norm(forward_transform(f), BesovParams(s, p, r))
@@ -411,13 +402,12 @@ def cmd_audit(directory: str, audit_csv: str = "audit.csv", series_csv: str = "s
             srows = list(csv.DictReader(fh))
         if srows:
             last = srows[-1]
-            print(
-                "criteria integrals at end: "
-                f"BKM={last['bkm_integral'] or 'n/a'}, "
-                f"PS_u={last['ps_u_integral'] or 'n/a'}, "
-                f"PS_grad_u={last['ps_gradu_integral'] or 'n/a'}, "
-                f"BESOV_ANISO={last['besov_aniso_integral'] or 'n/a'}"
+            integrals = ", ".join(
+                f"{kind}={last[column] or 'n/a'}"
+                for column, (kind, attr) in SERIES_CRITERIA.items()
+                if attr == "integral"
             )
+            print(f"criteria integrals at end: {integrals}")
     return EXIT_OK
 
 

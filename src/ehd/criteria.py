@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 from .littlewood_paley import BesovParams, besov_norm
-from .solver import BlowUpSuspected, State, entry_magnitude
+from .solver import BlowUpSuspected, State
 from .spectral import (
     RealField,
+    entry_magnitude,
     forward_transform,
     lp_norm,
     vector_magnitude,
@@ -85,35 +86,35 @@ def scaling_defect(acc: CriterionAccumulator) -> float:
     return abs(2.0 / acc.q + 3.0 / acc.p - target)
 
 
-def horizontal_block_magnitude(derived: State) -> RealField:
+def horizontal_block_magnitude(state: State) -> RealField:
     """Pointwise Euclidean magnitude of (d1 u1, d2 u1, d1 u2, d2 u2).
 
     The four entries are collapsed to one scalar before any band norm is
     taken; any fixed finite-dimensional norm here changes constants only.
     The entries are the snapshot's shared velocity-gradient samples.
     """
-    return entry_magnitude(derived.grid, [row[:2] for row in derived.grad_u[:2]])
+    return entry_magnitude(state.grid, [row[:2] for row in state.grad_u[:2]])
 
 
-def instantaneous_quantity(acc: CriterionAccumulator, state: State, derived: State) -> float:
+def instantaneous_quantity(acc: CriterionAccumulator, state: State) -> float:
     if acc.kind is CriterionKind.BKM:
-        return lp_norm(vector_magnitude(derived.omega), math.inf)
+        return lp_norm(vector_magnitude(state.omega), math.inf)
     if acc.kind is CriterionKind.PS_U:
         return lp_norm(vector_magnitude(state.u), acc.p)
     if acc.kind is CriterionKind.PS_GRAD_U:
-        return lp_norm(derived.grad_u_magnitude(), acc.p)
-    block = horizontal_block_magnitude(derived)
+        return lp_norm(state.grad_u_magnitude(), acc.p)
+    block = horizontal_block_magnitude(state)
     return besov_norm(forward_transform(block), BesovParams(0.0, acc.p, acc.r))
 
 
-def observe(acc: CriterionAccumulator, state: State, derived: State, dt: float) -> CriterionAccumulator:
+def observe(acc: CriterionAccumulator, state: State, dt: float) -> CriterionAccumulator:
     """Update one accumulator after an accepted step.
 
     The first call (dt = 0 from the run loop) primes the trapezoid with the
     t = 0 integrand; later calls add dt * (previous + current) / 2 of
     quantity^q.  A non-finite quantity signals a suspected blow-up.
     """
-    value = instantaneous_quantity(acc, state, derived)
+    value = instantaneous_quantity(acc, state)
     if not math.isfinite(value):
         raise BlowUpSuspected(
             f"{acc.kind.value} integrand is non-finite at t={state.t:.6f}"

@@ -39,6 +39,7 @@ from .spectral import (
     backward_transform,
     curl,
     divergence,
+    entry_magnitude,
     forward_transform,
     gradient,
     solve_poisson,
@@ -195,16 +196,6 @@ class RunReport:
     final_state: State | None = field(default=None, repr=False)
 
 
-def entry_magnitude(grid: Grid, rows) -> RealField:
-    """Pointwise sqrt of the sum of squares of every entry of rows, summed in
-    row order (the Frobenius magnitude of a block of grad_u)."""
-    sq = np.zeros((grid.n,) * 3)
-    for row in rows:
-        for d in row:
-            sq += d**2
-    return RealField(grid, np.sqrt(sq))
-
-
 def derive(state: State) -> State:
     """The snapshot of state's samples, with coefficients from their forward
     transforms: state itself unless the run materialized it."""
@@ -274,7 +265,7 @@ def _finish_divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
     return np.multiply(a, grid.dealias_mask, out=a)
 
 
-def _nonlinear(grid: Grid, c, samples=None, dpsi=None, work=None, out=None):
+def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     """Dealiased nonlinear + coupling right-hand sides on raw coefficients.
 
     c = (ux, uy, uz, v, w) coefficient arrays, or (ux, uy, uz) alone for an
@@ -286,7 +277,7 @@ def _nonlinear(grid: Grid, c, samples=None, dpsi=None, work=None, out=None):
     samples (the inverse transforms of c) and dpsi (the samples of grad
     psi) are computed here unless given; stage 1 takes them from the
     snapshot.  c is read before out is first written, so out may be c.
-    work holds the scratch arrays (a new _Work when not given).
+    work holds the scratch arrays.
 
     The momentum terms are evaluated through the flux tensor
     u_i u_j - d_i(psi) d_j(psi): with div u = 0 its negative divergence
@@ -298,8 +289,6 @@ def _nonlinear(grid: Grid, c, samples=None, dpsi=None, work=None, out=None):
     order, so the result is bitwise the expression's.
     """
     kvec = (grid.kx, grid.ky, grid.kz)
-    if work is None:
-        work = _Work(grid)
     prod, rwork = work.real
     cwork = work.spectral[0]
 
@@ -354,23 +343,13 @@ def _nonlinear(grid: Grid, c, samples=None, dpsi=None, work=None, out=None):
     return tuple(out)
 
 
-def momentum_rhs(state: State) -> VectorField:
-    """Projected momentum right-hand side (viscous term excluded), in samples."""
-    n = _nonlinear(state.grid, state.coeffs)
+def nonlinear_rhs(state: State) -> tuple[VectorField, RealField, RealField]:
+    """Right-hand sides with diffusion excluded, in samples: the projected
+    momentum terms, then the advection + drift terms of v and of w."""
     g = state.grid
-    return vector_backward(
-        VectorField(SpectralField(g, n[0]), SpectralField(g, n[1]), SpectralField(g, n[2]))
-    )
-
-
-def charge_rhs(state: State) -> tuple[RealField, RealField]:
-    """Advection + drift right-hand sides for (v, w), diffusion excluded."""
-    n = _nonlinear(state.grid, state.coeffs)
-    g = state.grid
-    return (
-        backward_transform(SpectralField(g, n[3])),
-        backward_transform(SpectralField(g, n[4])),
-    )
+    rhs = [backward_transform(SpectralField(g, a))
+           for a in _nonlinear(g, state.coeffs, _Work(g))]
+    return VectorField(*rhs[:3]), rhs[3], rhs[4]
 
 
 def _check_finite_state(state: State):
@@ -444,14 +423,14 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
         np.multiply(half_dt, fa, out=s)
         np.add(a, s, out=s)
         np.multiply(e_half, s, out=s)
-    f2 = _nonlinear(grid, s2, work=work, out=s2)
+    f2 = _nonlinear(grid, s2, work, out=s2)
 
     for a, fa, fb, s in zip(c0, f1, f2, s3):
         np.multiply(neg_e_full, fa, out=s)
         s += np.multiply(two_e_half, fb, out=tmp)
         np.multiply(dt, s, out=s)
         np.add(np.multiply(e_full, a, out=tmp), s, out=s)
-    f3 = _nonlinear(grid, s3, work=work, out=s3)
+    f3 = _nonlinear(grid, s3, work, out=s3)
 
     c1 = f1
     for a, fa, fb, fc in zip(c0, c1, f2, f3):
@@ -496,7 +475,7 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     dpsi = state.grad_psi
     c0 = state.coeffs if dpsi is not None else state.coeffs[:3]
     samples = state.samples if state._coeffs is not None else None
-    f1 = _nonlinear(grid, c0, samples, dpsi, work)
+    f1 = _nonlinear(grid, c0, work, samples, dpsi)
     dt_stab = cfl_limit(state, control.cfl)
     dt = min(control.dt, dt_stab)
     if dt < control.dt_min:
@@ -552,10 +531,10 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
 
     Hooks are callables (state, derived, dt); they are also invoked once on
     the initial state with dt = 0 so time-integral accumulators can record
-    the t = 0 integrand.  state and derived are the same snapshot: fields
-    are computed on first use, shared by all hooks and the next step, and
-    read-only.  A hook raising BlowUpSuspected or InvariantViolation
-    terminates the run with that status and its message as the diagnostic.
+    the t = 0 integrand.  derived is state again (observers take state
+    alone).  Its fields are computed on first use, shared by all hooks and
+    the next step, and read-only.  A hook raising BlowUpSuspected or
+    InvariantViolation ends the run with that status, its message the diagnostic.
     """
     from .checkpoint import state_checksum
 

@@ -176,10 +176,6 @@ class VectorField:
     def components(self):
         return (self.x, self.y, self.z)
 
-    @property
-    def is_spectral(self) -> bool:
-        return isinstance(self.x, SpectralField)
-
 
 # The 1/n^3 of the Fourier convention is applied inside the transform
 # (norm="forward").  n^3 is a power of two, so this equals dividing the
@@ -360,10 +356,21 @@ def vector_backward(U: VectorField) -> VectorField:
     return VectorField(*[backward_transform(c) for c in U.components])
 
 
+def entry_magnitude(grid: Grid, rows) -> RealField:
+    """Pointwise sqrt of the sum of squares of every entry of rows, in row
+    order: a vector's magnitude, or a grad_u block's.  The sum starts from the
+    first square, which is the sum from zero bit for bit (0 + x is x)."""
+    first, *rest = [d for row in rows for d in row]
+    sq = first**2
+    for d in rest:
+        sq += d**2
+    return RealField(grid, np.sqrt(sq, out=sq))
+
+
 def vector_magnitude(U: VectorField) -> RealField:
     """Pointwise Euclidean magnitude of a real vector field."""
     g = _require_same_grid(*U.components)
-    return RealField(g, np.sqrt(U.x.samples**2 + U.y.samples**2 + U.z.samples**2))
+    return entry_magnitude(g, [[c.samples for c in U.components]])
 
 
 def spectral_tail_fraction(*fields: SpectralField) -> float:

@@ -72,12 +72,12 @@ class _ChargedInstrumentation:
         self.mean_drift = 0.0
         self.residuals = []
 
-    def __call__(self, state, derived, dt):
+    def __call__(self, state, _, dt):
         for acc in self.accs:
-            ehd.observe(acc, state, derived, dt)
-        ehd.observe(self.reduction_acc, state, derived, dt)
+            ehd.observe(acc, state, dt)
+        ehd.observe(self.reduction_acc, state, dt)
         value = ehd.besov_norm(
-            ehd.forward_transform(ehd.horizontal_block_magnitude(derived)),
+            ehd.forward_transform(ehd.horizontal_block_magnitude(state)),
             BesovParams(0.0, math.inf, math.inf),
         )
         if self.direct_last is not None and dt > 0:
@@ -88,10 +88,10 @@ class _ChargedInstrumentation:
             abs(self.direct_integral - self.reduction_acc.integral),
         )
 
-        record = self.ledger.update(state, derived, dt)
+        record = self.ledger.update(state, dt)
         self.margins.append(record.velocity_margin)
         self.residuals.append(record.charge_identity_residual)
-        div = ehd.backward_transform(ehd.divergence(derived.u_hat))
+        div = ehd.backward_transform(ehd.divergence(state.u_hat))
         self.div_max = max(self.div_max, float(np.abs(div.samples).max()))
         self.mean_drift = max(
             self.mean_drift,
@@ -117,8 +117,8 @@ def charged_run_half(grid32):
     ledger = ehd.AuditLedger.from_state(s0)
     residuals = []
 
-    def watch(state, derived, dt):
-        residuals.append(ledger.update(state, derived, dt).charge_identity_residual)
+    def watch(state, _, dt):
+        residuals.append(ledger.update(state, dt).charge_identity_residual)
 
     report = ehd.run(s0, StepControl(dt=5e-4, t_end=0.25), hooks=[watch])
     assert report.status is ehd.RunStatus.COMPLETED

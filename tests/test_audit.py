@@ -32,8 +32,8 @@ def run_with_ledger(state0, control):
     ledger = AuditLedger.from_state(state0)
     records = []
 
-    def watch(state, derived, dt):
-        records.append(ledger.update(state, derived, dt))
+    def watch(state, _, dt):
+        records.append(ledger.update(state, dt))
 
     report = ehd.run(state0, control, hooks=[watch])
     return report, ledger, records
@@ -174,8 +174,8 @@ class TestChargeIdentity:
         s0 = ehd.charged_shear(grid16)
         ledger = AuditLedger.from_state(s0)
         ledger.charge_tol = 1e-30  # force the flag on any discretization error
-        def watch(state, derived, dt):
-            ledger.update(state, derived, dt)
+        def watch(state, _, dt):
+            ledger.update(state, dt)
         ehd.run(s0, StepControl(dt=2e-3, t_end=0.01), hooks=[watch])
         assert any("charge identity" in f for f in ledger.flags)
 
@@ -230,8 +230,8 @@ class TestLedgerRecords:
     def test_accumulators_nondecreasing(self, grid16):
         ledger = AuditLedger.from_state(ehd.charged_shear(grid16))
         history = []
-        def watch(state, derived, dt):
-            ledger.update(state, derived, dt)
+        def watch(state, _, dt):
+            ledger.update(state, dt)
             history.append((ledger.d_charges, ledger.d_cross, ledger.d_vel, ledger.d_coupling))
         ehd.run(ehd.charged_shear(grid16), StepControl(dt=2e-3, t_end=0.02), hooks=[watch])
         for prev, cur in zip(history, history[1:]):

@@ -204,13 +204,21 @@ class TestBesovCommand:
 
 class TestAuditCommand:
     def test_summarizes_run_directory(self, tmp_path, capsys):
-        main(["run", tg_config(tmp_path)])
+        # No PS_u or BESOV_ANISO criterion: their integrals read n/a.
+        main(["run", tg_config(tmp_path, extra="criterion = BKM, inf\n"
+                                                "criterion = PS_grad_u, 2\n")])
         capsys.readouterr()
         code = main(["audit", str(tmp_path)])
         assert code == 0
         out = capsys.readouterr().out
         assert "max charge-identity residual" in out
         assert "criteria integrals at end" in out
+        bkm, grad = (row["integral"] for row in
+                     json.loads((tmp_path / "report.json").read_text())["criteria"])
+        assert out.splitlines()[-1] == (
+            f"criteria integrals at end: BKM={bkm!r}, PS_u=n/a, "
+            f"PS_grad_u={grad!r}, BESOV_ANISO=n/a"
+        )
 
     def test_missing_directory_exits_one(self, tmp_path, capsys):
         code = main(["audit", str(tmp_path / "empty")])

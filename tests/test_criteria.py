@@ -81,44 +81,40 @@ class TestMakeAccumulator:
 class TestObserve:
     def test_constant_vorticity_integrates_linearly(self, grid16):
         s = shear_state(grid16)  # |omega| = |cos x2|, sup = 1
-        derived = ehd.derive(s)
         acc = ehd.make_accumulator("BKM")
-        ehd.observe(acc, s, derived, 0.0)
+        ehd.observe(acc, s, 0.0)
         for _ in range(10):
-            ehd.observe(acc, s, derived, 0.05)
+            ehd.observe(acc, s, 0.05)
         assert acc.integral == pytest.approx(0.5, rel=1e-12)
         assert acc.last_value == pytest.approx(1.0, rel=1e-12)
 
     def test_horizontal_block_of_shear(self, grid16):
         """u = (sin x2, 0, 0) has block (0, cos x2, 0, 0), magnitude |cos x2|."""
         s = shear_state(grid16)
-        derived = ehd.derive(s)
-        block = ehd.horizontal_block_magnitude(derived)
+        block = ehd.horizontal_block_magnitude(s)
         expected = np.abs(full(grid16, np.cos(grid16.y)))
         assert np.abs(block.samples - expected).max() < 1e-12
 
     def test_anisotropic_integrand_matches_direct_engine_call(self, grid16):
         s = shear_state(grid16)
-        derived = ehd.derive(s)
         acc = ehd.make_accumulator("BESOV_ANISO", INF)
-        value = ehd.instantaneous_quantity(acc, s, derived)
+        value = ehd.instantaneous_quantity(acc, s)
         direct = ehd.besov_norm(
-            ehd.forward_transform(ehd.horizontal_block_magnitude(derived)),
+            ehd.forward_transform(ehd.horizontal_block_magnitude(s)),
             BesovParams(0.0, INF, INF),
         )
         assert value == pytest.approx(direct, rel=1e-14)
         # and the vorticity integrand of the same state is exactly 1
         bkm = ehd.make_accumulator("BKM")
-        assert ehd.instantaneous_quantity(bkm, s, derived) == pytest.approx(1.0)
+        assert ehd.instantaneous_quantity(bkm, s) == pytest.approx(1.0)
 
     def test_zero_state_keeps_all_integrals_zero(self, grid16):
         s = State(u=VectorField(zero_field(grid16), zero_field(grid16), zero_field(grid16)),
                   v=zero_field(grid16), w=zero_field(grid16))
-        derived = ehd.derive(s)
         for kind, p in (("BKM", INF), ("PS_u", 6.0), ("PS_grad_u", 2.0), ("BESOV_ANISO", 2.0)):
             acc = ehd.make_accumulator(kind, p)
-            ehd.observe(acc, s, derived, 0.0)
-            ehd.observe(acc, s, derived, 0.1)
+            ehd.observe(acc, s, 0.0)
+            ehd.observe(acc, s, 0.1)
             assert acc.integral == 0.0
             assert acc.last_value == 0.0
 
@@ -126,9 +122,9 @@ class TestObserve:
         accs = [ehd.make_accumulator(k, p) for k, p in
                 (("BKM", INF), ("PS_u", 4.0), ("PS_grad_u", 2.0), ("BESOV_ANISO", 2.0))]
         history = {id(a): [] for a in accs}
-        def watch(state, derived, dt):
+        def watch(state, _, dt):
             for a in accs:
-                ehd.observe(a, state, derived, dt)
+                ehd.observe(a, state, dt)
                 history[id(a)].append(a.integral)
         ehd.run(ehd.charged_shear(grid16), StepControl(dt=2e-3, t_end=0.02), hooks=[watch])
         for a in accs:
@@ -137,24 +133,22 @@ class TestObserve:
 
     def test_non_finite_integrand_signals_blow_up(self, grid16):
         s = shear_state(grid16)
-        derived = ehd.derive(s)
         bad = np.zeros((16,) * 3)
         bad[0, 0, 0] = np.inf
-        derived.omega.x.samples[:] = bad
+        s.omega.x.samples[:] = bad
         acc = ehd.make_accumulator("BKM")
         with pytest.raises(BlowUpSuspected, match="non-finite"):
-            ehd.observe(acc, s, derived, 0.0)
+            ehd.observe(acc, s, 0.0)
 
     def test_threshold_crossing_records_time(self, grid16):
         s = shear_state(grid16)
-        derived = ehd.derive(s)
         acc = ehd.make_accumulator("BKM", threshold=0.4)
-        ehd.observe(acc, s, derived, 0.0)
+        ehd.observe(acc, s, 0.0)
         t = 0.0
         while acc.crossed_at is None and t < 1.0:
             t += 0.1
             s = State(u=s.u, v=s.v, w=s.w, t=t, step_index=s.step_index + 1)
-            ehd.observe(acc, s, derived, 0.1)
+            ehd.observe(acc, s, 0.1)
         assert acc.crossed_at == pytest.approx(0.4, abs=0.1)
 
 
@@ -166,9 +160,9 @@ class TestQuadratureConvergence:
         finals = []
         for dt in (2e-3, 1e-3, 5e-4):
             accs = [ehd.make_accumulator(k, p) for k, p in kinds]
-            def watch(state, derived, step_dt, accs=accs):
+            def watch(state, _, step_dt, accs=accs):
                 for a in accs:
-                    ehd.observe(a, state, derived, step_dt)
+                    ehd.observe(a, state, step_dt)
             ehd.run(ehd.taylor_green(grid16), StepControl(dt=dt, t_end=0.04),
                     hooks=[watch])
             finals.append([a.integral for a in accs])
@@ -185,10 +179,10 @@ class TestReductionAtInfinity:
         direct = {"last": None, "integral": 0.0}
         mismatch = []
 
-        def watch(state, derived, dt):
-            ehd.observe(acc, state, derived, dt)
+        def watch(state, _, dt):
+            ehd.observe(acc, state, dt)
             value = ehd.besov_norm(
-                ehd.forward_transform(ehd.horizontal_block_magnitude(derived)),
+                ehd.forward_transform(ehd.horizontal_block_magnitude(state)),
                 BesovParams(0.0, INF, INF),
             )
             if direct["last"] is not None and dt > 0:
@@ -213,9 +207,9 @@ class TestReport:
     def test_completed_run_reports_no_crossings(self, grid16):
         accs = [ehd.make_accumulator(k, p) for k, p in
                 (("BKM", INF), ("PS_u", 6.0))]
-        def watch(state, derived, dt):
+        def watch(state, _, dt):
             for acc in accs:
-                ehd.observe(acc, state, derived, dt)
+                ehd.observe(acc, state, dt)
         result = ehd.run(ehd.charged_shear(grid16), StepControl(dt=2e-3, t_end=0.01),
                          hooks=[watch])
         rep = ehd.report(accs, result.status)
@@ -236,9 +230,9 @@ class TestReport:
         bkm = ehd.make_accumulator("BKM")
         aniso = ehd.make_accumulator("BESOV_ANISO", INF)
         series = {"BKM": [], "BESOV_ANISO": []}
-        def watch(state, derived, dt):
+        def watch(state, _, dt):
             for acc in (bkm, aniso):
-                ehd.observe(acc, state, derived, dt)
+                ehd.observe(acc, state, dt)
                 series[acc.kind.value].append(acc.last_integrand)
         ehd.run(ehd.random_smooth(grid16, seed=3, energy=1.0, peak_wavenumber=2.0),
                 StepControl(dt=2e-3, t_end=0.01), hooks=[watch])

@@ -66,7 +66,7 @@ class TestTransformBudget:
         counter = FFTCounter(monkeypatch)
         ehd.validate_initial_state(s0)
         ehd.cfl_limit(s0, 0.4)
-        ehd.AuditLedger.from_state(s0, ehd.derive(s0))
+        ehd.AuditLedger.from_state(s0)
         ehd.validate_initial_state(s0)
         # 5 forward transforms of the samples; the divergence twice, grad psi once.
         assert (counter.count("fwd"), counter.count("inv")) == (5, 5)
@@ -119,11 +119,11 @@ class TestLazyFields:
 
         bkm = ehd.make_accumulator("BKM")
         grad = ehd.make_accumulator("PS_grad_u", 2.0)
-        assert inverse_after(lambda: ehd.instantaneous_quantity(bkm, s, s)) == 3
-        assert inverse_after(lambda: ehd.log_sobolev_ratio(s, s)) == 9
-        assert inverse_after(lambda: ehd.instantaneous_quantity(grad, s, s)) == 0
+        assert inverse_after(lambda: ehd.instantaneous_quantity(bkm, s)) == 3
+        assert inverse_after(lambda: ehd.log_sobolev_ratio(s)) == 9
+        assert inverse_after(lambda: ehd.instantaneous_quantity(grad, s)) == 0
         assert inverse_after(lambda: ehd.horizontal_block_magnitude(s)) == 0
-        assert inverse_after(lambda: ehd.instantaneous_quantity(bkm, s, s)) == 0
+        assert inverse_after(lambda: ehd.instantaneous_quantity(bkm, s)) == 0
 
     def test_aniso_criterion_uses_shared_block(self, grid16):
         s = _finished(grid16)
@@ -132,7 +132,7 @@ class TestLazyFields:
             ehd.forward_transform(ehd.horizontal_block_magnitude(s)),
             BesovParams(0.0, math.inf, math.inf),
         )
-        assert ehd.instantaneous_quantity(acc, s, s) == direct
+        assert ehd.instantaneous_quantity(acc, s) == direct
 
     def test_derive_rebuilds_coefficients_from_samples(self, grid16):
         s0 = ehd.random_smooth(grid16, seed=3)
@@ -142,6 +142,41 @@ class TestLazyFields:
         assert fresh is not final
         for f, c in zip((*final.u.components, final.v, final.w), fresh.coeffs):
             assert _bits(ehd.forward_transform(f).coeffs) == _bits(c)
+
+
+class TestOnePath:
+    """Observers called on a run snapshot read its fields, computed from the
+    run's coefficients: no forward transform of the five fields, and bitwise
+    the values the run's hook recorded."""
+
+    def test_standalone_observers_equal_the_hook(self, grid16, monkeypatch):
+        control = StepControl(dt=1e-3, t_end=3e-3)
+        s0 = ehd.random_smooth(grid16, seed=3)
+        ledger = ehd.AuditLedger.from_state(s0)
+        accs = [ehd.make_accumulator(k, p) for k, p in (
+            ("BKM", math.inf), ("PS_u", 6.0), ("PS_grad_u", 2.0), ("BESOV_ANISO", 2.0))]
+        records = []
+
+        def observe(state, _, dt):
+            for acc in accs:
+                ehd.observe(acc, state, dt)
+            records.append(ledger.update(state, dt))
+
+        ehd.run(s0, control, hooks=[observe])
+        # The same run, unobserved: its final snapshot computes each field afresh.
+        s = ehd.run(ehd.random_smooth(grid16, seed=3), control).final_state
+        counter = FFTCounter(monkeypatch)
+        got = [ehd.y_growth(s), ehd.log_sobolev_ratio(s), ledger.check_velocity_decay(s)]
+        assert counter.count("fwd") == 0
+        last = records[-1]
+        assert _bits(got) == _bits([last.y, last.ls_ratio, last.velocity_margin])
+        for acc in accs:
+            before = counter.count("fwd")
+            value = ehd.instantaneous_quantity(acc, s)
+            # The anisotropic kind transforms its block magnitude, nothing else.
+            block = 1 if acc.kind is ehd.CriterionKind.BESOV_ANISO else 0
+            assert counter.count("fwd") - before == block
+            assert _bits(value) == _bits(acc.last_value)
 
 
 class TestReadOnly:

@@ -7,7 +7,7 @@ import pytest
 import scipy.fft
 
 import ehd
-from ehd import solver
+from ehd import solver, spectral
 from ehd import (
     BlowUpSuspected,
     ChargeNeutralityError,
@@ -78,13 +78,13 @@ class TestMomentumRhs:
     def test_equal_charges_no_force(self, grid16):
         v = full(grid16, 1.0 + 0.5 * np.sin(grid16.x))
         s = quiescent(grid16, v, v.copy())
-        rhs = ehd.momentum_rhs(s)
+        rhs, _, _ = ehd.nonlinear_rhs(s)
         for c in rhs.components:
             assert np.abs(c.samples).max() < 1e-12
 
     def test_taylor_green_advection_is_pure_gradient(self, grid32):
         s = ehd.taylor_green(grid32)
-        rhs = ehd.momentum_rhs(s)
+        rhs, _, _ = ehd.nonlinear_rhs(s)
         for c in rhs.components:
             assert np.abs(c.samples).max() < 1e-10
 
@@ -92,27 +92,27 @@ class TestMomentumRhs:
         v = full(grid16, 1.0 + np.sin(grid16.x))
         w = full(grid16, 1.0)
         s = quiescent(grid16, v, w)
-        rhs = ehd.momentum_rhs(s)
+        rhs, _, _ = ehd.nonlinear_rhs(s)
         for c in rhs.components:
             assert np.abs(c.samples).max() < 1e-10
 
     def test_neutrality_failure_propagates(self, grid16):
         s = quiescent(grid16, full(grid16, 1.1), full(grid16, 1.0))
         with pytest.raises(ChargeNeutralityError):
-            ehd.momentum_rhs(s)
+            ehd.nonlinear_rhs(s)
 
 
 class TestChargeRhs:
     def test_uniform_charges_are_steady(self, grid16):
         s = quiescent(grid16, full(grid16, 1.0), full(grid16, 1.0))
-        rv, rw = ehd.charge_rhs(s)
+        _, rv, rw = ehd.nonlinear_rhs(s)
         assert np.abs(rv.samples).max() < 1e-13
         assert np.abs(rw.samples).max() < 1e-13
 
     def test_divergence_form_means_vanish(self, grid16):
         v = full(grid16, 1.0 + 0.5 * np.sin(grid16.x))
         s = quiescent(grid16, v, full(grid16, 1.0))
-        rv, rw = ehd.charge_rhs(s)
+        _, rv, rw = ehd.nonlinear_rhs(s)
         h3 = grid16.cell_volume
         assert abs(rv.samples.sum() * h3) < 1e-12
         assert abs(rw.samples.sum() * h3) < 1e-12
@@ -120,7 +120,7 @@ class TestChargeRhs:
     def test_means_vanish_on_random_states(self, grid16):
         for seed in range(100):
             s = ehd.random_smooth(grid16, seed=seed, energy=1.0, peak_wavenumber=2.0)
-            rv, rw = ehd.charge_rhs(s)
+            _, rv, rw = ehd.nonlinear_rhs(s)
             h3 = grid16.cell_volume
             assert abs(rv.samples.sum() * h3) < 1e-12
             assert abs(rw.samples.sum() * h3) < 1e-12
@@ -480,16 +480,23 @@ class TestInPlaceArithmetic:
         for s, samples in ((user, None), (snapshot, snapshot.samples)):
             c0 = tuple(a.copy() for a in s.coeffs)  # writable, so a write would land
             before = tuple(a.copy() for a in c0)
-            f1 = solver._nonlinear(grid16, c0, samples, s.grad_psi)
+            f1 = solver._nonlinear(grid16, c0, solver._Work(grid16), samples, s.grad_psi)
             ref_f1 = _ref_nonlinear(grid16, c0, samples, s.grad_psi)
             assert_bitwise_equal(f1, ref_f1)
-            assert_bitwise_equal(solver._nonlinear(grid16, c0), _ref_nonlinear(grid16, c0))
+            assert_bitwise_equal(solver._nonlinear(grid16, c0, solver._Work(grid16)),
+                                 _ref_nonlinear(grid16, c0))
             c1 = solver._advance(grid16, c0, f1, dt, solver._Work(grid16))
             assert_bitwise_equal(c1, _ref_advance(grid16, c0, ref_f1, dt))
             assert_bitwise_equal(c0, before)
             if preset == "taylor_green":
                 # Five arrays take the charged arithmetic; zero charges stay +0.
                 assert not any(np.signbit(a.view(float)).any() for a in (*f1[3:], *c1[3:]))
+
+    def test_nonlinear_rhs_inverts_the_expression_form(self, grid16):
+        s = ehd.random_smooth(grid16, seed=5)
+        u, v, w = ehd.nonlinear_rhs(s)
+        want = [_ref_inverse(grid16, a) for a in _ref_nonlinear(grid16, s.coeffs)]
+        assert_bitwise_equal([f.samples for f in (*u.components, v, w)], want)
 
     @pytest.mark.parametrize("preset", ["random_smooth", "taylor_green"])
     def test_work_arrays_carry_nothing_between_steps(self, preset, grid16):
@@ -580,6 +587,7 @@ def _fields_for_max_magnitude(rng):
     fields = [rng.standard_normal(shape) for _ in range(3)]
     fields[0][0, 0, 0], fields[2][4, 4, 4] = np.inf, np.nan
     yield "inf and nan", fields
+    yield "1e-300", [1e-300 * rng.standard_normal(shape) for _ in range(3)]
 
 
 class TestMaxMagnitude:
@@ -591,3 +599,30 @@ class TestMaxMagnitude:
             want = np.float64(_old_max_magnitude(fields))
             assert got.view(np.int64) == want.view(np.int64), (name, got, want)
             assert_bitwise_equal(fields, before)
+
+
+def _old_vector_magnitude(x, y, z):
+    """spectral.vector_magnitude before it summed through entry_magnitude."""
+    return np.sqrt(x**2 + y**2 + z**2)
+
+
+def _old_entry_magnitude(rows):
+    """spectral.entry_magnitude before its sum started from the first square."""
+    sq = np.zeros(rows[0][0].shape)
+    for row in rows:
+        for d in row:
+            sq += d**2
+    return np.sqrt(sq)
+
+
+class TestPointwiseMagnitude:
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_same_bits_as_the_old_expressions(self, grid8, rng):
+        for name, fields in _fields_for_max_magnitude(rng):
+            got = ehd.vector_magnitude(VectorField(*(RealField(grid8, a) for a in fields)))
+            want = _old_vector_magnitude(*fields)
+            assert np.array_equal(got.samples.view(np.int64), want.view(np.int64)), name
+            rows = [fields[:2], fields[2:]]
+            got = spectral.entry_magnitude(grid8, rows)
+            want = _old_entry_magnitude(rows)
+            assert np.array_equal(got.samples.view(np.int64), want.view(np.int64)), name
