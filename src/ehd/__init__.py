@@ -80,8 +80,10 @@ from .spectral import (
     laplacian,
     leray_project,
     lp_norm,
+    power_sum,
     sobolev_norm,
     solve_poisson,
+    spectral_power,
     spectral_tail_fraction,
     vector_backward,
     vector_forward,

@@ -31,15 +31,12 @@ import numpy as np
 from .criteria import jsonable
 from .solver import State
 from .spectral import (
-    VOLUME,
     RealField,
     forward_transform,
-    grad_l2_norm_sq,
-    l2_norm_sq,
     lp_norm,
-    sobolev_norm,
+    power_sum,
+    sobolev_weights,
     spectral_power,
-    vector_magnitude,
 )
 
 CHARGE_IDENTITY_TOL = 1e-5
@@ -48,17 +45,27 @@ DECAY_MARGIN_TOL = 1e-6
 
 def positivity_term(state: State) -> float:
     """int (v+w)(v-w)^2 dx by the uniform grid sum (exact for dealiased fields)."""
-    v, w = state.v.samples, state.w.samples
-    return float(np.sum((v + w) * (v - w) ** 2) * state.grid.cell_volume)
+    return float(np.sum(state.zeta.samples * state.eta.samples**2) * state.grid.cell_volume)
 
 
-def _u_h3_norm(state: State) -> float:
-    return math.sqrt(sum(sobolev_norm(c, 3.0) ** 2 for c in state.u_hat.components))
+def kinetic_energy(state: State) -> float:
+    """||u||^2."""
+    return sum(power_sum(p) for p in state.u_power)
+
+
+def potential_energy(state: State) -> float:
+    """||grad psi||^2."""
+    return power_sum(state.psi_power, state.grid.k2)
 
 
 def _velocity_energy(state: State) -> float:
     """||u||^2 + ||grad psi||^2, the energy of the velocity / potential balance."""
-    return sum(l2_norm_sq(c) for c in state.u_hat.components) + grad_l2_norm_sq(state.psi_hat)
+    return kinetic_energy(state) + potential_energy(state)
+
+
+def _charge_energy(state: State) -> float:
+    """||v||^2 + ||w||^2."""
+    return power_sum(state.v_power) + power_sum(state.w_power)
 
 
 def log_sobolev_ratio(state: State) -> float:
@@ -69,20 +76,22 @@ def log_sobolev_ratio(state: State) -> float:
     the report.
     """
     num = lp_norm(state.grad_u_magnitude(), math.inf)
-    omega_mag = vector_magnitude(state.omega)
+    omega_mag = state.omega_magnitude
     denom = 1.0 + lp_norm(omega_mag, 2.0) + lp_norm(omega_mag, math.inf) * math.log(
-        math.e + _u_h3_norm(state)
+        math.e + state.u_h3_norm
     )
     return num / denom
 
 
 def y_growth(state: State) -> float:
     """Y(t) = e + ||u||_H3^2 + ||v||_H2^2 + ||w||_H2^2."""
+    h2 = sobolev_weights(state.grid, 2.0)
+    # Each H2 norm is the root `sobolev_norm` takes, squared: the same bits.
     return (
         math.e
-        + _u_h3_norm(state) ** 2
-        + sobolev_norm(state.v_hat, 2.0) ** 2
-        + sobolev_norm(state.w_hat, 2.0) ** 2
+        + state.u_h3_norm ** 2
+        + math.sqrt(power_sum(state.v_power, h2)) ** 2
+        + math.sqrt(power_sum(state.w_power, h2)) ** 2
     )
 
 
@@ -96,9 +105,9 @@ def interpolation_ratios(f: RealField) -> tuple[float, float]:
     """
     if not f.samples.any():
         return (math.nan, math.nan)
-    F = forward_transform(f)
-    l2_sq = l2_norm_sq(F)
-    grad_sq = grad_l2_norm_sq(F)
+    power = spectral_power(forward_transform(f))
+    l2_sq = power_sum(power)
+    grad_sq = power_sum(power, f.grid.k2)
     if grad_sq <= 1e-24 * max(l2_sq, 1e-300):
         return (math.nan, math.nan)
     l2 = math.sqrt(l2_sq)
@@ -149,20 +158,14 @@ class AuditLedger:
 
     @classmethod
     def from_state(cls, state: State) -> "AuditLedger":
-        e0_charges = l2_norm_sq(state.v_hat) + l2_norm_sq(state.w_hat)
-        return cls(e0_charges=e0_charges, e0_vel=_velocity_energy(state))
+        return cls(e0_charges=_charge_energy(state), e0_vel=_velocity_energy(state))
 
     # -- balance checks ----------------------------------------------------
 
     def check_charge_identity(self, state: State, tol: float | None = None) -> float:
         """Relative residual of the exact charge-energy identity; flags above tol."""
         tol = self.charge_tol if tol is None else tol
-        lhs = (
-            l2_norm_sq(state.v_hat)
-            + l2_norm_sq(state.w_hat)
-            + self.d_charges
-            + self.d_cross
-        )
+        lhs = _charge_energy(state) + self.d_charges + self.d_cross
         residual = abs(lhs - self.e0_charges) / max(self.e0_charges, 1e-300)
         if residual > tol:
             self.flags.append(
@@ -190,7 +193,7 @@ class AuditLedger:
     def update(self, state: State, dt: float) -> AuditRecord:
         """Accumulate dissipation integrals (trapezoid) and evaluate all monitors."""
         g = state.grid
-        lap_psi_sq = float(VOLUME * ((g.k2**2) * spectral_power(state.psi_hat)).sum())
+        lap_psi_sq = power_sum(state.psi_power, g.table("k4", lambda: g.k2**2))
         dpsi = state.grad_psi  # shared with the solver's CFL bound and stage 1
         coupling = 0.0
         if dpsi is not None:
@@ -199,10 +202,9 @@ class AuditLedger:
 
         integrands = {
             "charges": 2.0
-            * (grad_l2_norm_sq(state.v_hat) + grad_l2_norm_sq(state.w_hat)),
+            * (power_sum(state.v_power, g.k2) + power_sum(state.w_power, g.k2)),
             "cross": positivity_term(state),
-            "vel": 2.0
-            * (sum(grad_l2_norm_sq(c) for c in state.u_hat.components) + lap_psi_sq),
+            "vel": 2.0 * (sum(power_sum(p, g.k2) for p in state.u_power) + lap_psi_sq),
             "coupling": coupling,
         }
         if self._last is not None and dt > 0.0:

@@ -19,7 +19,7 @@ from dataclasses import astuple, replace
 from pathlib import Path
 
 from . import criteria as _criteria
-from .audit import AuditLedger
+from .audit import AuditLedger, kinetic_energy, potential_energy
 from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
 from .config import ConfigError, RunConfig, parse_config
 from .initial_conditions import PRESETS
@@ -37,8 +37,6 @@ from .solver import (
 from .spectral import (
     Grid,
     forward_transform,
-    grad_l2_norm_sq,
-    l2_norm_sq,
     lp_norm,
     spectral_tail_fraction,
     vector_forward,
@@ -157,6 +155,18 @@ def _build_initial_state(config: RunConfig) -> State:
     return builder(Grid(config.grid_n), **ic.params)
 
 
+def _series_keys(accs) -> list:
+    """The criteria_series key of each accumulator: its kind for the first of
+    that kind, else the kind and exponent (PS_u_p12), else the kind and the
+    accumulator's position."""
+    keys = []
+    for i, acc in enumerate(accs):
+        kind = acc.kind.value
+        keys.append(next(key for key in (kind, f"{kind}_p{acc.p:g}", f"{kind}_{i}")
+                         if key not in keys))
+    return keys
+
+
 class _Orchestra:
     """Single run observer: criteria, audit ledger, CSV writers, checkpoints.
 
@@ -175,8 +185,9 @@ class _Orchestra:
         self.config = config
         self.out_dir = out_dir
         self.thresholds_pending = [a for a in accs if a.threshold is None]
+        self.series_keys = _series_keys(accs)
         self.series = {
-            a.kind.value: {"t": [], "integrand": [], "integral": []} for a in accs
+            key: {"t": [], "integrand": [], "integral": []} for key in self.series_keys
         }
 
     def __call__(self, state, _, dt):
@@ -188,13 +199,11 @@ class _Orchestra:
                     acc.threshold = 10.0 * acc.integral
             self.thresholds_pending = []
         record = self.ledger.update(state, dt)
-        kinetic = sum(l2_norm_sq(c) for c in state.u_hat.components)
-        potential = grad_l2_norm_sq(state.psi_hat)
-        self.energy_writer.writerow([state.t, kinetic, potential])
+        self.energy_writer.writerow([state.t, kinetic_energy(state), potential_energy(state)])
         self._write_series_row(state, dt)
         self.audit_writer.writerow(astuple(record))
-        for acc in self.accs:
-            s = self.series[acc.kind.value]
+        for acc, key in zip(self.accs, self.series_keys):
+            s = self.series[key]
             s["t"].append(state.t)
             s["integrand"].append(acc.last_integrand)
             s["integral"].append(acc.integral)
@@ -271,7 +280,8 @@ def cmd_run(config: RunConfig) -> int:
     write_checkpoint(out_dir / config.checkpoint_path, final)
 
     crit_report = _criteria.report(accs, run_report.status)
-    # The report's norms are taken from the forward transforms of the final samples.
+    # The report's norms are taken from the forward transforms of the final
+    # velocity samples (v and w are not transformed).
     fresh = derive(final)
     u_hat = fresh.u_hat
     omega_hat = vector_forward(fresh.omega)
@@ -281,7 +291,7 @@ def cmd_run(config: RunConfig) -> int:
             "tail_fraction": spectral_tail_fraction(*u_hat.components),
         },
         "omega": {
-            "value": lp_norm(vector_magnitude(fresh.omega), math.inf),
+            "value": lp_norm(fresh.omega_magnitude, math.inf),
             "tail_fraction": spectral_tail_fraction(*omega_hat.components),
         },
     }

@@ -98,7 +98,7 @@ def horizontal_block_magnitude(state: State) -> RealField:
 
 def instantaneous_quantity(acc: CriterionAccumulator, state: State) -> float:
     if acc.kind is CriterionKind.BKM:
-        return lp_norm(vector_magnitude(state.omega), math.inf)
+        return lp_norm(state.omega_magnitude, math.inf)
     if acc.kind is CriterionKind.PS_U:
         return lp_norm(vector_magnitude(state.u), acc.p)
     if acc.kind is CriterionKind.PS_GRAD_U:

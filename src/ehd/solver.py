@@ -13,13 +13,16 @@ decaying exponential factors appear).
 The run loop steps one snapshot (a `State`) at a time.  Hooks receive that
 snapshot; its coefficients and derived fields are computed on first use,
 once, and shared by every hook and by the next step, so hooks must treat
-them as read-only.  The arrays the next step reuses (samples, coefficients,
-grad psi) are flagged read-only, and writing into them raises.
+them as read-only.  When the hooks return, the run drops the fields that
+only observers read.  The arrays the next step reuses (samples, coefficients,
+grad psi) and the power arrays the observers' norms share are flagged
+read-only, and writing into them raises.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -42,8 +45,12 @@ from .spectral import (
     entry_magnitude,
     forward_transform,
     gradient,
+    power_sum,
+    sobolev_weights,
     solve_poisson,
+    spectral_power,
     vector_backward,
+    vector_magnitude,
 )
 
 DIVERGENCE_TOL = 1e-9
@@ -64,9 +71,14 @@ class RunStatus(str, enum.Enum):
     INVARIANT_VIOLATION = "invariant_violation"
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 def _readonly(arrays):
     for a in arrays or ():
-        a.flags.writeable = False
+        _frozen(a)
     return arrays
 
 
@@ -78,7 +90,8 @@ class State:
     A state the run materializes carries the run's coefficient arrays, its
     samples are their inverse transforms, and its samples are read-only;
     any other state's coefficients are the forward transforms of its
-    samples.  Coefficient and grad psi arrays are always read-only.
+    samples, each made when first asked for.  Coefficient, power and grad
+    psi arrays are always read-only.
     """
 
     u: VectorField
@@ -97,28 +110,69 @@ class State:
         return (*(c.samples for c in self.u.components), self.v.samples, self.w.samples)
 
     @cached_property
+    def _transforms(self) -> list:
+        """A user state's coefficient arrays by field, each made on first use."""
+        return [None] * 5
+
+    def _field_coeffs(self, i: int) -> np.ndarray:
+        """Coefficients of field i of (ux, uy, uz, v, w)."""
+        if self._coeffs is not None:
+            return self._coeffs[i]
+        made = self._transforms
+        if made[i] is None:
+            fields = (*self.u.components, self.v, self.w)
+            made[i] = _frozen(forward_transform(fields[i]).coeffs)
+        return made[i]
+
+    @property
     def coeffs(self) -> tuple:
         """The (ux, uy, uz, v, w) coefficient arrays (read-only)."""
         if self._coeffs is not None:
             return self._coeffs
-        fields = (*self.u.components, self.v, self.w)
-        return _readonly(tuple(forward_transform(f).coeffs for f in fields))
+        return tuple(self._field_coeffs(i) for i in range(5))
 
     @cached_property
     def u_hat(self) -> VectorField:
-        return VectorField(*(SpectralField(self.grid, c) for c in self.coeffs[:3]))
+        g = self.grid
+        return VectorField(*(SpectralField(g, self._field_coeffs(i)) for i in range(3)))
 
     @property
     def v_hat(self) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[3])
+        return SpectralField(self.grid, self._field_coeffs(3))
 
     @property
     def w_hat(self) -> SpectralField:
-        return SpectralField(self.grid, self.coeffs[4])
+        return SpectralField(self.grid, self._field_coeffs(4))
 
     @cached_property
     def psi_hat(self) -> SpectralField:
-        return solve_poisson(SpectralField(self.grid, self.coeffs[3] - self.coeffs[4]))
+        return solve_poisson(
+            SpectralField(self.grid, self._field_coeffs(3) - self._field_coeffs(4))
+        )
+
+    @cached_property
+    def u_power(self) -> tuple:
+        """Full-lattice power (`spectral_power`) of each velocity component."""
+        return _readonly(tuple(spectral_power(c) for c in self.u_hat.components))
+
+    @cached_property
+    def v_power(self) -> np.ndarray:
+        return _frozen(spectral_power(self.v_hat))
+
+    @cached_property
+    def w_power(self) -> np.ndarray:
+        return _frozen(spectral_power(self.w_hat))
+
+    @cached_property
+    def psi_power(self) -> np.ndarray:
+        return _frozen(spectral_power(self.psi_hat))
+
+    @cached_property
+    def u_h3_norm(self) -> float:
+        """||u||_H3, from the velocity power: the root of the summed squares
+        of the components' norms, each the root `sobolev_norm` takes."""
+        weights = sobolev_weights(self.grid, 3.0)
+        return math.sqrt(sum(math.sqrt(power_sum(p, weights)) ** 2 for p in self.u_power))
 
     @cached_property
     def psi(self) -> RealField:
@@ -127,6 +181,11 @@ class State:
     @cached_property
     def omega(self) -> VectorField:
         return vector_backward(curl(self.u_hat))
+
+    @cached_property
+    def omega_magnitude(self) -> RealField:
+        """Pointwise magnitude of the vorticity."""
+        return vector_magnitude(self.omega)
 
     @cached_property
     def zeta(self) -> RealField:
@@ -140,7 +199,7 @@ class State:
     def grad_psi(self) -> list | None:
         """Samples of the three components of grad psi (read-only); None
         when both charge densities vanish."""
-        if not (self.coeffs[3].any() or self.coeffs[4].any()):
+        if not (self._field_coeffs(3).any() or self._field_coeffs(4).any()):
             return None
         return _readonly(_grad_psi(self.grid, self.psi_hat.coeffs))
 
@@ -160,10 +219,11 @@ class State:
         """Pointwise Frobenius magnitude of the velocity gradient."""
         return self._grad_u_magnitude
 
-    def _release(self):
-        """Drop the fields computed on first use; asking again recomputes them."""
+    def _release(self, keep=()):
+        """Drop the fields computed on first use, except those named in keep;
+        asking again recomputes them."""
         for name, attr in vars(State).items():
-            if isinstance(attr, cached_property):
+            if isinstance(attr, cached_property) and name not in keep:
                 self.__dict__.pop(name, None)
 
 
@@ -533,8 +593,10 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     the initial state with dt = 0 so time-integral accumulators can record
     the t = 0 integrand.  derived is state again (observers take state
     alone).  Its fields are computed on first use, shared by all hooks and
-    the next step, and read-only.  A hook raising BlowUpSuspected or
-    InvariantViolation ends the run with that status, its message the diagnostic.
+    the next step, and read-only; once the hooks of a snapshot the run
+    made return, the run drops every field the next step does not read.
+    A hook raising BlowUpSuspected or InvariantViolation ends the run with
+    that status, its message the diagnostic.
     """
     from .checkpoint import state_checksum
 
@@ -547,6 +609,9 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
 
     try:
         validate_initial_state(s)
+        # A user state transforms each field when first asked; step 1 asks
+        # for all five, so they are transformed here, in set-up.
+        s.coeffs
         mean_v0 = float(np.mean(s.v.samples))
         mean_w0 = float(np.mean(s.w.samples))
         for hook in hooks:
@@ -562,6 +627,9 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
             dt_used = s.t - t_prev
             for hook in hooks:
                 hook(s, s, dt_used)
+            # Of its cached fields the next step reads grad psi alone; the
+            # step's arrays reuse the memory of the others.
+            s._release(keep=("grad_psi",))
     except BlowUpSuspected as exc:
         status, diagnostic = RunStatus.BLOW_UP_SUSPECTED, str(exc)
     except (InvariantViolation, ChargeNeutralityError) as exc:

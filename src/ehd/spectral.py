@@ -19,6 +19,7 @@ outputs are bitwise deterministic.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -204,17 +205,32 @@ def forward_transform(f: RealField) -> SpectralField:
     return SpectralField(f.grid, coeffs)
 
 
+def _mirror_table(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a half-spectrum array of the kz = 0 and kz = n/2
+    planes, shape (2, n*n), and of each entry's mirror (-kx, -ky, kz)."""
+    n, nz = grid.n, grid.n // 2 + 1
+    i = np.arange(n)
+    m = -i % n
+    planes = np.array([0, n // 2])[:, None, None]
+    src = (i[:, None] * n + i[None, :]) * nz + planes
+    mirror = (m[:, None] * n + m[None, :]) * nz + planes
+    return src.reshape(2, -1), mirror.reshape(2, -1)
+
+
 def hermitian_defect(F: SpectralField) -> float:
     """Max |c(k) - conj(c(-k))| over the self-conjugate kz planes.
 
     Away from the kz = 0 and kz = n/2 planes the half-spectrum storage makes
     the symmetry structural, so these planes carry the entire constraint.
+    The planes are reduced one at a time and a NaN plane maximum drops out
+    of the running maximum.
     """
+    src, mirror = F.grid.table("mirror", lambda: _mirror_table(F.grid))
+    mirrored = np.conjugate(F.coeffs.take(mirror))
+    diff = np.subtract(F.coeffs.take(src), mirrored, out=mirrored)
     defect = 0.0
-    for iz in (0, F.grid.n // 2):
-        plane = F.coeffs[:, :, iz]
-        mirrored = np.conj(np.roll(plane[::-1, ::-1], (1, 1), axis=(0, 1)))
-        defect = max(defect, float(np.abs(plane - mirrored).max()))
+    for plane_max in np.abs(diff).max(axis=1):
+        defect = max(defect, float(plane_max))
     return defect
 
 
@@ -329,23 +345,29 @@ def spectral_power(F: SpectralField) -> np.ndarray:
     return F.grid.mult * (F.coeffs.real**2 + F.coeffs.imag**2)
 
 
+def power_sum(power: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """(2*pi)^3 sum weights * power: the squared norm whose Fourier weights
+    are weights (1 when None) of the field with full-lattice power power."""
+    if weights is None:
+        return float(VOLUME * power.sum())
+    return float(VOLUME * (weights * power).sum())
+
+
+def sobolev_weights(grid: Grid, s: float) -> np.ndarray:
+    """(1 + |k|^2)^s, kept on the grid."""
+    return grid.table(("sobolev", float(s)), lambda: (1.0 + grid.k2) ** s)
+
+
 def l2_norm_sq(F: SpectralField) -> float:
     """||f||_L2^2 from coefficients (Parseval)."""
-    return float(VOLUME * spectral_power(F).sum())
-
-
-def grad_l2_norm_sq(F: SpectralField) -> float:
-    """||grad f||_L2^2 from coefficients."""
-    return float(VOLUME * (F.grid.k2 * spectral_power(F)).sum())
+    return power_sum(spectral_power(F))
 
 
 def sobolev_norm(F: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm ((2*pi)^3 sum (1+|k|^2)^s |c_k|^2)^(1/2)."""
     if s < 0:
         raise ValueError(f"Sobolev index must satisfy s >= 0, got {s}")
-    g = F.grid
-    weights = g.table(("sobolev", float(s)), lambda: (1.0 + g.k2) ** s)
-    return float(np.sqrt(VOLUME * (weights * spectral_power(F)).sum()))
+    return math.sqrt(power_sum(spectral_power(F), sobolev_weights(F.grid, s)))
 
 
 def vector_forward(U: VectorField) -> VectorField:

@@ -250,3 +250,112 @@ class TestLedgerRecords:
             ehd.taylor_green(grid16), StepControl(dt=1e-3, t_end=0.01)
         )
         json.dumps(ledger.summary())
+
+
+# The audit and energy formulas as each norm formed its own power array,
+# kept to pin the snapshot caches bit for bit.
+def _old_power(grid, c):
+    return grid.mult * (c.real**2 + c.imag**2)
+
+
+def _old_l2(F):
+    return float(BOX_VOLUME * _old_power(F.grid, F.coeffs).sum())
+
+
+def _old_grad(F):
+    return float(BOX_VOLUME * (F.grid.k2 * _old_power(F.grid, F.coeffs)).sum())
+
+
+def _old_sobolev(F, s):
+    weights = (1.0 + F.grid.k2) ** s
+    return float(np.sqrt(BOX_VOLUME * (weights * _old_power(F.grid, F.coeffs)).sum()))
+
+
+def _old_values(state):
+    g = state.grid
+    u = state.u_hat.components
+    v, w = state.v.samples, state.w.samples
+    h3 = math.sqrt(sum(_old_sobolev(c, 3.0) ** 2 for c in u))
+    omega_mag = ehd.vector_magnitude(state.omega)
+    lsr = ehd.lp_norm(state.grad_u_magnitude(), math.inf) / (
+        1.0 + ehd.lp_norm(omega_mag, 2.0)
+        + ehd.lp_norm(omega_mag, math.inf) * math.log(math.e + h3))
+    gn = (math.nan, math.nan)
+    if v.any():
+        F = ehd.forward_transform(state.v)
+        l2_sq, grad_sq = _old_l2(F), _old_grad(F)
+        l2, g2 = math.sqrt(l2_sq), math.sqrt(grad_sq)
+        gn = (ehd.lp_norm(state.v, 4.0) / (l2**0.25 * g2**0.75),
+              ehd.lp_norm(state.v, 3.0) / (math.sqrt(l2) * math.sqrt(g2)))
+    coupling = 0.0
+    if state.grad_psi is not None:
+        d = state.grad_psi
+        coupling = 2.0 * float(np.sum((v + w) * (d[0] ** 2 + d[1] ** 2 + d[2] ** 2))
+                               * g.cell_volume)
+    lap_psi_sq = float(BOX_VOLUME * ((g.k2**2) * _old_power(g, state.psi_hat.coeffs)).sum())
+    kinetic = sum(_old_l2(c) for c in u)
+    potential = _old_grad(state.psi_hat)
+    cross = float(np.sum((v + w) * (v - w) ** 2) * g.cell_volume)
+    return {
+        "charge_energy": _old_l2(state.v_hat) + _old_l2(state.w_hat),
+        "velocity_energy": kinetic + potential,
+        "kinetic": kinetic,
+        "potential": potential,
+        "integrands": {
+            "charges": 2.0 * (_old_grad(state.v_hat) + _old_grad(state.w_hat)),
+            "cross": cross,
+            "vel": 2.0 * (sum(_old_grad(c) for c in u) + lap_psi_sq),
+            "coupling": coupling,
+        },
+        "ls_ratio": lsr,
+        "y": math.e + h3**2 + _old_sobolev(state.v_hat, 2.0) ** 2
+        + _old_sobolev(state.w_hat, 2.0) ** 2,
+        "gn": gn,
+    }
+
+
+PRESETS = {
+    "charged_shear": ehd.charged_shear,
+    "random_smooth": lambda g: ehd.random_smooth(g, seed=5),
+    "taylor_green": ehd.taylor_green,
+}
+
+
+def _snapshot_pair(preset, kind):
+    """(initial user state, later state): the later one a fresh user state
+    of the preset, or the final snapshot of a 3-step run."""
+    build, grid = PRESETS[preset], ehd.Grid(16)
+    if kind == "user":
+        return build(grid), build(grid)
+    return build(grid), ehd.run(build(grid), StepControl(dt=1e-3, t_end=3e-3)).final_state
+
+
+class TestSnapshotCachesAreTheOldFormulas:
+    """Every audit.csv and energy.csv value, from the snapshot's power and
+    |omega| caches, equals the formulas that formed their own arrays."""
+
+    @pytest.mark.parametrize("kind", ["user", "run"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_records_bitwise(self, preset, kind):
+        s0, s = _snapshot_pair(preset, kind)
+        old0, old = _old_values(s0), _old_values(s)
+        ledger = AuditLedger.from_state(s0)
+        assert (ledger.e0_charges, ledger.e0_vel) == (old0["charge_energy"],
+                                                     old0["velocity_energy"])
+        dt = 1e-3
+        ledger.update(s0, 0.0)
+        assert ledger._last == old0["integrands"]
+        record = ledger.update(s, dt)
+        assert ledger._last == old["integrands"]
+
+        trap = {k: 0.5 * dt * (old0["integrands"][k] + old["integrands"][k])
+                for k in old["integrands"]}
+        e0c, e0v = old0["charge_energy"], old0["velocity_energy"]
+        residual = abs(old["charge_energy"] + trap["charges"] + trap["cross"] - e0c) / max(
+            e0c, 1e-300)
+        margin = e0v - (old["velocity_energy"] + trap["vel"])
+        expected = ehd.AuditRecord(s.t, residual, margin, old["integrands"]["cross"],
+                                   old["ls_ratio"], old["y"], *old["gn"])
+        assert repr(record) == repr(expected)
+        assert (ehd.audit.kinetic_energy(s), ehd.audit.potential_energy(s)) == (
+            old["kinetic"], old["potential"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ehd
-from ehd.cli import _build_initial_state, main
+from ehd.cli import _build_initial_state, _series_keys, main
 from ehd.initial_conditions import PRESETS
 
 PI = math.pi
@@ -171,6 +171,42 @@ class TestRunCommand:
         assert float(row["ps_u_p"]) == 6.0
         report = json.loads((tmp_path / "report.json").read_text())
         assert [r["p"] for r in report["criteria"]] == [6.0, 12.0]
+
+
+    def test_one_series_per_accumulator(self, tmp_path, capsys):
+        path = tg_config(
+            tmp_path,
+            t_end=0.005,
+            extra="criterion = PS_u, 6, auto\ncriterion = PS_u, 12, auto\n",
+        )
+        assert main(["run", path]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        series = report["criteria_series"]
+        assert sorted(series) == ["PS_u", "PS_u_p12"]
+        times = [float(r["t"]) for r in _csv_rows(tmp_path / "series.csv")]
+        for key in series:
+            assert series[key]["t"] == times
+            assert len(set(series[key]["t"])) == len(times) == report["steps"] + 1
+        assert series["PS_u"]["integral"][-1] == report["criteria"][0]["integral"]
+        assert series["PS_u_p12"]["integral"][-1] == report["criteria"][1]["integral"]
+        capsys.readouterr()
+        assert main(["report", str(tmp_path / "report.json")]) == 0
+        written = sorted(p.name for p in tmp_path.glob("report_criterion_*.csv"))
+        assert written == ["report_criterion_ps_u.csv", "report_criterion_ps_u_p12.csv"]
+        for name in written:
+            assert len(_csv_rows(tmp_path / name)) == len(times)
+
+    def test_series_keys_stay_distinct(self):
+        accs = [ehd.make_accumulator(kind, p) for kind, p in (
+            ("BKM", math.inf), ("PS_u", 6.0), ("PS_u", 12.0), ("PS_u", 6.0),
+            ("PS_u", 6.0), ("BKM", math.inf))]
+        assert _series_keys(accs) == [
+            "BKM", "PS_u", "PS_u_p12", "PS_u_p6", "PS_u_4", "BKM_pinf"]
+
+
+def _csv_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestBesovCommand:

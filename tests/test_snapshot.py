@@ -2,12 +2,14 @@
 
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.fft
 
 import ehd
+import ehd.spectral
 from ehd import BesovParams, SpectralField, StepControl
 
 
@@ -61,6 +63,16 @@ class TestTransformBudget:
             keys = [(kind, digest) for kind, digest, nonzero in calls if nonzero]
             assert len(keys) == len(set(keys))
 
+    def test_run_transforms_the_initial_state_in_setup(self, grid16, monkeypatch):
+        """All five fields of a user state before the t = 0 hook, none in step 1."""
+        s0 = ehd.random_smooth(grid16, seed=3)
+        counter = FFTCounter(monkeypatch)
+        forward = []
+        ehd.run(s0, StepControl(dt=1e-3, t_end=2e-3),
+                hooks=[lambda s, d, dt: forward.append(counter.count("fwd"))])
+        assert forward[0] == 5
+        assert forward[1] - forward[0] == forward[2] - forward[1]
+
     def test_setup_transforms_the_initial_state_once(self, grid16, monkeypatch):
         s0 = ehd.random_smooth(grid16, seed=3)
         counter = FFTCounter(monkeypatch)
@@ -70,6 +82,77 @@ class TestTransformBudget:
         ehd.validate_initial_state(s0)
         # 5 forward transforms of the samples; the divergence twice, grad psi once.
         assert (counter.count("fwd"), counter.count("inv")) == (5, 5)
+
+
+class TestPowerBudget:
+    @pytest.mark.parametrize("preset, per_step", [("charged_shear", 7), ("taylor_green", 6)])
+    def test_observers_form_each_power_once(self, preset, per_step, tmp_path, monkeypatch):
+        """One power array per field (ux, uy, uz, v, w, psi) per observed
+        step, and one for the transform of v that gn_ratios makes; 26 when
+        every norm formed its own."""
+        from ehd import cli
+
+        original = ehd.spectral.spectral_power
+        calls = []
+
+        def counted(F):
+            calls.append(F)
+            return original(F)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("ehd.")]:
+            if getattr(module, "spectral_power", None) is original:
+                monkeypatch.setattr(module, "spectral_power", counted)
+        per_hook = []
+        observe = cli._Orchestra.__call__
+
+        def counted_hook(self, state, derived, dt):
+            before = len(calls)
+            observe(self, state, derived, dt)
+            per_hook.append(len(calls) - before)
+
+        monkeypatch.setattr(cli._Orchestra, "__call__", counted_hook)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"grid_n = 16\nt_end = 2e-3\ninitial_condition = {preset}\n"
+                          f"output_dir = {tmp_path}\n")
+        assert cli.main(["run", str(config)]) == 0
+        # The t = 0 hook reads the powers the ledger's set-up formed.
+        assert per_hook[0] == per_step - 6
+        assert per_hook[1:] == [per_step] * 4
+
+
+class TestFinalisation:
+    def test_cli_finalisation_transforms_only_u(self, tmp_path, monkeypatch):
+        """After the run: u forward (3), omega inverse (3) and forward (3)."""
+        from ehd import cli
+
+        counter = FFTCounter(monkeypatch)
+        marks = []
+
+        def marked_run(*args, **kwargs):
+            report = ehd.run(*args, **kwargs)
+            marks.append(len(counter.calls))
+            return report
+
+        monkeypatch.setattr(cli, "run", marked_run)
+        config = tmp_path / "run.cfg"
+        config.write_text("grid_n = 16\nt_end = 2e-3\ninitial_condition = charged_shear\n"
+                          f"output_dir = {tmp_path}\n")
+        assert cli.main(["run", str(config)]) == 0
+        final = counter.calls[marks[0]:]
+        assert [kind for kind, _, _ in final] == ["fwd"] * 3 + ["inv"] * 3 + ["fwd"] * 3
+
+    def test_user_state_transforms_each_field_once_when_asked(self, grid16, monkeypatch):
+        s = ehd.random_smooth(grid16, seed=3)
+        counter = FFTCounter(monkeypatch)
+        s.u_hat
+        assert counter.count("fwd") == 3
+        s.v_hat, s.u_hat.x
+        assert counter.count("fwd") == 4
+        s.coeffs, s.psi_hat, s.w_hat
+        assert counter.count("fwd") == 5
+        assert len({digest for _, digest, _ in counter.calls}) == 5
+        for f, c in zip((*s.u.components, s.v, s.w), s.coeffs):
+            assert _bits(ehd.forward_transform(f).coeffs) == _bits(c)
 
 
 def _finished(grid, seed=3, steps=3):
@@ -191,15 +274,31 @@ class TestReadOnly:
 
     def test_reused_arrays_are_read_only(self, grid16):
         s = _finished(grid16)
-        arrays = [*s.samples, *s.coeffs, *s.grad_psi]
+        arrays = [*s.samples, *s.coeffs, *s.grad_psi,
+                  *s.u_power, s.v_power, s.w_power, s.psi_power]
         assert not any(a.flags.writeable for a in arrays)
 
 
 class TestMemory:
     def test_run_drops_the_initial_snapshot_fields(self, grid16):
         s0 = ehd.charged_shear(grid16)
-        ehd.run(s0, StepControl(dt=1e-3, t_end=2e-3), hooks=[lambda s, d, dt: d.omega])
-        assert not {"coeffs", "grad_psi", "omega"} & set(vars(s0))
+        ehd.run(s0, StepControl(dt=1e-3, t_end=2e-3),
+                hooks=[lambda s, d, dt: (d.omega, d.u_power)])
+        assert not {"_transforms", "grad_psi", "omega", "u_power"} & set(vars(s0))
+
+    def test_run_drops_observer_fields_after_the_hooks(self, grid16):
+        kept = []
+
+        def hook(s, d, dt):
+            s.grad_psi
+            kept.append((s, s.omega_magnitude.samples, s.u_power, s.u_h3_norm))
+
+        ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=3e-3), hooks=[hook])
+        for s, omega_mag, u_power, h3 in kept[1:]:
+            assert "grad_psi" in vars(s)  # the next step's input
+            assert not {"omega", "omega_magnitude", "u_power", "u_h3_norm", "u_hat"} & set(vars(s))
+            assert _bits(s.omega_magnitude.samples) == _bits(omega_mag)
+            assert _bits(s.u_power) == _bits(u_power) and s.u_h3_norm == h3
 
     def test_weight_tables_live_on_the_grid(self):
         g = ehd.Grid(8)

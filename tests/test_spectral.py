@@ -162,6 +162,88 @@ class TestTransforms:
         assert verdicts[0] is False and verdicts[-1] is True
 
 
+def _roll_defect(F):
+    """hermitian_defect as the np.roll expression it replaced."""
+    defect = 0.0
+    for iz in (0, F.grid.n // 2):
+        plane = F.coeffs[:, :, iz]
+        mirrored = np.conj(np.roll(plane[::-1, ::-1], (1, 1), axis=(0, 1)))
+        defect = max(defect, float(np.abs(plane - mirrored).max()))
+    return defect
+
+
+def _rejected(F):
+    try:
+        ehd.backward_transform(F)
+    except HermitianSymmetryError:
+        return True
+    return False
+
+
+class TestMirrorTable:
+    """hermitian_defect gathers the mirrored planes through a table on the
+    Grid: the same value as np.roll, and the same verdict for any input."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+    def test_same_value_as_roll(self, n, scale, band_limited):
+        grid = ehd.Grid(n)
+        h = n // 2
+        symmetric = scale * ehd.forward_transform(band_limited(grid)).coeffs
+        assert ehd.hermitian_defect(SpectralField(grid, symmetric)) == _roll_defect(
+            SpectralField(grid, symmetric))
+        defects = [((1, 2, 0), 1e-13), ((-3, 1, 0), 2e-12j), ((0, 0, 0), 1e-9j),
+                   ((1, 0, h), 1e-6), ((2, -1, h), 3e-3 + 1e-3j), ((h, h, h), 0.5j)]
+        for index, delta in defects:
+            coeffs = symmetric.copy()
+            coeffs[index] += scale * delta
+            F = SpectralField(grid, coeffs)
+            assert ehd.hermitian_defect(F) == _roll_defect(F), index
+            assert ehd.hermitian_defect(F) > 0.0
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+    def test_same_verdict_for_non_finite(self, n, bad, band_limited):
+        grid = ehd.Grid(n)
+        h = n // 2
+        symmetric = ehd.forward_transform(band_limited(grid)).coeffs
+        cases = [
+            [((1, 2, 0), bad)],
+            [((0, 0, 0), bad)],
+            [((1, 2, h), bad)],
+            [((1, 2, 0), bad), ((2, 1, h), 1e-3)],  # real defect in plane n/2 only
+            [((1, 2, h), bad), ((2, 1, 0), 1e-3)],
+            [((1, 2, 0), bad), ((2, 1, h), bad)],
+            [((1, 2, 3), bad)],  # off the self-conjugate planes
+        ]
+        for case in cases:
+            coeffs = symmetric.copy()
+            for index, value in case:
+                coeffs[index] += value
+            F = SpectralField(grid, coeffs)
+            old = _roll_defect(F)
+            old_rejects = old > 1e-12 and old > 1e-12 * max(1.0, float(np.abs(coeffs).max()))
+            assert _rejected(F) == old_rejects, case
+            new = ehd.hermitian_defect(F)
+            assert new == old or (math.isnan(new) and math.isnan(old)), case
+
+    def test_nan_plane_does_not_hide_a_defect_in_the_other(self, grid16, band_limited):
+        coeffs = ehd.forward_transform(band_limited(grid16)).coeffs
+        coeffs[1, 2, 0] = np.nan
+        coeffs[2, 1, grid16.n // 2] += 1e-3
+        F = SpectralField(grid16, coeffs)
+        with np.errstate(invalid="ignore"):
+            assert ehd.hermitian_defect(F) == pytest.approx(1e-3)
+            assert _rejected(F)
+
+    def test_table_lives_on_the_grid(self):
+        g = ehd.Grid(8)
+        ehd.hermitian_defect(SpectralField(g, np.zeros(g.spectral_shape, dtype=complex)))
+        src, mirror = g.tables["mirror"]
+        assert src.shape == mirror.shape == (2, 64)
+
+
 class TestOperators:
     def test_gradient_of_sine(self, grid16):
         F = ehd.forward_transform(sin_field(grid16, 1, axis=0))
