@@ -29,35 +29,50 @@ class CheckpointError(ValueError):
     """Malformed, truncated, or corrupted checkpoint file."""
 
 
-def _payload(state) -> bytes:
-    n = state.grid.n
-    parts = [_HEADER.pack(FORMAT_VERSION, n, state.t, state.step_index)]
+def _payload_blocks(state):
+    """The payload as buffers: the header, then each field x-fastest (a view if F-ordered)."""
+    yield _HEADER.pack(FORMAT_VERSION, state.grid.n, state.t, state.step_index)
     for f in (state.u.x, state.u.y, state.u.z, state.v, state.w):
-        parts.append(np.ascontiguousarray(f.samples, dtype="<f8").ravel(order="F").tobytes())
-    return b"".join(parts)
+        yield np.ascontiguousarray(f.samples.T, dtype="<f8")
 
 
 def state_checksum(state) -> str:
     """CRC32 of the checkpoint payload, as 8 hex digits."""
-    return format(zlib.crc32(_payload(state)) & 0xFFFFFFFF, "08x")
+    crc = 0
+    for block in _payload_blocks(state):
+        crc = zlib.crc32(block, crc)
+        del block  # one field's copy alive at a time, not two
+    return format(crc & 0xFFFFFFFF, "08x")
 
 
-def write_checkpoint(path, state) -> None:
-    """Write state to path through a temporary file in the same directory.
+def write_atomically(path, blocks) -> None:
+    """Write the buffers of blocks to path through a temporary file beside it.
 
     The file at path is either the old one or the complete new one, never a
     partial write, even if the process dies mid-write.  There is no fsync,
     so a power loss can still lose or truncate the new file.
     """
     path = Path(path)
-    payload = _payload(state)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(MAGIC + payload + struct.pack("<I", crc))
+        with open(tmp, "wb") as fh:
+            fh.writelines(blocks)  # drops each block before asking for the next
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def write_checkpoint(path, state) -> None:
+    """Write state to path atomically, streaming its payload with a running CRC32."""
+    def blocks():
+        yield MAGIC
+        crc = 0
+        for block in _payload_blocks(state):
+            crc = zlib.crc32(block, crc)
+            yield block
+            del block  # as in state_checksum
+        yield struct.pack("<I", crc & 0xFFFFFFFF)
+    write_atomically(path, blocks())
 
 
 def checkpoint_grid_size(path) -> int:
@@ -81,7 +96,7 @@ def read_checkpoint(path):
         raise CheckpointError(f"checkpoint {path} is truncated ({len(raw)} bytes)")
     if raw[: len(MAGIC)] != MAGIC:
         raise CheckpointError(f"checkpoint {path} has bad magic {raw[:4]!r}")
-    payload, (stored_crc,) = raw[len(MAGIC) : -4], struct.unpack("<I", raw[-4:])
+    payload, (stored_crc,) = memoryview(raw)[len(MAGIC) : -4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"checkpoint {path} failed CRC verification")
 
@@ -95,13 +110,8 @@ def read_checkpoint(path):
         )
 
     grid = Grid(n)
-    arrays = []
-    offset = _HEADER.size
-    for _ in range(5):
-        flat = np.frombuffer(payload, dtype="<f8", count=n**3, offset=offset)
-        arrays.append(flat.reshape((n, n, n), order="F").astype(np.float64))
-        offset += n**3 * 8
-    ux, uy, uz, v, w = arrays
+    fields = np.frombuffer(payload, dtype="<f8", offset=_HEADER.size).reshape((5, n**3))
+    ux, uy, uz, v, w = (f.reshape((n, n, n), order="F").astype(np.float64) for f in fields)
     return State(
         u=VectorField(RealField(grid, ux), RealField(grid, uy), RealField(grid, uz)),
         v=RealField(grid, v),

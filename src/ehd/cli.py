@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import criteria as _criteria
 from .audit import AuditLedger, kinetic_energy, potential_energy
-from .checkpoint import CheckpointError, read_checkpoint, write_checkpoint
+from .checkpoint import CheckpointError, read_checkpoint, write_atomically, write_checkpoint
 from .config import ConfigError, RunConfig, parse_config
 from .initial_conditions import PRESETS
 from .littlewood_paley import BesovParams, besov_norm
@@ -316,7 +316,7 @@ def cmd_run(config: RunConfig) -> int:
         },
     }
     report_path = out_dir / config.report_json
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_atomically(report_path, [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()])
 
     _print_run_summary(report, series_path, audit_path, energy_path, report_path)
 

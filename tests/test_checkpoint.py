@@ -1,15 +1,17 @@
 """Binary checkpoint format: bit-exact round trips and corruption detection."""
 
+import itertools
 import os
 import pathlib
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
 import pytest
 
 import ehd
-from ehd import CheckpointError
+from ehd import CheckpointError, StepControl, checkpoint
 
 
 @pytest.fixture
@@ -68,12 +70,13 @@ class TestAtomicWrite:
         ehd.write_checkpoint(path, state)
         old = path.read_bytes()
 
-        def write_half_then_fail(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[: len(data) // 2])
+        payload_blocks = checkpoint._payload_blocks
+
+        def first_field_then_fail(state):
+            yield from itertools.islice(payload_blocks(state), 2)  # header, ux
             raise OSError("disk full")
 
-        monkeypatch.setattr(pathlib.Path, "write_bytes", write_half_then_fail)
+        monkeypatch.setattr(checkpoint, "_payload_blocks", first_field_then_fail)
         state.t = 1.5
         with pytest.raises(OSError, match="disk full"):
             ehd.write_checkpoint(path, state)
@@ -142,3 +145,88 @@ class TestCorruption:
         path.write_bytes(b"EHDS" + payload + struct.pack("<I", crc))
         with pytest.raises(CheckpointError, match="payload"):
             ehd.read_checkpoint(path)
+
+
+def joined_payload(state) -> bytes:
+    """The payload as one buffer, built the way the writer built it before it
+    streamed: the reference the streamed file and checksum must equal."""
+    n = state.grid.n
+    parts = [struct.pack("<IIdQ", 1, n, state.t, state.step_index)]
+    for f in (state.u.x, state.u.y, state.u.z, state.v, state.w):
+        parts.append(np.ascontiguousarray(f.samples, dtype="<f8").ravel(order="F").tobytes())
+    return b"".join(parts)
+
+
+def preset_state(grid, _):
+    s = ehd.random_smooth(grid, seed=7, energy=1.0, peak_wavenumber=2.0)
+    assert s.u.x.samples.flags.c_contiguous and not s.u.x.samples.flags.f_contiguous
+    return s
+
+
+def restarted_state(grid, tmp_path):
+    ehd.write_checkpoint(tmp_path / "initial.ehds", preset_state(grid, tmp_path))
+    s = ehd.read_checkpoint(tmp_path / "initial.ehds")
+    assert s.u.x.samples.flags.f_contiguous and not s.u.x.samples.flags.c_contiguous
+    return s
+
+
+def uncharged_snapshot(grid, _):
+    s = ehd.step(ehd.taylor_green(grid), StepControl(dt=1e-3, t_end=1e-3))
+    assert s.v.samples is s.w.samples and not s.v.samples.flags.writeable
+    return s
+
+
+def special_values_state(grid, _):
+    rng = np.random.default_rng(grid.n)
+    values = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.5, -2.25e-300])
+    fields = [rng.choice(values, size=(grid.n,) * 3) for _ in range(5)]
+    s = ehd.State(
+        u=ehd.VectorField(*(ehd.RealField(grid, a) for a in fields[:3])),
+        v=ehd.RealField(grid, fields[3]),
+        w=ehd.RealField(grid, fields[4]),
+        t=-0.0078125,
+        step_index=2**40 + 3,
+    )
+    assert np.signbit(s.u.x.samples[s.u.x.samples == 0.0]).any()
+    return s
+
+
+class TestStreamedPayload:
+    """The streamed file and checksum are the bytes of the joined payload."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize(
+        "make", [preset_state, restarted_state, uncharged_snapshot, special_values_state]
+    )
+    def test_file_and_checksum_equal_the_joined_payload(self, tmp_path, n, make):
+        state = make(ehd.Grid(n), tmp_path)
+        payload = joined_payload(state)
+        crc = zlib.crc32(payload) & 0xFFFFFFFF
+        path = tmp_path / "state.ehds"
+        ehd.write_checkpoint(path, state)
+        assert path.read_bytes() == b"EHDS" + payload + struct.pack("<I", crc)
+        assert ehd.state_checksum(state) == format(crc, "08x")
+
+
+class TestAllocation:
+    """Writing and checksumming hold at most one field's copy, not the file."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda path, state: ehd.write_checkpoint(path, state),
+            lambda path, state: ehd.state_checksum(state),
+        ],
+        ids=["write_checkpoint", "state_checksum"],
+    )
+    def test_peak_below_two_fields(self, tmp_path, grid32, call):
+        state = preset_state(grid32, tmp_path)
+        path = tmp_path / "state.ehds"
+        call(path, state)  # first call outside the trace: lazy imports and caches
+        tracemalloc.start()
+        try:
+            call(path, state)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * grid32.n**3 * 8

@@ -97,6 +97,30 @@ class TestRunCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert ehd.state_checksum(state) == report["state_checksum"]
 
+    def test_failed_report_write_keeps_old_report_and_leaves_no_temporary(
+        self, tmp_path, monkeypatch
+    ):
+        config = tg_config(tmp_path)
+        assert main(["run", config]) == 0
+        old = (tmp_path / "report.json").read_bytes()
+        write_atomically = ehd.cli.write_atomically
+
+        def half_report_then_fail(path, blocks):
+            if path.name != "report.json":
+                return write_atomically(path, blocks)
+
+            def stream():
+                (text,) = blocks
+                yield text[: len(text) // 2]
+                raise OSError("disk full")
+
+            return write_atomically(path, stream())
+
+        monkeypatch.setattr(ehd.cli, "write_atomically", half_report_then_fail)
+        assert main(["run", config]) != 0
+        assert (tmp_path / "report.json").read_bytes() == old
+        assert not list(tmp_path.glob(".*"))
+
     def test_config_error_exits_one(self, tmp_path, capsys):
         path = write_config(tmp_path, "t_end = 0.1\nt_end = 0.2\n"
                                       "initial_condition = taylor_green\n")
