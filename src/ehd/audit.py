@@ -162,14 +162,14 @@ class AuditLedger:
 
     # -- balance checks ----------------------------------------------------
 
-    def check_charge_identity(self, state: State, tol: float | None = None) -> float:
-        """Relative residual of the exact charge-energy identity; flags above tol."""
-        tol = self.charge_tol if tol is None else tol
+    def check_charge_identity(self, state: State) -> float:
+        """Relative residual of the exact charge-energy identity; flags above charge_tol."""
         lhs = _charge_energy(state) + self.d_charges + self.d_cross
         residual = abs(lhs - self.e0_charges) / max(self.e0_charges, 1e-300)
-        if residual > tol:
+        if residual > self.charge_tol:
             self.flags.append(
-                f"charge identity residual {residual:.3e} above {tol:.1e} at t={state.t:.6f}"
+                f"charge identity residual {residual:.3e} above {self.charge_tol:.1e} "
+                f"at t={state.t:.6f}"
             )
         return residual
 

@@ -10,6 +10,7 @@ The environment variable EHD_THREADS caps internal FFT parallelism.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -77,6 +78,13 @@ AUDIT_COLUMNS = [
 
 ENERGY_COLUMNS = ["t", "kinetic_energy", "potential_energy"]
 
+# The CSVs of `ehd run`: the config key of each file's name, and its header row.
+CSV_HEADERS = {
+    "series_csv": SERIES_COLUMNS,
+    "audit_csv": AUDIT_COLUMNS,
+    "energy_csv": ENERGY_COLUMNS,
+}
+
 
 class _UsageError(Exception):
     pass
@@ -131,7 +139,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "run":
-            return cmd_run_path(args.config)
+            return cmd_run(parse_config(Path(args.config).read_text()))
         if args.command == "besov":
             return cmd_besov(args.checkpoint, args.s, args.p, args.r, args.field)
         if args.command == "audit":
@@ -175,13 +183,10 @@ class _Orchestra:
     unset if the integral is still exactly zero there).
     """
 
-    def __init__(self, accs, ledger, series_writer, audit_writer, energy_writer,
-                 config, out_dir):
+    def __init__(self, accs, ledger, writers, config, out_dir):
         self.accs = accs
         self.ledger = ledger
-        self.series_writer = series_writer
-        self.audit_writer = audit_writer
-        self.energy_writer = energy_writer
+        self.writers = writers  # a csv writer per CSV_HEADERS key
         self.config = config
         self.out_dir = out_dir
         self.thresholds_pending = [a for a in accs if a.threshold is None]
@@ -199,9 +204,11 @@ class _Orchestra:
                     acc.threshold = 10.0 * acc.integral
             self.thresholds_pending = []
         record = self.ledger.update(state, dt)
-        self.energy_writer.writerow([state.t, kinetic_energy(state), potential_energy(state)])
+        self.writers["energy_csv"].writerow(
+            [state.t, kinetic_energy(state), potential_energy(state)]
+        )
         self._write_series_row(state, dt)
-        self.audit_writer.writerow(astuple(record))
+        self.writers["audit_csv"].writerow(astuple(record))
         for acc, key in zip(self.accs, self.series_keys):
             s = self.series[key]
             s["t"].append(state.t)
@@ -216,18 +223,13 @@ class _Orchestra:
 
     def _write_series_row(self, state, dt):
         first = {acc.kind.value: acc for acc in reversed(self.accs)}
-        self.series_writer.writerow(
+        self.writers["series_csv"].writerow(
             [state.t, dt]
             + [
                 getattr(first[kind], attr) if kind in first else ""
                 for kind, attr in SERIES_CRITERIA.values()
             ]
         )
-
-
-def cmd_run_path(config_path: str) -> int:
-    config = parse_config(Path(config_path).read_text())
-    return cmd_run(config)
 
 
 def cmd_run(config: RunConfig) -> int:
@@ -258,22 +260,14 @@ def cmd_run(config: RunConfig) -> int:
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    series_path = out_dir / config.series_csv
-    audit_path = out_dir / config.audit_csv
-    energy_path = out_dir / config.energy_csv
+    paths = [out_dir / getattr(config, key) for key in (*CSV_HEADERS, "report_json")]
 
-    with open(series_path, "w", newline="") as f_series, open(
-        audit_path, "w", newline=""
-    ) as f_audit, open(energy_path, "w", newline="") as f_energy:
-        series_writer = csv.writer(f_series)
-        series_writer.writerow(SERIES_COLUMNS)
-        audit_writer = csv.writer(f_audit)
-        audit_writer.writerow(AUDIT_COLUMNS)
-        energy_writer = csv.writer(f_energy)
-        energy_writer.writerow(ENERGY_COLUMNS)
-        orchestra = _Orchestra(
-            accs, ledger, series_writer, audit_writer, energy_writer, config, out_dir
-        )
+    with contextlib.ExitStack() as files:
+        writers = {}
+        for (key, header), path in zip(CSV_HEADERS.items(), paths):
+            writers[key] = csv.writer(files.enter_context(open(path, "w", newline="")))
+            writers[key].writerow(header)
+        orchestra = _Orchestra(accs, ledger, writers, config, out_dir)
         run_report = run(state0, control, hooks=[orchestra])
 
     final = run_report.final_state
@@ -315,10 +309,9 @@ def cmd_run(config: RunConfig) -> int:
             "steps_per_second": run_report.steps / wall if wall > 0 else 0.0,
         },
     }
-    report_path = out_dir / config.report_json
-    write_atomically(report_path, [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()])
+    write_atomically(paths[-1], [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()])
 
-    _print_run_summary(report, series_path, audit_path, energy_path, report_path)
+    _print_run_summary(report, paths)
 
     if run_report.status is RunStatus.COMPLETED:
         return EXIT_OK
@@ -343,7 +336,7 @@ def _print_criteria_table(rows):
         )
 
 
-def _print_run_summary(report, series_path, audit_path, energy_path, report_path):
+def _print_run_summary(report, paths):
     print(f"status: {report['status']}  steps: {report['steps']}  "
           f"t_final: {_fmt(report['t_final'])}")
     for name in ("u", "omega"):
@@ -362,7 +355,7 @@ def _print_run_summary(report, series_path, audit_path, energy_path, report_path
     )
     for flag in audit["flags"]:
         print(f"audit flag: {flag}")
-    print(f"wrote {series_path}, {audit_path}, {energy_path}, {report_path}")
+    print(f"wrote {', '.join(map(str, paths))}")
 
 
 def cmd_besov(checkpoint: str, s: float, p: float, r: float, field_name: str = "umag") -> int:

@@ -24,7 +24,7 @@ import typing
 from dataclasses import asdict, dataclass, field
 
 from .checkpoint import CheckpointError, checkpoint_grid_size
-from .criteria import jsonable, make_accumulator
+from .criteria import CriterionKind, jsonable, make_accumulator
 from .initial_conditions import PRESETS
 from .solver import StepControl
 
@@ -101,8 +101,7 @@ def _physical_memory() -> int | None:
         return None
 
 
-_KIND_ALIASES = {"bkm": "BKM", "ps_u": "PS_u", "ps_grad_u": "PS_grad_u",
-                 "besov_aniso": "BESOV_ANISO"}
+_KIND_ALIASES = {k.value.lower(): k.value for k in CriterionKind}
 
 _IC_CALL = re.compile(r"^(\w+)\s*(?:\((.*)\))?$")
 
@@ -118,7 +117,7 @@ def _parse_criterion(value: str, lineno: int, violations: list) -> CriterionSpec
     if kind is None:
         violations.append(
             f"line {lineno}: unknown criterion kind {parts[0]!r} "
-            f"(expected BKM, PS_u, PS_grad_u, BESOV_ANISO)"
+            f"(expected {', '.join(k.value for k in CriterionKind)})"
         )
         return None
     try:

@@ -50,40 +50,33 @@ class CriterionAccumulator:
     primed: bool = False
 
 
+def _scaling_target(kind: CriterionKind) -> float:
+    """2/q + 3/p of the kind's family: 1 for PS_u, 2 otherwise (BKM is p = inf)."""
+    return 1.0 if kind is CriterionKind.PS_U else 2.0
+
+
 def make_accumulator(kind, p: float = math.inf, threshold: float | None = None) -> CriterionAccumulator:
     """Build an accumulator, deriving q (and r) from the kind's scaling relation.
 
     Admissible ranges are strict: PS_u needs 3 < p <= inf, the gradient and
-    anisotropic kinds need 3/2 < p <= inf.
+    anisotropic kinds need 3/2 < p <= inf, BKM needs p = inf.
     """
     kind = CriterionKind(kind)
     p = float(p)
-    r = None
-    if kind is CriterionKind.BKM:
-        if not math.isinf(p):
-            raise ValueError(f"BKM integrates the maximum norm; p must be inf, got {p}")
-        q = 1.0
-    elif kind is CriterionKind.PS_U:
-        if not p > 3.0:
-            raise ValueError(f"PS_u requires 3 < p <= inf (strictly above 3), got p={p}")
-        q = 2.0 / (1.0 - 3.0 / p)
-    else:  # PS_grad_u and BESOV_ANISO share 2/q + 3/p = 2
-        if not p > 1.5:
-            raise ValueError(
-                f"{kind.value} requires 3/2 < p <= inf (strictly above 3/2), got p={p}"
-            )
-        q = 2.0 / (2.0 - 3.0 / p)
-        if kind is CriterionKind.BESOV_ANISO:
-            r = 2.0 * p / 3.0
+    if kind is CriterionKind.BKM and not math.isinf(p):
+        raise ValueError(f"BKM integrates the maximum norm; p must be inf, got {p}")
+    if kind is CriterionKind.PS_U and not p > 3.0:
+        raise ValueError(f"PS_u requires 3 < p <= inf (strictly above 3), got p={p}")
+    if not p > 1.5:
+        raise ValueError(f"{kind.value} requires 3/2 < p <= inf (strictly above 3/2), got p={p}")
+    q = 2.0 / (_scaling_target(kind) - 3.0 / p)
+    r = 2.0 * p / 3.0 if kind is CriterionKind.BESOV_ANISO else None
     return CriterionAccumulator(kind=kind, p=p, q=q, r=r, threshold=threshold)
 
 
 def scaling_defect(acc: CriterionAccumulator) -> float:
-    """|2/q + 3/p - target| for the accumulator's family (0 for BKM)."""
-    if acc.kind is CriterionKind.BKM:
-        return 0.0
-    target = 1.0 if acc.kind is CriterionKind.PS_U else 2.0
-    return abs(2.0 / acc.q + 3.0 / acc.p - target)
+    """|2/q + 3/p - target| for the accumulator's family."""
+    return abs(2.0 / acc.q + 3.0 / acc.p - _scaling_target(acc.kind))
 
 
 def horizontal_block_magnitude(state: State) -> RealField:

@@ -93,22 +93,19 @@ def band_range(grid: Grid) -> tuple[int, int]:
     return j_min, j_max
 
 
-def band_weight(grid: Grid, j: int, cutoff: Cutoff = DEFAULT_CUTOFF) -> np.ndarray:
-    """varphi(2^-j |k|) on the grid's wavenumber lattice (kept on the grid
-    for the default cutoff)."""
+def band_weight(grid: Grid, j: int) -> np.ndarray:
+    """varphi(2^-j |k|) on the grid's wavenumber lattice, kept on the grid."""
     # Written as a difference of phi at exactly halved radii so that the sum
     # over j telescopes without rounding residue.
-    def make():
-        return cutoff.phi(grid.kmag / 2.0**j) - cutoff.phi(grid.kmag / 2.0 ** (j - 1))
-
-    return grid.table(("band", j), make) if cutoff is DEFAULT_CUTOFF else make()
+    phi, k = DEFAULT_CUTOFF.phi, grid.kmag
+    return grid.table(("band", j), lambda: phi(k / 2.0**j) - phi(k / 2.0 ** (j - 1)))
 
 
-def decompose(f: SpectralField, cutoff: Cutoff = DEFAULT_CUTOFF) -> list[DyadicBand]:
+def decompose(f: SpectralField) -> list[DyadicBand]:
     """Split into dyadic bands; the bands sum back to f minus its mean mode."""
     j_min, j_max = band_range(f.grid)
     return [
-        DyadicBand(j, SpectralField(f.grid, f.coeffs * band_weight(f.grid, j, cutoff)))
+        DyadicBand(j, SpectralField(f.grid, f.coeffs * band_weight(f.grid, j)))
         for j in range(j_min, j_max + 1)
     ]
 
@@ -156,26 +153,24 @@ def _multi_indices(k: int):
     return out
 
 
-def random_band_field(
-    grid: Grid, j: int, rng, cutoff: Cutoff = DEFAULT_CUTOFF, packets: int = 4
-) -> SpectralField:
+def random_band_field(grid: Grid, j: int, rng) -> SpectralField:
     """Random real field spectrally supported in band j.
 
-    Draws a superposition of randomly placed, randomly weighted copies of the
-    band's mother wave packet (the inverse transform of varphi_j).  Packets at
-    band j+1 are dyadic dilates of packets at band j, so the ensemble is
+    Draws a superposition of four randomly placed, randomly weighted copies of
+    the band's mother wave packet (the inverse transform of varphi_j).  Packets
+    at band j+1 are dyadic dilates of packets at band j, so the ensemble is
     scale-covariant and measured Bernstein ratios are comparable across bands;
     white-noise band fields would not be (their maxima fall short of the
     band-limited extremizers by a band-dependent factor).
     """
     phases = np.zeros(grid.spectral_shape, dtype=complex)
-    for _ in range(packets):
+    for _ in range(4):
         center = rng.uniform(0.0, 2.0 * np.pi, size=3)
         amp = rng.standard_normal()
         phases += amp * np.exp(
             -1j * (grid.kx * center[0] + grid.ky * center[1] + grid.kz * center[2])
         )
-    return SpectralField(grid, band_weight(grid, j, cutoff) * phases)
+    return SpectralField(grid, band_weight(grid, j) * phases)
 
 
 def bernstein_check(

@@ -334,10 +334,12 @@ def lp_norm(f: RealField, p: float) -> float:
     """L^p norm as the uniform Riemann sum; p = inf is the grid maximum."""
     if p < 1:
         raise ValueError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
-    a = np.abs(f.samples)
     if np.isinf(p):
-        return float(a.max())
-    return float((np.sum(a**p) * f.grid.cell_volume) ** (1.0 / p))
+        # max |samples| without an |samples| array; abs() clears the sign of -0.0 and NaN.
+        return abs(max(float(f.samples.max()), -float(f.samples.min())))
+    a = np.abs(f.samples)
+    a **= p  # one temporary; numpy's scalar-power fast paths apply in place too
+    return float((np.sum(a) * f.grid.cell_volume) ** (1.0 / p))
 
 
 def spectral_power(F: SpectralField) -> np.ndarray:

@@ -1,10 +1,11 @@
 """Key-value config parsing: defaults, typed values, exhaustive violations."""
 
 import math
+import re
 
 import pytest
 
-from ehd import ConfigError, RunConfig, StepControl, parse_config
+from ehd import ConfigError, CriterionKind, RunConfig, StepControl, parse_config
 
 MINIMAL = """
 grid_n = 32
@@ -58,8 +59,23 @@ class TestParsing:
         assert cfg.criteria[1].p == math.inf
         assert cfg.criteria[1].threshold is None
 
+    @pytest.mark.parametrize("kind", [k.value for k in CriterionKind])
+    def test_every_criterion_kind_parses_in_either_case(self, kind):
+        p = "inf" if kind == "BKM" else "6"
+        for spelled in (kind.lower(), kind.upper()):
+            cfg = parse_config("t_end = 0.1\ninitial_condition = taylor_green\n"
+                               f"criterion = {spelled}, {p}\n")
+            assert [c.kind for c in cfg.criteria] == [kind]
+
 
 class TestViolations:
+    def test_unknown_criterion_kind_lists_the_kinds(self):
+        with pytest.raises(
+            ConfigError, match=re.escape("(expected BKM, PS_u, PS_grad_u, BESOV_ANISO)")
+        ):
+            parse_config("t_end = 0.1\ninitial_condition = taylor_green\n"
+                         "criterion = PS_v, 6\n")
+
     def test_out_of_range_criterion_exponent_cites_bound(self):
         with pytest.raises(ConfigError, match="3 < p"):
             parse_config("t_end = 0.1\ninitial_condition = taylor_green\n"

@@ -78,6 +78,37 @@ class TestMakeAccumulator:
             assert ehd.scaling_defect(ehd.make_accumulator("BESOV_ANISO", p)) <= 1e-12
 
 
+def per_kind_exponents(kind, p):
+    """q, r and the scaling defect by each kind's own formula, written out."""
+    if kind == "BKM":
+        return 1.0, None, 0.0
+    if kind == "PS_u":
+        q = 2.0 / (1.0 - 3.0 / p)
+        return q, None, abs(2.0 / q + 3.0 / p - 1.0)
+    q = 2.0 / (2.0 - 3.0 / p)
+    r = 2.0 * p / 3.0 if kind == "BESOV_ANISO" else None
+    return q, r, abs(2.0 / q + 3.0 / p - 2.0)
+
+
+class TestScalingRule:
+    """One target per family (1 for PS_u, 2 otherwise, BKM its p = inf
+    member) gives each kind's exponents and defect bit for bit."""
+
+    @pytest.mark.parametrize("kind", [k.value for k in ehd.CriterionKind])
+    @pytest.mark.parametrize("p", [1.6, 2.0, 3.5, 6.0, 12.0, INF])
+    def test_exponents_and_defect_are_the_per_kind_formulas(self, kind, p):
+        admissible = {"BKM": p == INF, "PS_u": p > 3.0}.get(kind, p > 1.5)
+        if not admissible:
+            with pytest.raises(ValueError):
+                ehd.make_accumulator(kind, p)
+            return
+        acc = ehd.make_accumulator(kind, p)
+        q, r, defect = per_kind_exponents(kind, p)
+        assert acc.q.hex() == q.hex()
+        assert (acc.r is None and r is None) or acc.r.hex() == r.hex()
+        assert ehd.scaling_defect(acc).hex() == defect.hex()
+
+
 class TestObserve:
     def test_constant_vorticity_integrates_linearly(self, grid16):
         s = shear_state(grid16)  # |omega| = |cos x2|, sup = 1

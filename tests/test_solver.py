@@ -335,6 +335,23 @@ class TestRun:
         assert r1.steps == r2.steps
 
 
+class TestInitialDivergenceCheck:
+    @staticmethod
+    def taylor_green_times(grid, amplitude):
+        tg = ehd.taylor_green(grid)
+        u = VectorField(*(RealField(grid, amplitude * c.samples) for c in tg.u.components))
+        return State(u=u, v=tg.v, w=tg.w)
+
+    def test_large_amplitude_raises_no_hermitian_false_alarm(self, grid16, grid32):
+        """div u is transformed without backward_transform's symmetry check:
+        the coefficients of Taylor-Green x 1e4 at 16^3 fail that check by
+        roundoff although max |div u| is 1.8e-11.  The absolute tolerance
+        still rejects x 1e6 at 32^3, where max |div u| is 3.8e-9."""
+        ehd.validate_initial_state(self.taylor_green_times(grid16, 1e4))
+        with pytest.raises(InvariantViolation, match="not divergence-free"):
+            ehd.validate_initial_state(self.taylor_green_times(grid32, 1e6))
+
+
 class TestCflLimit:
     def test_quiescent_state_is_unlimited(self, grid16):
         s = quiescent(grid16, full(grid16, 1.0), full(grid16, 1.0))

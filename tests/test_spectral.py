@@ -433,6 +433,31 @@ class TestNorms:
         with pytest.raises(ValueError, match="p >= 1"):
             ehd.lp_norm(cos_field(grid16, 1), 0.5)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0, 6.0, math.inf])
+    @pytest.mark.parametrize(
+        "case", ["signed", "zeros", "negative_zeros", "nan", "negative_nan", "inf", "negative_inf"]
+    )
+    def test_bitwise_the_norm_of_the_absolute_copy(self, case, p, grid8, rng):
+        """lp_norm forms no |samples| copy at p = inf and raises |samples| to p
+        in place otherwise; either way its bits are those of the expression on
+        np.abs(samples), signed zeros and non-finite samples included."""
+        s = rng.standard_normal((8,) * 3)
+        if case == "zeros":
+            s = np.zeros_like(s)
+            s[::2] = -0.0
+        elif case == "negative_zeros":
+            s = np.full_like(s, -0.0)
+        elif case != "signed":
+            s[3, 1, 4] = {"nan": np.nan, "negative_nan": -np.nan,
+                          "inf": np.inf, "negative_inf": -np.inf}[case]
+        a = np.abs(s)
+        if math.isinf(p):
+            expected = float(a.max())
+        else:
+            expected = float((np.sum(a**p) * grid8.cell_volume) ** (1.0 / p))
+        got = ehd.lp_norm(RealField(grid8, s), p)
+        assert np.float64(got).view(np.int64) == np.float64(expected).view(np.int64)
+
     def test_negative_sobolev_index_rejected(self, grid16):
         F = ehd.forward_transform(cos_field(grid16, 1))
         with pytest.raises(ValueError, match="s >= 0"):
