@@ -35,7 +35,7 @@ def monitor(state, _, dt):
 report = ehd.run(state, ehd.StepControl(dt=1e-3, t_end=0.15), hooks=[monitor])
 print(f"\nrun status: {report.status.value}, {report.steps} steps")
 
-table = ehd.report(accs, report.status)
+table = ehd.report(accs)
 print(f"\n{'monitor':<12} {'integral':>12} {'peak integrand':>15} {'alarm':>8}")
 for row in table.rows:
     alarm = row["crossed_at"] if row["crossed_at"] is not None else "-"

@@ -37,8 +37,6 @@ from .initial_conditions import (
 from .littlewood_paley import (
     BernsteinReport,
     BesovParams,
-    Cutoff,
-    DEFAULT_CUTOFF,
     DyadicBand,
     band_range,
     band_weight,

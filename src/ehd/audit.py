@@ -75,7 +75,7 @@ def log_sobolev_ratio(state: State) -> float:
     over a smooth run is meaningful; monotone unbounded growth is flagged in
     the report.
     """
-    num = lp_norm(state.grad_u_magnitude(), math.inf)
+    num = lp_norm(state.grad_u_magnitude, math.inf)
     omega_mag = state.omega_magnitude
     denom = 1.0 + lp_norm(omega_mag, 2.0) + lp_norm(omega_mag, math.inf) * math.log(
         math.e + state.u_h3_norm

@@ -186,8 +186,8 @@ def parse_config(text: str) -> RunConfig:
 
     Named charge presets are neutral and nonnegative by construction;
     checkpoint-loaded states are validated when the run starts.  A restart
-    runs on the checkpoint's grid: an explicit grid_n must match the size in
-    the checkpoint's header.
+    runs on the checkpoint's grid: grid_n is the size in the checkpoint's
+    header, and an explicit grid_n must match it.
     """
     violations: list[str] = []
     seen: dict[str, int] = {}
@@ -237,7 +237,21 @@ def parse_config(text: str) -> RunConfig:
         initial_condition=ic,
         criteria=criteria or _default_criteria(),
     )
-    # Range checks on whatever parsed.
+    # Range checks on whatever parsed; a restart's grid is its checkpoint's.
+    if ic is not None and ic.name == "from_checkpoint":
+        path = ic.params["path"]
+        try:
+            stored = checkpoint_grid_size(path)
+        except (OSError, CheckpointError) as exc:
+            if "grid_n" in values:
+                violations.append(f"cannot read the grid size of checkpoint {path}: {exc}")
+        else:
+            if "grid_n" in values and stored != config.grid_n:
+                violations.append(
+                    f"grid_n = {config.grid_n} does not match checkpoint {path}, "
+                    f"which holds a {stored}^3 grid"
+                )
+            config.grid_n = stored
     n = config.grid_n
     memory = _physical_memory()
     need = RUN_PEAK_STATES * 5 * n**3 * 8
@@ -249,18 +263,6 @@ def parse_config(text: str) -> RunConfig:
             f"fields of {n}^3 float64), more than the {memory / 2**30:.3g} GiB "
             f"of physical memory"
         )
-    if ic is not None and ic.name == "from_checkpoint" and "grid_n" in values:
-        path = ic.params["path"]
-        try:
-            stored = checkpoint_grid_size(path)
-        except (OSError, CheckpointError) as exc:
-            violations.append(f"cannot read the grid size of checkpoint {path}: {exc}")
-        else:
-            if stored != n:
-                violations.append(
-                    f"grid_n = {n} does not match checkpoint {path}, "
-                    f"which holds a {stored}^3 grid"
-                )
     if "t_end" in values and not 0 < config.t_end < math.inf:
         violations.append(f"t_end must be positive and finite, got {config.t_end}")
     if not 0 < config.cfl < 1:

@@ -95,7 +95,7 @@ def instantaneous_quantity(acc: CriterionAccumulator, state: State) -> float:
     if acc.kind is CriterionKind.PS_U:
         return lp_norm(vector_magnitude(state.u), acc.p)
     if acc.kind is CriterionKind.PS_GRAD_U:
-        return lp_norm(state.grad_u_magnitude(), acc.p)
+        return lp_norm(state.grad_u_magnitude, acc.p)
     block = horizontal_block_magnitude(state)
     return besov_norm(forward_transform(block), BesovParams(0.0, acc.p, acc.r))
 
@@ -126,14 +126,10 @@ def observe(acc: CriterionAccumulator, state: State, dt: float) -> CriterionAccu
 
 @dataclass
 class CriteriaReport:
-    """Per-criterion table plus, for aborted runs, an earliest-alarm ranking."""
+    """Per-criterion table plus an earliest-alarm ranking."""
 
-    status: str
     rows: list[dict]
     ranking: list[str]
-
-    def as_dict(self) -> dict:
-        return {"status": self.status, "criteria": self.rows, "ranking": self.ranking}
 
 
 def jsonable(x):
@@ -148,9 +144,9 @@ def jsonable(x):
     return x
 
 
-def report(accs, status) -> CriteriaReport:
-    """Summarize accumulators; rank by earliest threshold crossing on blow-up."""
-    status = status.value if hasattr(status, "value") else str(status)
+def report(accs) -> CriteriaReport:
+    """Summarize accumulators; rank them by earliest threshold crossing, the
+    ones that never crossed last in their given order."""
     rows = [
         jsonable(
             {
@@ -171,4 +167,4 @@ def report(accs, status) -> CriteriaReport:
     )
     ranking = [acc.kind.value for acc in crossers]
     ranking += [acc.kind.value for acc in accs if acc.crossed_at is None]
-    return CriteriaReport(status=status, rows=rows, ranking=ranking)
+    return CriteriaReport(rows=rows, ranking=ranking)

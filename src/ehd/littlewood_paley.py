@@ -34,23 +34,17 @@ def _smoothstep(t: np.ndarray) -> np.ndarray:
     return a / (a + b)
 
 
-class Cutoff:
-    """Radial profile pair (phi, varphi) generating the dyadic partition."""
-
-    plateau = 5.0 / 4.0
-    support = 3.0 / 2.0
-
-    def phi(self, r):
-        """1 for r <= 5/4, 0 for r >= 3/2, smooth and nonincreasing between."""
-        r = np.asarray(r, dtype=float)
-        return _smoothstep((self.support - r) / (self.support - self.plateau))
-
-    def varphi(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.phi(r) - self.phi(2.0 * r)
+def phi(r):
+    """The radial cutoff: 1 for r <= 5/4, 0 for r >= 3/2, smooth and
+    nonincreasing between."""
+    r = np.asarray(r, dtype=float)
+    return _smoothstep((1.5 - r) / (1.5 - 1.25))
 
 
-DEFAULT_CUTOFF = Cutoff()
+def varphi(r):
+    """The band profile phi(r) - phi(2 r)."""
+    r = np.asarray(r, dtype=float)
+    return phi(r) - phi(2.0 * r)
 
 
 @dataclass(frozen=True)
@@ -83,21 +77,19 @@ def band_range(grid: Grid) -> tuple[int, int]:
     nonzero torus frequency); j_max the largest whose annulus meets the
     dealiased ball |k| <= n/3.
     """
-    j_min = 0
-    while 3.0 * 2.0 ** (j_min - 1) / 2.0 >= 1.0:
-        j_min -= 1
+    # Band 0 reaches 3/2 and band -1 only 3/4 < 1, so j_min is 0 on every grid.
     kcap = grid.n / 3.0
-    j_max = j_min
+    j_max = 0
     while 5.0 * 2.0 ** (j_max + 1) / 8.0 <= kcap:
         j_max += 1
-    return j_min, j_max
+    return 0, j_max
 
 
 def band_weight(grid: Grid, j: int) -> np.ndarray:
     """varphi(2^-j |k|) on the grid's wavenumber lattice, kept on the grid."""
     # Written as a difference of phi at exactly halved radii so that the sum
     # over j telescopes without rounding residue.
-    phi, k = DEFAULT_CUTOFF.phi, grid.kmag
+    k = grid.kmag
     return grid.table(("band", j), lambda: phi(k / 2.0**j) - phi(k / 2.0 ** (j - 1)))
 
 
@@ -120,8 +112,6 @@ def besov_norm(f: SpectralField, params: BesovParams) -> float:
     for band in decompose(f):
         norm = lp_norm(backward_transform(band.field), params.p)
         terms.append(2.0 ** (band.j * params.s) * norm)
-    if not terms:
-        return 0.0
     if np.isinf(params.r):
         return float(max(terms))
     return float(sum(t**params.r for t in terms) ** (1.0 / params.r))

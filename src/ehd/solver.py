@@ -33,6 +33,7 @@ from .spectral import (
     ChargeNeutralityError,
     Grid,
     NEUTRALITY_TOL,
+    NonFiniteFieldError,
     RealField,
     SpectralField,
     VectorField,
@@ -212,12 +213,9 @@ class State:
         ]
 
     @cached_property
-    def _grad_u_magnitude(self) -> RealField:
-        return entry_magnitude(self.grid, self.grad_u)
-
     def grad_u_magnitude(self) -> RealField:
         """Pointwise Frobenius magnitude of the velocity gradient."""
-        return self._grad_u_magnitude
+        return entry_magnitude(self.grid, self.grad_u)
 
     def _release(self, keep=()):
         """Drop the fields computed on first use, except those named in keep;
@@ -241,6 +239,8 @@ class StepControl:
             raise ValueError(f"need 0 < dt_min <= dt, got dt_min={self.dt_min}, dt={self.dt}")
         if not 0 < self.cfl < 1:
             raise ValueError(f"need 0 < cfl < 1, got {self.cfl}")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError(f"need 0 <= t_end < inf, got {self.t_end}")
 
 
 @dataclass
@@ -593,7 +593,8 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     the next step, and read-only; once the hooks of a snapshot the run
     made return, the run drops every field the next step does not read.
     A hook raising BlowUpSuspected or InvariantViolation ends the run with
-    that status, its message the diagnostic.
+    that status, its message the diagnostic; a NonFiniteFieldError (a
+    non-finite field a hook transformed) counts as a suspected blow-up.
     """
     from .checkpoint import state_checksum
 
@@ -627,7 +628,7 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
             # Of its cached fields the next step reads grad psi alone; the
             # step's arrays reuse the memory of the others.
             s._release(keep=("grad_psi",))
-    except BlowUpSuspected as exc:
+    except (BlowUpSuspected, NonFiniteFieldError) as exc:
         status, diagnostic = RunStatus.BLOW_UP_SUSPECTED, str(exc)
     except (InvariantViolation, ChargeNeutralityError) as exc:
         status, diagnostic = RunStatus.INVARIANT_VIOLATION, str(exc)

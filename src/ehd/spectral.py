@@ -13,14 +13,13 @@ modes by two (`Grid.mult`).  Every spectral field is kept dealiased by the
 products alias-free and grid sums of triple products exact.
 
 All operations are pure functions of their field snapshots; constructed
-fields are safe to share across threads.  With EHD_THREADS=1 (the default)
+fields are safe to share across threads.  Transforms run on one thread, and
 outputs are bitwise deterministic.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +44,6 @@ class HermitianSymmetryError(ValueError):
 
 class ChargeNeutralityError(ValueError):
     """Poisson right-hand side has a nonzero mean."""
-
-
-def fft_workers() -> int:
-    """Thread cap for the FFT backend, from EHD_THREADS (default 1)."""
-    return max(1, int(os.environ.get("EHD_THREADS", "1")))
 
 
 class Grid:
@@ -116,17 +110,6 @@ class Grid:
     def __repr__(self):
         return f"Grid(n={self.n})"
 
-    def compatible(self, other: "Grid") -> bool:
-        return self is other or self.n == other.n
-
-
-def _require_same_grid(*fields):
-    g = fields[0].grid
-    for f in fields[1:]:
-        if not g.compatible(f.grid):
-            raise GridMismatchError(f"fields live on different grids: {g} vs {f.grid}")
-    return g
-
 
 @dataclass
 class RealField:
@@ -167,7 +150,9 @@ class VectorField:
     def __post_init__(self):
         if not (type(self.x) is type(self.y) is type(self.z)):
             raise ValueError("vector components must share one representation")
-        _require_same_grid(self.x, self.y, self.z)
+        grids = [c.grid for c in self.components]
+        if len({g.n for g in grids}) > 1:
+            raise GridMismatchError(f"fields live on different grids: {grids}")
 
     @property
     def grid(self) -> Grid:
@@ -182,11 +167,11 @@ class VectorField:
 # (norm="forward").  n^3 is a power of two, so this equals dividing the
 # unnormalized forward transform by n^3, bit for bit.
 def _coeffs_from_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    return _fft.rfftn(samples, workers=fft_workers(), norm="forward")
+    return _fft.rfftn(samples, norm="forward")
 
 
 def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    return _fft.irfftn(coeffs, s=(grid.n,) * 3, workers=fft_workers(), norm="forward")
+    return _fft.irfftn(coeffs, s=(grid.n,) * 3, norm="forward")
 
 
 def forward_transform(f: RealField) -> SpectralField:
@@ -198,7 +183,7 @@ def forward_transform(f: RealField) -> SpectralField:
     if not finite.all():
         node = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise NonFiniteFieldError(
-            f"non-finite sample {f.samples[node]!r} at grid node {node}"
+            f"non-finite sample {f.samples[node]} at grid node {node}"
         )
     coeffs = _coeffs_from_samples(f.grid, f.samples)
     coeffs *= f.grid.dealias_mask
@@ -260,7 +245,7 @@ def gradient(F: SpectralField) -> VectorField:
 
 
 def divergence(U: VectorField) -> SpectralField:
-    g = _require_same_grid(*U.components)
+    g = U.grid
     # 1j * (kx*cx + ky*cy + kz*cz), in that order, in two arrays.
     c = np.multiply(g.kx, U.x.coeffs)
     tmp = np.multiply(g.ky, U.y.coeffs)
@@ -274,7 +259,7 @@ def laplacian(F: SpectralField) -> SpectralField:
 
 
 def curl(U: VectorField) -> VectorField:
-    g = _require_same_grid(*U.components)
+    g = U.grid
     cx, cy, cz = U.x.coeffs, U.y.coeffs, U.z.coeffs
     return VectorField(
         SpectralField(g, 1j * (g.ky * cz - g.kz * cy)),
@@ -288,7 +273,7 @@ def leray_project(U: VectorField) -> VectorField:
 
     Idempotent; divergence-free fields (including the mean mode) pass through.
     """
-    g = _require_same_grid(*U.components)
+    g = U.grid
     projected = _leray_coeffs(g, *(c.coeffs.copy() for c in U.components))
     return VectorField(*(SpectralField(g, c) for c in projected))
 
@@ -393,8 +378,7 @@ def entry_magnitude(grid: Grid, rows) -> RealField:
 
 def vector_magnitude(U: VectorField) -> RealField:
     """Pointwise Euclidean magnitude of a real vector field."""
-    g = _require_same_grid(*U.components)
-    return entry_magnitude(g, [[c.samples for c in U.components]])
+    return entry_magnitude(U.grid, [[c.samples for c in U.components]])
 
 
 def spectral_tail_fraction(*fields: SpectralField) -> float:

@@ -43,7 +43,6 @@ def tg_cli_run(tmp_path_factory):
         f"grid_n = 32\nt_end = 0.5\ninitial_condition = taylor_green\n"
         f"output_dir = {out}\n"
     )
-    os.environ["EHD_THREADS"] = "1"
     t0 = time.monotonic()
     code = main(["run", str(config)])
     wall = time.monotonic() - t0

@@ -277,7 +277,7 @@ def _old_values(state):
     v, w = state.v.samples, state.w.samples
     h3 = math.sqrt(sum(_old_sobolev(c, 3.0) ** 2 for c in u))
     omega_mag = ehd.vector_magnitude(state.omega)
-    lsr = ehd.lp_norm(state.grad_u_magnitude(), math.inf) / (
+    lsr = ehd.lp_norm(state.grad_u_magnitude, math.inf) / (
         1.0 + ehd.lp_norm(omega_mag, 2.0)
         + ehd.lp_norm(omega_mag, math.inf) * math.log(math.e + h3))
     gn = (math.nan, math.nan)

@@ -166,6 +166,31 @@ class TestRunCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "blow_up_suspected"
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_blow_up_seen_by_an_observer_exits_two(self, tmp_path, capsys):
+        """The anisotropic criterion transforms the overflowing gradient block
+        at t = 0; its NonFiniteFieldError is a suspected blow-up."""
+        grid = ehd.Grid(16)
+        huge = make_state(
+            grid,
+            ux=full(grid, 1e160 * np.sin(grid.y)),
+            v=np.ones((16,) * 3),
+            w=np.ones((16,) * 3),
+        )
+        ckpt = tmp_path / "huge.ehds"
+        ehd.write_checkpoint(ckpt, huge)
+        path = write_config(
+            tmp_path,
+            f"t_end = 0.01\ninitial_condition = from_checkpoint(path={ckpt})\n"
+            f"dt_min = 1e-300\noutput_dir = {tmp_path}\n"
+            "criterion = BESOV_ANISO, 2, auto\n",
+        )
+        assert main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("EHD-E2: blow-up suspected: non-finite sample inf ")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "blow_up_suspected"
+
     def test_invariant_violation_exits_three(self, tmp_path, capsys):
         grid = ehd.Grid(16)
         skewed = make_state(grid, ux=full(grid, np.sin(grid.x)))  # div u != 0
@@ -179,6 +204,18 @@ class TestRunCommand:
         code = main(["run", path])
         assert code == 3
         assert "EHD-E3:" in capsys.readouterr().err
+
+    def test_run_time_invariant_violation_exits_three(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ehd.solver, "MEAN_DRIFT_TOL", -1.0)
+        path = write_config(
+            tmp_path,
+            f"grid_n = 16\nt_end = 0.01\ninitial_condition = charged_shear\n"
+            f"output_dir = {tmp_path}\n",
+        )
+        assert main(["run", path]) == 3
+        assert capsys.readouterr().err.startswith("EHD-E3: invariant violation: ")
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["status"] == "invariant_violation"
 
     def test_usage_error_exits_one(self, capsys):
         assert main(["frobnicate"]) == 1

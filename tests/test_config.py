@@ -5,7 +5,9 @@ import re
 
 import pytest
 
+import ehd
 from ehd import ConfigError, CriterionKind, RunConfig, StepControl, parse_config
+from ehd.checkpoint import _HEADER, FORMAT_VERSION, MAGIC
 
 MINIMAL = """
 grid_n = 32
@@ -146,6 +148,18 @@ class TestViolations:
         assert "physical memory" in str(err.value)
         cfg = parse_config("t_end = 0.1\ninitial_condition = taylor_green\ngrid_n = 64\n")
         assert cfg.grid_n == 64
+
+    def test_restart_memory_is_checked_at_the_checkpoint_grid(self, tmp_path):
+        path = tmp_path / "huge_header.ehds"
+        path.write_bytes(MAGIC + _HEADER.pack(FORMAT_VERSION, 4096, 0.0, 0))
+        with pytest.raises(ConfigError, match="grid_n = 4096 needs about .* GiB"):
+            parse_config(f"t_end = 0.1\ninitial_condition = from_checkpoint(path={path})\n")
+
+    def test_restart_takes_the_checkpoint_grid(self, tmp_path):
+        path = tmp_path / "tg16.ehds"
+        ehd.write_checkpoint(path, ehd.taylor_green(ehd.Grid(16)))
+        cfg = parse_config(f"t_end = 0.1\ninitial_condition = from_checkpoint(path={path})\n")
+        assert cfg.grid_n == 16
 
     def test_bad_scalar_type(self):
         with pytest.raises(ConfigError, match="expected int"):

@@ -32,7 +32,6 @@ def golden_run(tmp_path_factory):
             config.write_text(f"grid_n = 16\nt_end = 0.02\n{PRESETS[preset]}")
             with pytest.MonkeyPatch.context() as mp:
                 mp.chdir(out)
-                mp.setenv("EHD_THREADS", "1")
                 assert main(["run", str(config)]) == 0
             runs[preset] = out
         return runs[preset]

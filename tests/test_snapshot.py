@@ -182,7 +182,7 @@ class TestLazyFields:
         for comp in u_hat.components:
             for d in ehd.gradient(comp).components:
                 sq += ehd.backward_transform(d).samples ** 2
-        assert _bits(s.grad_u_magnitude().samples) == _bits(np.sqrt(sq))
+        assert _bits(s.grad_u_magnitude.samples) == _bits(np.sqrt(sq))
 
         c1, c2 = u_hat.x.coeffs, u_hat.y.coeffs
         sq = np.zeros((g.n,) * 3)

@@ -55,6 +55,11 @@ class TestStepControl:
         with pytest.raises(ValueError, match="cfl"):
             StepControl(cfl=0.0)
 
+    @pytest.mark.parametrize("t_end", [-1e-3, math.nan, math.inf])
+    def test_horizon_must_be_nonnegative_and_finite(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            StepControl(t_end=t_end)
+
 
 class TestDerivedFields:
     def test_symmetrized_charges_pointwise(self, grid16, rng):
@@ -333,6 +338,26 @@ class TestRun:
         r2 = ehd.run(ehd.charged_shear(grid16), control)
         assert r1.state_checksum == r2.state_checksum
         assert r1.steps == r2.steps
+
+
+class TestRunInvariants:
+    def test_divergent_velocity_rejected(self, grid16):
+        u = VectorField(
+            RealField(grid16, full(grid16, np.sin(grid16.x))),
+            zero_field(grid16),
+            zero_field(grid16),
+        )
+        s = State(u=u, v=zero_field(grid16), w=zero_field(grid16))
+        with pytest.raises(InvariantViolation, match="divergence invariant failed"):
+            solver._check_run_invariants(s, 0.0, 0.0)
+
+    def test_drifted_mean_rejected(self, grid16):
+        s = ehd.charged_shear(grid16)
+        mean_v0 = float(np.mean(s.v.samples))
+        mean_w0 = float(np.mean(s.w.samples))
+        solver._check_run_invariants(s, mean_v0, mean_w0)
+        with pytest.raises(InvariantViolation, match="mean of w drifted"):
+            solver._check_run_invariants(s, mean_v0, mean_w0 + 1e-6)
 
 
 class TestInitialDivergenceCheck:

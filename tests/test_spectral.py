@@ -478,14 +478,6 @@ class TestNorms:
         l2 = ehd.lp_norm(f, 2)
         assert ehd.sobolev_norm(F, 3.0) == pytest.approx(5.0**1.5 * l2, rel=1e-12)
 
-    def test_thread_cap_env_var(self, monkeypatch):
-        from ehd.spectral import fft_workers
-
-        monkeypatch.delenv("EHD_THREADS", raising=False)
-        assert fft_workers() == 1
-        monkeypatch.setenv("EHD_THREADS", "4")
-        assert fft_workers() == 4
-
     def test_tail_fraction(self, grid16):
         assert ehd.spectral_tail_fraction(ehd.forward_transform(cos_field(grid16, 1))) < 1e-28
         high = ehd.forward_transform(cos_field(grid16, 5))
