@@ -246,17 +246,18 @@ class AuditLedger:
         )
 
     def summary(self) -> dict:
-        """Extrema for the run report; NaNs serialized as strings."""
+        """Extrema for the run report (NaN when nothing was audited); NaNs serialized as strings."""
         ls_values = [r for _, r in self.ls_ratio_series]
+        audited = bool(self.y_series)  # false until update has run
         return jsonable({
             "e0_charges": self.e0_charges,
             "e0_vel": self.e0_vel,
-            "max_charge_identity_residual": self.max_charge_residual,
-            "min_velocity_margin": self.min_velocity_margin,
-            "max_margin_vs_coupling_mismatch": self.max_margin_mismatch,
-            "min_charge_value": self.min_charge,
-            "max_ls_ratio": max(ls_values) if ls_values else math.nan,
-            "final_y": self.y_series[-1][1] if self.y_series else math.nan,
+            "max_charge_identity_residual": self.max_charge_residual if audited else math.nan,
+            "min_velocity_margin": self.min_velocity_margin if audited else math.nan,
+            "max_margin_vs_coupling_mismatch": self.max_margin_mismatch if audited else math.nan,
+            "min_charge_value": self.min_charge if audited else math.nan,
+            "max_ls_ratio": max(ls_values) if audited else math.nan,
+            "final_y": self.y_series[-1][1] if audited else math.nan,
             # Heuristic for "growing without bound": strictly monotone over
             # the whole run AND at least doubled.  Small monotone creep is
             # normal on decaying flows.

@@ -75,34 +75,34 @@ def write_checkpoint(path, state) -> None:
     write_atomically(path, blocks())
 
 
+def _read_header(path, head) -> tuple:
+    """(n, t, step_index) from the leading bytes of a checkpoint, whose
+    magic and format version are checked here."""
+    if len(head) < len(MAGIC) + _HEADER.size:
+        raise CheckpointError(f"checkpoint {path} is truncated: no complete header")
+    if head[: len(MAGIC)] != MAGIC:
+        raise CheckpointError(f"checkpoint {path} has bad magic {bytes(head[: len(MAGIC)])!r}")
+    version, n, t, step_index = _HEADER.unpack_from(head, len(MAGIC))
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"checkpoint {path} has unsupported format version {version}")
+    return n, t, step_index
+
+
 def checkpoint_grid_size(path) -> int:
     """The grid size n of the checkpoint at path, from its header alone."""
     with open(path, "rb") as fh:
-        head = fh.read(len(MAGIC) + _HEADER.size)
-    if len(head) < len(MAGIC) + _HEADER.size or head[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"checkpoint {path} has no valid header")
-    version, n, _, _ = _HEADER.unpack_from(head, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version {version}")
-    return n
+        return _read_header(path, fh.read(len(MAGIC) + _HEADER.size))[0]
 
 
 def read_checkpoint(path):
     """Read a checkpoint back into a State (CRC-verified, bit-exact)."""
     from .solver import State
 
-    raw = Path(path).read_bytes()
-    if len(raw) < len(MAGIC) + _HEADER.size + 4:
-        raise CheckpointError(f"checkpoint {path} is truncated ({len(raw)} bytes)")
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"checkpoint {path} has bad magic {raw[:4]!r}")
-    payload, (stored_crc,) = memoryview(raw)[len(MAGIC) : -4], struct.unpack("<I", raw[-4:])
+    raw = memoryview(Path(path).read_bytes())
+    n, t, step_index = _read_header(path, raw[:-4])  # the last 4 bytes are the CRC
+    payload, (stored_crc,) = raw[len(MAGIC) : -4], struct.unpack("<I", raw[-4:])
     if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"checkpoint {path} failed CRC verification")
-
-    version, n, t, step_index = _HEADER.unpack_from(payload)
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint format version {version}")
     expected = _HEADER.size + 5 * n**3 * 8
     if len(payload) != expected:
         raise CheckpointError(
@@ -111,11 +111,7 @@ def read_checkpoint(path):
 
     grid = Grid(n)
     fields = np.frombuffer(payload, dtype="<f8", offset=_HEADER.size).reshape((5, n**3))
-    ux, uy, uz, v, w = (f.reshape((n, n, n), order="F").astype(np.float64) for f in fields)
-    return State(
-        u=VectorField(RealField(grid, ux), RealField(grid, uy), RealField(grid, uz)),
-        v=RealField(grid, v),
-        w=RealField(grid, w),
-        t=t,
-        step_index=step_index,
+    ux, uy, uz, v, w = (
+        RealField(grid, f.reshape((n, n, n), order="F").astype(np.float64)) for f in fields
     )
+    return State(u=VectorField(ux, uy, uz), v=v, w=w, t=t, step_index=step_index)

@@ -29,6 +29,7 @@ from .solver import (
     RunStatus,
     State,
     StepControl,
+    _max_magnitude,
     cfl_limit,
     derive,
     run,
@@ -36,6 +37,7 @@ from .solver import (
 )
 from .spectral import (
     Grid,
+    VectorField,
     forward_transform,
     lp_norm,
     spectral_tail_fraction,
@@ -77,6 +79,18 @@ AUDIT_COLUMNS = [
 
 ENERGY_COLUMNS = ["t", "kinetic_energy", "potential_energy"]
 
+# The fields of a checkpoint's state that `ehd besov --field` names; the first is the default.
+BESOV_FIELDS = {
+    "umag": lambda s: vector_magnitude(s.u),
+    "ux": lambda s: s.u.x,
+    "uy": lambda s: s.u.y,
+    "uz": lambda s: s.u.z,
+    "v": lambda s: s.v,
+    "w": lambda s: s.w,
+    "zeta": lambda s: s.zeta,
+    "eta": lambda s: s.eta,
+}
+
 # The CSVs of `ehd run`: the config key of each file's name, and its header row.
 CSV_HEADERS = {
     "series_csv": SERIES_COLUMNS,
@@ -113,15 +127,15 @@ def _build_parser() -> _Parser:
     p_besov.add_argument("--r", type=float, required=True, help="summation exponent (inf ok)")
     p_besov.add_argument(
         "--field",
-        default="umag",
-        choices=["umag", "ux", "uy", "uz", "v", "w", "zeta", "eta"],
+        default=next(iter(BESOV_FIELDS)),
+        choices=list(BESOV_FIELDS),
         help="which stored field to evaluate (default: velocity magnitude)",
     )
 
     p_audit = sub.add_parser("audit", help="summarize audit/series CSVs from a run directory")
     p_audit.add_argument("directory")
-    p_audit.add_argument("--audit-csv", default="audit.csv")
-    p_audit.add_argument("--series-csv", default="series.csv")
+    p_audit.add_argument("--audit-csv", default=RunConfig.audit_csv)
+    p_audit.add_argument("--series-csv", default=RunConfig.series_csv)
 
     p_report = sub.add_parser("report", help="print a run report and emit plot-data CSVs")
     p_report.add_argument("report_json")
@@ -272,17 +286,10 @@ def cmd_run(config: RunConfig) -> int:
     # The report's norms are taken from the forward transforms of the final
     # velocity samples (v and w are not transformed).
     fresh = derive(final)
-    u_hat = fresh.u_hat
-    omega_hat = vector_forward(fresh.omega)
     linf = {
-        "u": {
-            "value": lp_norm(vector_magnitude(final.u), math.inf),
-            "tail_fraction": spectral_tail_fraction(*u_hat.components),
-        },
-        "omega": {
-            "value": lp_norm(fresh.omega_magnitude, math.inf),
-            "tail_fraction": spectral_tail_fraction(*omega_hat.components),
-        },
+        name: {"value": _sup_norm(U), "tail_fraction": spectral_tail_fraction(*U_hat.components)}
+        for name, U, U_hat in (("u", final.u, fresh.u_hat),
+                               ("omega", fresh.omega, vector_forward(fresh.omega)))
     }
 
     wall = time.monotonic() - t_start
@@ -313,6 +320,12 @@ def cmd_run(config: RunConfig) -> int:
     if run_report.status is RunStatus.BLOW_UP_SUSPECTED:
         return _err(EXIT_BLOWUP, f"blow-up suspected: {run_report.diagnostic}")
     return _err(EXIT_INVARIANT, f"invariant violation: {run_report.diagnostic}")
+
+
+def _sup_norm(U: VectorField) -> float:
+    """max |U| on the grid; the CFL bound's overflow-safe maximum where squaring overflows."""
+    value = lp_norm(vector_magnitude(U), math.inf)
+    return value if math.isfinite(value) else _max_magnitude([c.samples for c in U.components])
 
 
 def _fmt(x, spec=".6g"):
@@ -353,26 +366,16 @@ def _print_run_summary(report, paths):
     print(f"wrote {', '.join(map(str, paths))}")
 
 
-def cmd_besov(checkpoint: str, s: float, p: float, r: float, field_name: str = "umag") -> int:
-    """Print the Besov norm of one field stored in a checkpoint."""
-    state = read_checkpoint(checkpoint)
-    fields = {
-        "umag": lambda: vector_magnitude(state.u),
-        "ux": lambda: state.u.x,
-        "uy": lambda: state.u.y,
-        "uz": lambda: state.u.z,
-        "v": lambda: state.v,
-        "w": lambda: state.w,
-        "zeta": lambda: state.zeta,
-        "eta": lambda: state.eta,
-    }
-    f = fields[field_name]()
+def cmd_besov(checkpoint: str, s: float, p: float, r: float, field_name: str) -> int:
+    """Print the Besov norm of the checkpoint's field named field_name in BESOV_FIELDS."""
+    f = BESOV_FIELDS[field_name](read_checkpoint(checkpoint))
     value = besov_norm(forward_transform(f), BesovParams(s, p, r))
     print(value)
     return EXIT_OK
 
 
-def cmd_audit(directory: str, audit_csv: str = "audit.csv", series_csv: str = "series.csv") -> int:
+def cmd_audit(directory: str, audit_csv: str = RunConfig.audit_csv,
+              series_csv: str = RunConfig.series_csv) -> int:
     """Summarize the per-step audit (and criteria) series of a finished run."""
     audit_path = Path(directory) / audit_csv
     if not audit_path.exists():

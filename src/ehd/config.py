@@ -233,7 +233,8 @@ def parse_config(text: str) -> RunConfig:
         violations.append("missing required key 'initial_condition'")
 
     config = RunConfig(
-        **{"t_end": math.nan, **values},  # a missing t_end is reported above
+        # A missing t_end, reported above, stands in as the library default.
+        **{"t_end": StepControl.t_end, **values},
         initial_condition=ic,
         criteria=criteria or _default_criteria(),
     )
@@ -263,15 +264,9 @@ def parse_config(text: str) -> RunConfig:
             f"fields of {n}^3 float64), more than the {memory / 2**30:.3g} GiB "
             f"of physical memory"
         )
-    if "t_end" in values and not 0 < config.t_end < math.inf:
-        violations.append(f"t_end must be positive and finite, got {config.t_end}")
-    if not 0 < config.cfl < 1:
-        violations.append(f"cfl must lie strictly between 0 and 1, got {config.cfl}")
-    dt, dt_min = config.dt, config.dt_min
-    if not dt > 0:
-        violations.append(f"dt must be positive, got {dt}")
-    elif not 0 < dt_min <= dt:
-        violations.append(f"need 0 < dt_min <= dt, got dt_min={dt_min}, dt={dt}")
+    violations += StepControl.violations(config.dt, config.cfl, config.t_end, config.dt_min)
+    if config.t_end == 0:  # a run needs a horizon; the library accepts t_end = 0
+        violations.append(f"t_end must be positive, got {config.t_end}")
     if config.checkpoint_every < 0:
         violations.append("checkpoint_every must be >= 0")
 

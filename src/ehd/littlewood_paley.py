@@ -87,10 +87,7 @@ def band_range(grid: Grid) -> tuple[int, int]:
 
 def band_weight(grid: Grid, j: int) -> np.ndarray:
     """varphi(2^-j |k|) on the grid's wavenumber lattice, kept on the grid."""
-    # Written as a difference of phi at exactly halved radii so that the sum
-    # over j telescopes without rounding residue.
-    k = grid.kmag
-    return grid.table(("band", j), lambda: phi(k / 2.0**j) - phi(k / 2.0 ** (j - 1)))
+    return grid.table(("band", j), lambda: varphi(grid.kmag / 2.0**j))
 
 
 def decompose(f: SpectralField) -> list[DyadicBand]:

@@ -17,6 +17,10 @@ them as read-only.  When the hooks return, the run drops the fields that
 only observers read.  The arrays the next step reuses (samples, coefficients,
 grad psi) and the power arrays the observers' norms share are flagged
 read-only, and writing into them raises.
+
+A snapshot's coefficients are forward transforms of real samples, or the
+run's dealiased arithmetic on them, so their inverse transforms go through
+`_samples_from_coeffs`, without `backward_transform`'s Hermitian check.
 """
 
 from __future__ import annotations
@@ -40,17 +44,14 @@ from .spectral import (
     _coeffs_from_samples,
     _leray_coeffs,
     _samples_from_coeffs,
-    backward_transform,
     curl,
     divergence,
     entry_magnitude,
     forward_transform,
-    gradient,
     power_sum,
     sobolev_weights,
     solve_poisson,
     spectral_power,
-    vector_backward,
     vector_magnitude,
 )
 
@@ -128,8 +129,6 @@ class State:
     @property
     def coeffs(self) -> tuple:
         """The (ux, uy, uz, v, w) coefficient arrays (read-only)."""
-        if self._coeffs is not None:
-            return self._coeffs
         return tuple(self._field_coeffs(i) for i in range(5))
 
     @cached_property
@@ -177,11 +176,12 @@ class State:
 
     @cached_property
     def psi(self) -> RealField:
-        return backward_transform(self.psi_hat)
+        return RealField(self.grid, _samples_from_coeffs(self.grid, self.psi_hat.coeffs))
 
     @cached_property
     def omega(self) -> VectorField:
-        return vector_backward(curl(self.u_hat))
+        return VectorField(*(RealField(self.grid, _samples_from_coeffs(self.grid, c.coeffs))
+                             for c in curl(self.u_hat).components))
 
     @cached_property
     def omega_magnitude(self) -> RealField:
@@ -202,15 +202,12 @@ class State:
         when both charge densities vanish."""
         if not (self._field_coeffs(3).any() or self._field_coeffs(4).any()):
             return None
-        return _readonly(_grad_psi(self.grid, self.psi_hat.coeffs))
+        return _readonly(_gradient_samples(self.grid, self.psi_hat.coeffs))
 
     @cached_property
     def grad_u(self) -> list:
         """Samples of the velocity gradient, d_j u_i as grad_u[i][j]."""
-        return [
-            [backward_transform(d).samples for d in gradient(c).components]
-            for c in self.u_hat.components
-        ]
+        return [_gradient_samples(self.grid, c.coeffs) for c in self.u_hat.components]
 
     @cached_property
     def grad_u_magnitude(self) -> RealField:
@@ -235,12 +232,23 @@ class StepControl:
     dt_min: float = 1e-10
 
     def __post_init__(self):
-        if not 0 < self.dt_min <= self.dt:
-            raise ValueError(f"need 0 < dt_min <= dt, got dt_min={self.dt_min}, dt={self.dt}")
-        if not 0 < self.cfl < 1:
-            raise ValueError(f"need 0 < cfl < 1, got {self.cfl}")
-        if not 0 <= self.t_end < math.inf:
-            raise ValueError(f"need 0 <= t_end < inf, got {self.t_end}")
+        broken = self.violations(self.dt, self.cfl, self.t_end, self.dt_min)
+        if broken:
+            raise ValueError(broken[0])
+
+    @staticmethod
+    def violations(dt, cfl, t_end, dt_min) -> list[str]:
+        """The step rules these values break, each as a message."""
+        broken = []
+        if not dt > 0:
+            broken.append(f"dt must be positive, got {dt}")
+        elif not 0 < dt_min <= dt:
+            broken.append(f"need 0 < dt_min <= dt, got dt_min={dt_min}, dt={dt}")
+        if not 0 < cfl < 1:
+            broken.append(f"cfl must lie strictly between 0 and 1, got {cfl}")
+        if not 0 <= t_end < math.inf:
+            broken.append(f"t_end must be nonnegative and finite, got {t_end}")
+        return broken
 
 
 @dataclass
@@ -279,13 +287,13 @@ def _diffusion_factors(grid: Grid, dt: float):
     return entry[1:]
 
 
-def _grad_psi(grid: Grid, psi_hat: np.ndarray, work=None) -> list:
-    """Samples of grad psi; work is a spectral-shape array to form i*k*psi_hat
-    in (allocated when not given)."""
+def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None) -> list:
+    """Samples of the gradient of the field with coefficients coeffs; work is
+    a spectral-shape array to form i*k*coeffs in (allocated when not given)."""
     if work is None:
-        work = np.empty_like(psi_hat)
+        work = np.empty_like(coeffs)
     return [
-        _samples_from_coeffs(grid, np.multiply(1j * kk, psi_hat, out=work))
+        _samples_from_coeffs(grid, np.multiply(1j * kk, coeffs, out=work))
         for kk in (grid.kx, grid.ky, grid.kz)
     ]
 
@@ -360,7 +368,7 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
         v, w = samples[3], samples[4]
         if dpsi is None:
             eta = SpectralField(grid, np.subtract(c[3], c[4], out=work.spectral[1]))
-            dpsi = _grad_psi(grid, solve_poisson(eta).coeffs, cwork)
+            dpsi = _gradient_samples(grid, solve_poisson(eta).coeffs, cwork)
     if out is None:
         out = [np.empty_like(a) for a in c]
 
@@ -407,8 +415,7 @@ def nonlinear_rhs(state: State) -> tuple[VectorField, RealField, RealField]:
     """Right-hand sides with diffusion excluded, in samples: the projected
     momentum terms, then the advection + drift terms of v and of w."""
     g = state.grid
-    rhs = [backward_transform(SpectralField(g, a))
-           for a in _nonlinear(g, state.coeffs, _Work(g))]
+    rhs = [RealField(g, _samples_from_coeffs(g, a)) for a in _nonlinear(g, state.coeffs, _Work(g))]
     return VectorField(*rhs[:3]), rhs[3], rhs[4]
 
 
@@ -569,8 +576,6 @@ def step(state: State, control: StepControl) -> State:
 def validate_initial_state(state: State):
     """Invariants required at the start of a run; raises InvariantViolation."""
     _check_finite_state(state, InvariantViolation)
-    # The raw transform of _check_run_invariants: the coefficients come from
-    # real samples, so a Hermitian symmetry check could only give false alarms.
     div = float(np.abs(_samples_from_coeffs(state.grid, divergence(state.u_hat).coeffs)).max())
     if div > DIVERGENCE_TOL:
         raise InvariantViolation(

@@ -251,6 +251,18 @@ class TestLedgerRecords:
         )
         json.dumps(ledger.summary())
 
+    def test_empty_ledger_reports_nan_extrema(self, grid16):
+        """Before update has seen a snapshot there is no extremum: NaN, not
+        the starting values inf and 0 that would read as passed checks."""
+        ledger = AuditLedger.from_state(ehd.charged_shear(grid16))
+        summary = ledger.summary()
+        for key in ("max_charge_identity_residual", "min_velocity_margin",
+                    "max_margin_vs_coupling_mismatch", "min_charge_value",
+                    "max_ls_ratio", "final_y"):
+            assert summary[key] == "nan"
+        ledger.update(ehd.charged_shear(grid16), 0.0)
+        assert ledger.summary()["min_charge_value"] == 0.5
+
 
 # The audit and energy formulas as each norm formed its own power array,
 # kept to pin the snapshot caches bit for bit.

@@ -136,6 +136,18 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="version"):
             ehd.read_checkpoint(path)
 
+    @pytest.mark.parametrize("reader", [ehd.read_checkpoint, checkpoint.checkpoint_grid_size])
+    @pytest.mark.parametrize("head, message", [
+        (b"EHDS\x01\x00", "truncated"),
+        (b"XHDS" + checkpoint._HEADER.pack(1, 16, 0.0, 0) + b"\x00" * 4, "magic"),
+        (b"EHDS" + checkpoint._HEADER.pack(99, 16, 0.0, 0) + b"\x00" * 4, "version"),
+    ], ids=["truncated", "magic", "version"])
+    def test_both_readers_check_the_header(self, tmp_path, reader, head, message):
+        path = tmp_path / "head.ehds"
+        path.write_bytes(head)
+        with pytest.raises(CheckpointError, match=message):
+            reader(path)
+
     def test_wrong_payload_size(self, tmp_path, state):
         path = tmp_path / "state.ehds"
         ehd.write_checkpoint(path, state)

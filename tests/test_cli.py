@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import ehd
-from ehd.cli import _build_initial_state, _series_keys, main
+from ehd.cli import BESOV_FIELDS, _build_initial_state, _build_parser, _series_keys, main
 from ehd.initial_conditions import PRESETS
 
 PI = math.pi
@@ -43,6 +43,25 @@ def make_state(grid, ux=None, v=None, w=None):
         ),
         v=ehd.RealField(grid, v if v is not None else zeros.copy()),
         w=ehd.RealField(grid, w if w is not None else zeros.copy()),
+    )
+
+
+def huge_config(tmp_path, extra=""):
+    """A restart from u_x = 1e160 sin(y), v = w = 1 at 16^3: finite, but its
+    squares overflow."""
+    grid = ehd.Grid(16)
+    huge = make_state(
+        grid,
+        ux=full(grid, 1e160 * np.sin(grid.y)),
+        v=np.ones((16,) * 3),
+        w=np.ones((16,) * 3),
+    )
+    ckpt = tmp_path / "huge.ehds"
+    ehd.write_checkpoint(ckpt, huge)
+    return write_config(
+        tmp_path,
+        f"t_end = 0.01\ninitial_condition = from_checkpoint(path={ckpt})\n"
+        f"dt_min = 1e-300\noutput_dir = {tmp_path}\n{extra}",
     )
 
 
@@ -145,21 +164,7 @@ class TestRunCommand:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_exits_two(self, tmp_path, capsys):
-        grid = ehd.Grid(16)
-        huge = make_state(
-            grid,
-            ux=full(grid, 1e160 * np.sin(grid.y)),
-            v=np.ones((16,) * 3),
-            w=np.ones((16,) * 3),
-        )
-        ckpt = tmp_path / "huge.ehds"
-        ehd.write_checkpoint(ckpt, huge)
-        path = write_config(
-            tmp_path,
-            f"t_end = 0.01\ninitial_condition = from_checkpoint(path={ckpt})\n"
-            f"dt_min = 1e-300\noutput_dir = {tmp_path}\n",
-        )
-        code = main(["run", path])
+        code = main(["run", huge_config(tmp_path)])
         assert code == 2
         err = capsys.readouterr().err
         assert "EHD-E2:" in err
@@ -170,26 +175,47 @@ class TestRunCommand:
     def test_blow_up_seen_by_an_observer_exits_two(self, tmp_path, capsys):
         """The anisotropic criterion transforms the overflowing gradient block
         at t = 0; its NonFiniteFieldError is a suspected blow-up."""
-        grid = ehd.Grid(16)
-        huge = make_state(
-            grid,
-            ux=full(grid, 1e160 * np.sin(grid.y)),
-            v=np.ones((16,) * 3),
-            w=np.ones((16,) * 3),
-        )
-        ckpt = tmp_path / "huge.ehds"
-        ehd.write_checkpoint(ckpt, huge)
-        path = write_config(
-            tmp_path,
-            f"t_end = 0.01\ninitial_condition = from_checkpoint(path={ckpt})\n"
-            f"dt_min = 1e-300\noutput_dir = {tmp_path}\n"
-            "criterion = BESOV_ANISO, 2, auto\n",
-        )
+        path = huge_config(tmp_path, "criterion = BESOV_ANISO, 2, auto\n")
         assert main(["run", path]) == 2
         err = capsys.readouterr().err
         assert err.startswith("EHD-E2: blow-up suspected: non-finite sample inf ")
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["status"] == "blow_up_suspected"
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_squares_leave_the_maxima_finite(self, tmp_path, capsys):
+        """|u| = 1e160 |sin y| and |omega| = 1e160 |cos y|: their squares
+        overflow, yet the report's maxima are finite.  The run stops at
+        t = 0, before the ledger audits anything, and the audit block says
+        so with NaN instead of passing values."""
+        assert main(["run", huge_config(tmp_path, "criterion = BESOV_ANISO, 2, auto\n")]) == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        for name in ("u", "omega"):
+            assert report["linf"][name]["value"] == pytest.approx(1e160, rel=1e-12)
+        out = capsys.readouterr().out
+        assert "max |u| = 1e+160" in out and "max |omega| = 1e+160" in out
+        audit = report["audit"]
+        for key in ("max_charge_identity_residual", "min_velocity_margin",
+                    "max_margin_vs_coupling_mismatch", "min_charge_value"):
+            assert audit[key] == "nan"
+        assert "velocity margin min nan, min charge nan" in out
+
+    def test_negative_charges_print_the_audit_flags(self, tmp_path, capsys):
+        """v + w = -2 < 0 makes the coupling term, and so the decay margin,
+        negative: a genuine flag, printed after the audit line."""
+        grid = ehd.Grid(16)
+        state = make_state(grid, v=full(grid, -1.0 + 0.5 * np.sin(grid.x)),
+                           w=full(grid, -1.0 + 0.5 * np.sin(grid.y)))
+        ckpt = tmp_path / "negative.ehds"
+        ehd.write_checkpoint(ckpt, state)
+        path = write_config(tmp_path, f"t_end = 5e-3\noutput_dir = {tmp_path}\n"
+                                      f"initial_condition = from_checkpoint(path={ckpt})\n")
+        assert main(["run", path]) == 0
+        flags = json.loads((tmp_path / "report.json").read_text())["audit"]["flags"]
+        assert flags and all("velocity decay margin" in f for f in flags)
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("audit flag: ")]
+        assert printed == [f"audit flag: {f}" for f in flags]
 
     def test_invariant_violation_exits_three(self, tmp_path, capsys):
         grid = ehd.Grid(16)
@@ -292,6 +318,19 @@ class TestBesovCommand:
         # |u| = 1 + cos(2 x1)/2: the oscillating pair sits in one band, sup 1/2
         assert float(capsys.readouterr().out.strip()) == pytest.approx(0.5, abs=1e-12)
 
+    @pytest.mark.parametrize("name", list(BESOV_FIELDS))
+    def test_every_field_choice_evaluates(self, name, tmp_path, capsys):
+        grid = ehd.Grid(16)
+        ckpt = tmp_path / "cs.ehds"
+        ehd.write_checkpoint(ckpt, ehd.charged_shear(grid))
+        assert main(["besov", str(ckpt), "--s", "0", "--p", "2", "--r", "2",
+                     "--field", name]) == 0
+        assert math.isfinite(float(capsys.readouterr().out))
+
+    def test_default_field_is_the_first_of_the_table(self):
+        args = _build_parser().parse_args(["besov", "c.ehds", "--s", "0", "--p", "2", "--r", "2"])
+        assert args.field == next(iter(BESOV_FIELDS)) == "umag"
+
     def test_missing_checkpoint_exits_one(self, tmp_path, capsys):
         code = main(["besov", str(tmp_path / "none.ehds"),
                      "--s", "0", "--p", "2", "--r", "2"])
@@ -321,6 +360,16 @@ class TestAuditCommand:
         code = main(["audit", str(tmp_path / "empty")])
         assert code == 1
         assert "EHD-E1:" in capsys.readouterr().err
+
+    def test_audit_csv_without_rows_exits_one(self, tmp_path, capsys):
+        (tmp_path / "audit.csv").write_text("t,charge_identity_residual\n")
+        assert main(["audit", str(tmp_path)]) == 1
+        assert "has no data rows" in capsys.readouterr().err
+
+    def test_default_file_names_are_the_run_config_names(self):
+        args = _build_parser().parse_args(["audit", "run"])
+        assert (args.audit_csv, args.series_csv) == (ehd.RunConfig.audit_csv,
+                                                     ehd.RunConfig.series_csv)
 
 
 class TestReportCommand:

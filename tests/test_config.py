@@ -1,5 +1,6 @@
 """Key-value config parsing: defaults, typed values, exhaustive violations."""
 
+import itertools
 import math
 import re
 
@@ -164,6 +165,87 @@ class TestViolations:
     def test_bad_scalar_type(self):
         with pytest.raises(ConfigError, match="expected int"):
             parse_config("t_end = 0.1\ninitial_condition = taylor_green\ngrid_n = many\n")
+
+
+# Inputs that each break one rule, beside a valid t_end and initial_condition:
+# the extra config text, and a substring of the one violation it reports.
+ONE_VIOLATION = [
+    ("criterion = BKM\n", "criterion needs 'kind, p[, threshold]'"),
+    ("criterion = PS_u, six\n", "criterion exponent 'six' is not a number"),
+    ("criterion = BKM, inf, lots\n", "criterion threshold 'lots' is not 'auto'"),
+    ("nonsense\n", "expected 'key = value', got 'nonsense'"),
+    ("dt = 0\n", "dt must be positive"),
+    ("dt = -1e-3\n", "dt must be positive"),
+    ("checkpoint_every = -1\n", "checkpoint_every must be >= 0"),
+]
+
+
+class TestEachRule:
+    @pytest.mark.parametrize("extra, message", ONE_VIOLATION)
+    def test_rule_reports_one_violation(self, extra, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"t_end = 0.1\ninitial_condition = taylor_green\n{extra}")
+        assert len(err.value.violations) == 1
+        assert message in err.value.violations[0]
+
+    @pytest.mark.parametrize("ic, message", [
+        ("random_smooth(seed=1", "malformed initial_condition"),
+        ("random_smooth(seed=1, 3)", "preset argument '3' must be name=value"),
+        ("random_smooth(seed=1, energy=lots)", "bad value 'lots' for random_smooth.energy"),
+    ])
+    def test_bad_initial_condition_reports_one_violation(self, ic, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"t_end = 0.1\ninitial_condition = {ic}\n")
+        assert len(err.value.violations) == 1
+        assert message in err.value.violations[0]
+
+    def test_unreadable_checkpoint_with_grid_n_reported(self, tmp_path):
+        path = tmp_path / "none.ehds"
+        with pytest.raises(ConfigError) as err:
+            parse_config(f"t_end = 0.1\ngrid_n = 16\n"
+                         f"initial_condition = from_checkpoint(path={path})\n")
+        assert len(err.value.violations) == 1
+        assert f"cannot read the grid size of checkpoint {path}" in err.value.violations[0]
+
+    def test_missing_t_end_reported_once(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("initial_condition = taylor_green\n")
+        assert err.value.violations == ["missing required key 't_end'"]
+
+    def test_infinite_t_end_reported_once(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config("t_end = inf\ninitial_condition = taylor_green\n")
+        [violation] = err.value.violations
+        assert "t_end" in violation and "finite" in violation
+
+
+STEP_VALUES = {
+    "dt": [-1e-3, 0.0, 1e-10, 1e-3, math.nan, math.inf],
+    "cfl": [-0.1, 0.0, 0.4, 1.0, math.nan],
+    "t_end": [-1.0, 0.0, 0.5, math.inf, math.nan],
+    "dt_min": [-1.0, 0.0, 1e-10, 1e-3, math.nan],
+}
+
+
+def test_config_and_step_control_agree_on_the_step_rules():
+    """parse_config accepts a dt, cfl, t_end, dt_min exactly when StepControl
+    does, except t_end = 0, which a run config rejects and the library
+    accepts.  The grid includes 0, negative, nan, inf and the boundaries
+    dt_min = dt and cfl = 1."""
+    for values in itertools.product(*STEP_VALUES.values()):
+        keys = dict(zip(STEP_VALUES, values))
+        try:
+            StepControl(**keys)
+            library_ok = True
+        except ValueError:
+            library_ok = False
+        text = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        try:
+            parse_config(text + "initial_condition = taylor_green\n")
+            config_ok = True
+        except ConfigError:
+            config_ok = False
+        assert config_ok == (library_ok and keys["t_end"] != 0.0), keys
 
 
 class TestEcho:

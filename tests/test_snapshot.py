@@ -262,6 +262,51 @@ class TestOnePath:
             assert _bits(value) == _bits(acc.last_value)
 
 
+class TestHermitianChecks:
+    """A snapshot's coefficients describe real fields by construction, so
+    its inverse transforms make no Hermitian check; the Besov bands, whose
+    coefficients a caller may pass, keep theirs."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        original = ehd.spectral.hermitian_defect
+
+        def counted(F):
+            calls.append(F)
+            return original(F)
+
+        monkeypatch.setattr(ehd.spectral, "hermitian_defect", counted)
+        return calls
+
+    @pytest.mark.parametrize("made_by_run", [True, False])
+    def test_snapshot_fields_make_no_check(self, grid16, checks, made_by_run):
+        s = _finished(grid16) if made_by_run else ehd.random_smooth(grid16, seed=3)
+        checks.clear()
+        s.omega, s.grad_u, s.grad_u_magnitude, s.psi, s.grad_psi
+        assert checks == []
+
+    def test_default_cli_step_checks_only_the_besov_bands(self, tmp_path, checks, monkeypatch):
+        from ehd import cli
+
+        observe = cli._Orchestra.__call__
+        per_hook = []
+
+        def counted_hook(self, state, derived, dt):
+            before = len(checks)
+            observe(self, state, derived, dt)
+            per_hook.append(len(checks) - before)
+
+        monkeypatch.setattr(cli._Orchestra, "__call__", counted_hook)
+        config = tmp_path / "run.cfg"
+        config.write_text("grid_n = 16\nt_end = 2e-3\ninitial_condition = charged_shear\n"
+                          f"output_dir = {tmp_path}\n")
+        assert cli.main(["run", str(config)]) == 0
+        j_min, j_max = ehd.band_range(ehd.Grid(16))
+        assert j_max - j_min + 1 == 4
+        assert per_hook == [4] * 5  # one check per band, at t = 0 and in each step
+
+
 class TestReadOnly:
     def test_hook_writing_into_samples_raises(self, grid16):
         def vandal(state, derived, dt):
