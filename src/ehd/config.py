@@ -89,8 +89,9 @@ _SCALAR_KEYS = {
 
 # Peak memory of `ehd run`, in states (a state is five n^3 float64 fields):
 # the snapshot, the RK3 stage and work arrays, and the observers' fields.
-# tracemalloc measured 14.7 states at 32^3 and 14.3 at 64^3.
-RUN_PEAK_STATES = 15
+# tracemalloc measured 12.5 states at 32^3 and 12.2 at 64^3 (random_smooth
+# and charged_shear with the default observers; taylor_green 11.5 and 11.2).
+RUN_PEAK_STATES = 13
 
 
 def _physical_memory() -> int | None:
@@ -157,7 +158,7 @@ def _parse_initial_condition(value: str, lineno: int, violations: list):
         )
         return None
     _, param_types, required = PRESETS[name]
-    params = {}
+    params, given = {}, set()  # given: named, even with a bad value
     if argtext and argtext.strip():
         for item in argtext.split(","):
             if "=" not in item:
@@ -170,12 +171,13 @@ def _parse_initial_condition(value: str, lineno: int, violations: list):
             if typ is None:
                 violations.append(f"line {lineno}: preset {name} has no parameter {k!r}")
                 continue
+            given.add(k)
             try:
                 params[k] = typ(v.strip("'\""))
             except ValueError:
                 violations.append(f"line {lineno}: bad value {v!r} for {name}.{k}")
     for req in required:
-        if req not in params:
+        if req not in given:
             violations.append(f"line {lineno}: preset {name} requires parameter {req!r}")
             return None
     return InitialConditionSpec(name, params)

@@ -21,6 +21,13 @@ read-only, and writing into them raises.
 A snapshot's coefficients are forward transforms of real samples, or the
 run's dealiased arithmetic on them, so their inverse transforms go through
 `_samples_from_coeffs`, without `backward_transform`'s Hermitian check.
+
+The RK3 step works on the dealiased block (`Grid.block`) alone: it gathers
+the snapshot's coefficients into block arrays, gathers the block of each
+forward transform, and scatters into a run-owned half-spectrum array, zero
+outside the block, before each inverse transform.  The new snapshot's
+coefficients are full half-spectrum arrays again, the block scattered into
+zeros, so snapshots, observers and checkpoints see one layout.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ from .spectral import (
     VectorField,
     _coeffs_from_samples,
     _leray_coeffs,
+    _poisson_coeffs,
     _samples_from_coeffs,
     curl,
     divergence,
@@ -273,33 +281,40 @@ def derive(state: State) -> State:
 
 
 def _diffusion_factors(grid: Grid, dt: float):
-    """exp(-|k|^2 dt), its half-step companion, and the multiples of them the
-    RK3 stage sums use (-e_full, 2 e_half, 4 e_half; exact, so each product
-    equals the one formed inline), kept on the grid for the last dt."""
+    """exp(-|k|^2 dt) on the block, its half-step companion, and the
+    multiples of them the RK3 stage sums use (-e_full, 2 e_half, 4 e_half;
+    exact, so each product equals the one formed inline), kept on the grid
+    for the last dt."""
     dt = float(dt)
     entry = grid.tables.get("diffusion")
     if entry is None or entry[0] != dt:
-        e_full = np.exp(-grid.k2 * dt)
-        e_half = np.exp(-grid.k2 * (0.5 * dt))
+        e_full = np.exp(-grid.block.k2 * dt)
+        e_half = np.exp(-grid.block.k2 * (0.5 * dt))
         entry = grid.tables["diffusion"] = (
             dt, e_full, e_half, -e_full, 2.0 * e_half, 4.0 * e_half
         )
     return entry[1:]
 
 
-def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None) -> list:
+def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> list:
     """Samples of the gradient of the field with coefficients coeffs; work is
-    a spectral-shape array to form i*k*coeffs in (allocated when not given)."""
+    an array of coeffs' shape to form i*k*coeffs in (allocated when not
+    given).  Given full, coeffs is a block array, and each product is
+    scattered into full for its inverse transform."""
+    tables = grid if full is None else grid.block
     if work is None:
         work = np.empty_like(coeffs)
-    return [
-        _samples_from_coeffs(grid, np.multiply(1j * kk, coeffs, out=work))
-        for kk in (grid.kx, grid.ky, grid.kz)
-    ]
+    grads = (np.multiply(1j * kk, coeffs, out=work) for kk in (tables.kx, tables.ky, tables.kz))
+    return [_samples_from_coeffs(grid, g if full is None else tables.scatter(g, full))
+            for g in grads]
 
 
 class _Work:
     """Work arrays that one run reuses in every RK stage of every step.
+
+    The coefficient arrays have the shape of the grid's block; full is the
+    half-spectrum array that inverse transforms read, the block scattered
+    into it.  Nothing else writes full, so its other modes stay +0.0.
 
     Allocating them once per run, not once per stage, keeps freed
     multi-megabyte blocks from going back to the system and being faulted
@@ -309,15 +324,26 @@ class _Work:
 
     def __init__(self, grid: Grid):
         self.grid = grid
+        self.block = grid.block
         self.real = [np.empty((grid.n,) * 3) for _ in range(2)]
-        self.spectral = [np.empty(grid.spectral_shape, dtype=complex) for _ in range(2)]
+        self.spectral = [np.empty(self.block.shape, dtype=complex) for _ in range(2)]
+        self.full = np.zeros(grid.spectral_shape, dtype=complex)
 
     @cached_property
     def stages(self) -> tuple:
-        """Two sets of five coefficient arrays: the input of RK stage 2 and
-        then its right-hand side, and the same for stage 3."""
-        shape = self.grid.spectral_shape
-        return tuple([np.empty(shape, dtype=complex) for _ in range(5)] for _ in range(2))
+        """Four sets of five block arrays: a step's input; its stage-1
+        right-hand side, which becomes its result; the input of RK stage 2
+        and then its right-hand side; and the same for stage 3."""
+        return tuple([np.empty(self.block.shape, dtype=complex) for _ in range(5)]
+                     for _ in range(4))
+
+    def gather(self, coeffs) -> list:
+        """The blocks of the half-spectrum arrays coeffs, in stages[0]."""
+        return [self.block.gather(a, out) for a, out in zip(coeffs, self.stages[0])]
+
+    def spread(self, a: np.ndarray) -> np.ndarray:
+        """full, with the block array a scattered into it."""
+        return self.block.scatter(a, self.full)
 
     @cached_property
     def zeros(self) -> tuple:
@@ -327,16 +353,16 @@ class _Work:
         return np.zeros((self.grid.n,) * 3), np.zeros(self.grid.spectral_shape, dtype=complex)
 
 
-def _finish_divergence(grid: Grid, a: np.ndarray) -> np.ndarray:
+def _finish_divergence(block, a: np.ndarray) -> np.ndarray:
     """-1j * a * mask, in place: the last two factors of a divergence term."""
     np.multiply(-1j, a, out=a)
-    return np.multiply(a, grid.dealias_mask, out=a)
+    return np.multiply(a, block.dealias_mask, out=a)
 
 
 def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
-    """Dealiased nonlinear + coupling right-hand sides on raw coefficients.
+    """Dealiased nonlinear + coupling right-hand sides on block coefficients.
 
-    c = (ux, uy, uz, v, w) coefficient arrays, or (ux, uy, uz) alone for an
+    c = (ux, uy, uz, v, w) block arrays, or (ux, uy, uz) alone for an
     uncharged flow (v = w = 0, which the charge equations keep exactly
     zero).  Returns the same layout, in the arrays of out (new arrays when
     not given): the projected momentum terms P[-(u.grad)u + lap(psi)
@@ -356,19 +382,20 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     F, accumulated in place with that expression's operations and operand
     order, so the result is bitwise the expression's.
     """
-    kvec = (grid.kx, grid.ky, grid.kz)
+    block = work.block
+    kvec = (block.kx, block.ky, block.kz)
     prod, rwork = work.real
-    cwork = work.spectral[0]
+    cwork, flux = work.spectral
 
     charged = len(c) == 5
     if samples is None:
-        samples = [_samples_from_coeffs(grid, a) for a in c]
+        samples = [_samples_from_coeffs(grid, work.spread(a)) for a in c]
     u = samples[:3]
     if charged:
         v, w = samples[3], samples[4]
         if dpsi is None:
-            eta = SpectralField(grid, np.subtract(c[3], c[4], out=work.spectral[1]))
-            dpsi = _gradient_samples(grid, solve_poisson(eta).coeffs, cwork)
+            psi = _poisson_coeffs(block, np.subtract(c[3], c[4], out=flux), out=flux)
+            dpsi = _gradient_samples(grid, psi, cwork, work.full)
     if out is None:
         out = [np.empty_like(a) for a in c]
 
@@ -390,12 +417,11 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     # F[i,j] = F[j,i] is transformed once and added to both rows that use it.
     nu = out[:3]
     for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        f = _coeffs_from_samples(grid, product(i, j))
+        f = block.gather(_coeffs_from_samples(grid, product(i, j)), flux)
         add_term(nu[i], j, f)
         if i != j:
             add_term(nu[j], i, f)
-    del f
-    _leray_coeffs(grid, *(_finish_divergence(grid, a) for a in nu), work.spectral)
+    _leray_coeffs(block, *(_finish_divergence(block, a) for a in nu), work.spectral)
 
     if not charged:
         return tuple(out)
@@ -406,16 +432,17 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
         for d in range(3):
             np.multiply(u[d], q, out=prod)
             drift(prod, np.multiply(q, dpsi[d], out=rwork), out=prod)
-            add_term(total, d, _coeffs_from_samples(grid, prod))
-        _finish_divergence(grid, total)
+            add_term(total, d, block.gather(_coeffs_from_samples(grid, prod), flux))
+        _finish_divergence(block, total)
     return tuple(out)
 
 
 def nonlinear_rhs(state: State) -> tuple[VectorField, RealField, RealField]:
     """Right-hand sides with diffusion excluded, in samples: the projected
     momentum terms, then the advection + drift terms of v and of w."""
-    g = state.grid
-    rhs = [RealField(g, _samples_from_coeffs(g, a)) for a in _nonlinear(g, state.coeffs, _Work(g))]
+    g, work = state.grid, _Work(state.grid)
+    rhs = [RealField(g, _samples_from_coeffs(g, work.spread(a)))
+           for a in _nonlinear(g, work.gather(state.coeffs), work)]
     return VectorField(*rhs[:3]), rhs[3], rhs[4]
 
 
@@ -483,7 +510,7 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
     consumed; c0 is only read.
     """
     e_full, e_half, neg_e_full, two_e_half, four_e_half = _diffusion_factors(grid, dt)
-    s2, s3 = (s[: len(c0)] for s in work.stages)
+    s2, s3 = (s[: len(c0)] for s in work.stages[2:])
     tmp = work.spectral[0]
 
     half_dt = 0.5 * dt
@@ -509,15 +536,16 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
         np.add(np.multiply(e_full, a, out=tmp), fa, out=fa)
 
     # Re-project and re-mask against roundoff drift.
-    _leray_coeffs(grid, *c1[:3], work.spectral)
+    _leray_coeffs(work.block, *c1[:3], work.spectral)
     for a in c1:
-        np.multiply(a, grid.dealias_mask, out=a)
+        np.multiply(a, work.block.dealias_mask, out=a)
     return tuple(c1)
 
 
 def _materialize(grid: Grid, c, t: float, step_index: int, work: _Work) -> State:
-    """The snapshot of coefficient arrays c; given only the three velocity
-    arrays, v and w share the run's read-only zeros."""
+    """The snapshot of block arrays c, scattered into zeros; given only the
+    three velocity arrays, v and w share the run's read-only zeros."""
+    c = [work.block.scatter(a, np.zeros(grid.spectral_shape, dtype=complex)) for a in c]
     samples = [_samples_from_coeffs(grid, a) for a in c]
     if len(c) == 3:
         zero_samples, zero_coeffs = work.zeros
@@ -541,9 +569,9 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     """
     grid = state.grid
     dpsi = state.grad_psi
-    c0 = state.coeffs if dpsi is not None else state.coeffs[:3]
+    c0 = work.gather(state.coeffs if dpsi is not None else state.coeffs[:3])
     samples = state.samples if state._coeffs is not None else None
-    f1 = _nonlinear(grid, c0, work, samples, dpsi)
+    f1 = _nonlinear(grid, c0, work, samples, dpsi, out=work.stages[1][: len(c0)])
     dt_stab = cfl_limit(state, control.cfl)
     dt = min(control.dt, dt_stab)
     if dt < control.dt_min:

@@ -12,6 +12,10 @@ modes by two (`Grid.mult`).  Every spectral field is kept dealiased by the
 2/3 rule (modes with any |k_i| > n/3 are zero), which makes quadratic
 products alias-free and grid sums of triple products exact.
 
+The modes the rule keeps form a box, `Grid.block`: the solver's RK3
+arithmetic runs on that compact array alone, and scatters its result into
+full half-spectrum arrays, the layout of every field and snapshot.
+
 All operations are pure functions of their field snapshots; constructed
 fields are safe to share across threads.  Transforms run on one thread, and
 outputs are bitwise deterministic.
@@ -104,11 +108,51 @@ class Grid:
         return value
 
     @property
+    def block(self) -> Block:
+        return self.table("block", lambda: Block(self))
+
+    @property
     def spectral_shape(self) -> tuple[int, int, int]:
         return (self.n, self.n, self.n // 2 + 1)
 
     def __repr__(self):
         return f"Grid(n={self.n})"
+
+
+class Block:
+    """The modes the dealias mask keeps, every |k_i| <= c = n//3, as one
+    compact array of shape (2c+1, 2c+1, c+1), with its own kx, ky, kz, k2,
+    inv_k2 and (all-true) dealias_mask tables under Grid's names.
+
+    Rows keep the half spectrum's order, k = 0..c then -c..-1, so k = 0 is
+    entry (0, 0, 0).  In the half spectrum the block is four boxes, the low
+    and high kx rows by the low and high ky rows; `pieces` pairs the slices
+    of each in the block and in the full array.
+    """
+
+    def __init__(self, grid: Grid):
+        n, c = grid.n, grid.n // 3
+        self.shape = (2 * c + 1, 2 * c + 1, c + 1)
+        rows = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, None), slice(n - c, None)))
+        kz = slice(0, c + 1)
+        self.pieces = [((bx, by, kz), (fx, fy, kz)) for bx, fx in rows for by, fy in rows]
+        k = grid.k1d[np.r_[0 : c + 1, n - c : n]]
+        self.kx, self.ky, self.kz = k[:, None, None], k[None, :, None], grid.kz[..., kz]
+        for name in ("k2", "inv_k2", "dealias_mask"):
+            table = getattr(grid, name)
+            setattr(self, name, self.gather(table, np.empty(self.shape, table.dtype)))
+
+    def gather(self, full: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The block of the half-spectrum array full, in out."""
+        for b, f in self.pieces:
+            out[b] = full[f]
+        return out
+
+    def scatter(self, block: np.ndarray, full: np.ndarray) -> np.ndarray:
+        """full with block written into the block's modes; the rest untouched."""
+        for b, f in self.pieces:
+            full[f] = block[b]
+        return full
 
 
 @dataclass
@@ -278,19 +322,20 @@ def leray_project(U: VectorField) -> VectorField:
     return VectorField(*(SpectralField(g, c) for c in projected))
 
 
-def _leray_coeffs(grid: Grid, cx, cy, cz, work=None) -> tuple:
-    """leray_project on raw coefficient arrays, in place; returns them.
+def _leray_coeffs(tables: Grid | Block, cx, cy, cz, work=None) -> tuple:
+    """leray_project on raw coefficient arrays of tables' layout (the grid's
+    half spectrum or its block), in place; returns them.
 
     Computes c_i - k_i * ((kx*cx + ky*cy + kz*cz) * inv_k2) with the
-    operations and operand order of that expression, in the two
-    spectral-shape arrays of work (allocated when not given).
+    operations and operand order of that expression, in the two arrays of
+    work (allocated when not given).
     """
     kd, tmp = work if work is not None else (np.empty_like(cx), np.empty_like(cx))
-    np.multiply(grid.kx, cx, out=kd)
-    kd += np.multiply(grid.ky, cy, out=tmp)
-    kd += np.multiply(grid.kz, cz, out=tmp)
-    kd *= grid.inv_k2
-    for kk, c in zip((grid.kx, grid.ky, grid.kz), (cx, cy, cz)):
+    np.multiply(tables.kx, cx, out=kd)
+    kd += np.multiply(tables.ky, cy, out=tmp)
+    kd += np.multiply(tables.kz, cz, out=tmp)
+    kd *= tables.inv_k2
+    for kk, c in zip((tables.kx, tables.ky, tables.kz), (cx, cy, cz)):
         c -= np.multiply(kk, kd, out=tmp)
     return cx, cy, cz
 
@@ -302,17 +347,22 @@ def solve_poisson(eta: SpectralField) -> SpectralField:
     problem has no solution and the call is rejected with the measured net
     charge.
     """
-    g = eta.grid
-    mean = eta.coeffs[0, 0, 0]
+    return SpectralField(eta.grid, _poisson_coeffs(eta.grid, eta.coeffs))
+
+
+def _poisson_coeffs(tables: Grid | Block, eta: np.ndarray, out=None) -> np.ndarray:
+    """solve_poisson on a raw coefficient array of tables' layout, into out
+    (a new array when not given; out may be eta)."""
+    mean = eta[0, 0, 0]
     if abs(mean) > NEUTRALITY_TOL:
         raise ChargeNeutralityError(
             f"right-hand side is not neutral: mean={mean.real:.6e}, "
             f"net charge over the box = {mean.real * VOLUME:.6e}"
         )
-    psi = np.negative(eta.coeffs)
-    psi *= g.inv_k2
+    psi = np.negative(eta, out=out)
+    psi *= tables.inv_k2
     psi[0, 0, 0] = 0.0
-    return SpectralField(g, psi)
+    return psi
 
 
 def lp_norm(f: RealField, p: float) -> float:

@@ -192,6 +192,7 @@ class TestEachRule:
         ("random_smooth(seed=1", "malformed initial_condition"),
         ("random_smooth(seed=1, 3)", "preset argument '3' must be name=value"),
         ("random_smooth(seed=1, energy=lots)", "bad value 'lots' for random_smooth.energy"),
+        ("random_smooth(seed=one)", "bad value 'one' for random_smooth.seed"),
     ])
     def test_bad_initial_condition_reports_one_violation(self, ic, message):
         with pytest.raises(ConfigError) as err:

@@ -6,6 +6,7 @@ import pathlib
 
 import pytest
 
+import ehd
 from ehd.cli import main
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -65,3 +66,23 @@ def test_schema_is_versioned():
             "status", "steps", "t_final", "state_checksum", "criteria",
             "criteria_ranking", "criteria_series", "audit", "linf", "config",
         }
+
+
+# State checksums after k steps of dt = 5e-4 with no hooks, at the grid sizes
+# above the goldens' 16^3: the dealiased block and its tables depend on n.
+CHECKSUMS = {
+    (32, 6): {"random_smooth": "ba7e8188", "taylor_green": "8f8ce990", "charged_shear": "eaa328f8"},
+    (64, 2): {"random_smooth": "e4c70d63", "taylor_green": "a5b4e980", "charged_shear": "34821f15"},
+}
+BUILD = {
+    "random_smooth": lambda g: ehd.random_smooth(g, seed=7),
+    "taylor_green": ehd.taylor_green,
+    "charged_shear": ehd.charged_shear,
+}
+
+
+@pytest.mark.parametrize("n, k", sorted(CHECKSUMS))
+@pytest.mark.parametrize("preset", sorted(BUILD))
+def test_state_checksum_above_golden_size(n, k, preset):
+    report = ehd.run(BUILD[preset](ehd.Grid(n)), ehd.StepControl(dt=5e-4, t_end=k * 5e-4))
+    assert (report.steps, report.state_checksum) == (k, CHECKSUMS[n, k][preset])

@@ -402,8 +402,10 @@ class TestCflLimit:
 
 # The expression-form right-hand side and RK3 step that the in-place solver
 # arithmetic replaced, with the unnormalized transforms scaled by n^3 by hand.
-# The solver must reproduce them bit for bit, sign of zero included, because
-# state checksums hash the sample bytes.
+# The solver computes on the dealiased block only.  It must reproduce them bit
+# for bit there, sign of zero included, and give +0.0 outside the block where
+# they give zeros of either sign, so that the inverse transforms, the bytes
+# state checksums hash, are bitwise theirs.
 def _ref_forward(grid, samples):
     return scipy.fft.rfftn(samples, workers=1) / grid.n**3
 
@@ -495,6 +497,30 @@ def assert_bitwise_equal(got, want):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def block_of(grid, arrays):
+    """The dealiased blocks of half-spectrum arrays, as new writable arrays."""
+    return [grid.block.gather(a, np.empty(grid.block.shape, dtype=complex)) for a in arrays]
+
+
+def spread(grid, blocks):
+    """Block arrays scattered into zeros: the layout of a snapshot."""
+    return [grid.block.scatter(a, np.zeros(grid.spectral_shape, dtype=complex)) for a in blocks]
+
+
+def assert_equal_in_block(grid, got, want):
+    """Half-spectrum arrays got equal want bit for bit in the dealiased block
+    and are +0.0 outside it, where want is zero of either sign; the inverse
+    transforms of got and want are bitwise equal."""
+    mask = np.broadcast_to(grid.dealias_mask, grid.spectral_shape)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a[mask].view(np.int64), b[mask].view(np.int64))
+        assert not a[~mask].view(np.int64).any()  # all bits zero: +0.0
+        assert not b[~mask].any()
+    assert_bitwise_equal([_ref_inverse(grid, a) for a in got],
+                         [_ref_inverse(grid, b) for b in want])
+
+
 class TestInPlaceArithmetic:
     """The in-place transforms, right-hand sides and RK3 step are bitwise the
     expression forms above."""
@@ -520,15 +546,17 @@ class TestInPlaceArithmetic:
         snapshot = ehd.step(user, StepControl(dt=dt))  # carries the run's coefficients
         assert (user.coeffs[3].any()) == (preset == "random_smooth")
         for s, samples in ((user, None), (snapshot, snapshot.samples)):
-            c0 = tuple(a.copy() for a in s.coeffs)  # writable, so a write would land
+            c0 = block_of(grid16, s.coeffs)  # writable, so a write would land
             before = tuple(a.copy() for a in c0)
             f1 = solver._nonlinear(grid16, c0, solver._Work(grid16), samples, s.grad_psi)
-            ref_f1 = _ref_nonlinear(grid16, c0, samples, s.grad_psi)
-            assert_bitwise_equal(f1, ref_f1)
-            assert_bitwise_equal(solver._nonlinear(grid16, c0, solver._Work(grid16)),
-                                 _ref_nonlinear(grid16, c0))
+            ref_f1 = _ref_nonlinear(grid16, s.coeffs, samples, s.grad_psi)
+            assert_equal_in_block(grid16, spread(grid16, f1), ref_f1)
+            assert_equal_in_block(
+                grid16, spread(grid16, solver._nonlinear(grid16, c0, solver._Work(grid16))),
+                _ref_nonlinear(grid16, s.coeffs))
             c1 = solver._advance(grid16, c0, f1, dt, solver._Work(grid16))
-            assert_bitwise_equal(c1, _ref_advance(grid16, c0, ref_f1, dt))
+            assert_equal_in_block(grid16, spread(grid16, c1),
+                                  _ref_advance(grid16, s.coeffs, ref_f1, dt))
             assert_bitwise_equal(c0, before)
             if preset == "taylor_green":
                 # Five arrays take the charged arithmetic; zero charges stay +0.
@@ -542,19 +570,24 @@ class TestInPlaceArithmetic:
 
     @pytest.mark.parametrize("preset", ["random_smooth", "taylor_green"])
     def test_work_arrays_carry_nothing_between_steps(self, preset, grid16):
-        """Steps reusing one set of work arrays, filled with NaN to start,
-        equal steps with fresh ones: nothing is read before it is written."""
+        """Steps reusing one set of work arrays, filled with NaN to start
+        (the block of the scatter array too), equal steps with fresh ones:
+        nothing is read before it is written.  The scatter array stays +0.0
+        outside the block."""
         control = StepControl(t_end=1.0)
         s = ehd.random_smooth(grid16, seed=5) if preset == "random_smooth" else (
             ehd.taylor_green(grid16))
         work = solver._Work(grid16)
-        for a in (*work.real, *work.spectral, *work.stages[0], *work.stages[1]):
+        for a in (*work.real, *work.spectral, *(x for stage in work.stages for x in stage)):
             a.fill(np.nan)
+        grid16.block.scatter(np.full(grid16.block.shape, np.nan), work.full)
         for _ in range(3):
             reused = solver._step(s, control, work)
             fresh = solver._step(s, control, solver._Work(grid16))
             assert_bitwise_equal(reused.coeffs, fresh.coeffs)
             s = reused
+        mask = np.broadcast_to(grid16.dealias_mask, grid16.spectral_shape)
+        assert not work.full[~mask].view(np.int64).any()
 
 
 class TestUnchargedPath:
@@ -579,7 +612,7 @@ class TestUnchargedPath:
             work = solver._Work(grid16)
             new = solver._step(s, control, work)
             assert new.t == s.t + used
-            assert_bitwise_equal(new.coeffs, want)
+            assert_equal_in_block(grid16, new.coeffs, want)
             assert_bitwise_equal(new.samples, [_ref_inverse(grid16, a) for a in want])
             for a in (*new.coeffs[3:], *new.samples[3:]):
                 assert not np.signbit(a.view(float)).any()

@@ -71,6 +71,26 @@ class TestGrid:
         assert not grid16.dealias_mask[8, 0, 0]  # Nyquist row zeroed
         assert not grid16.dealias_mask[0, 0, 8]
 
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
+    def test_block_is_exactly_the_dealias_mask(self, n):
+        """The block's gather takes each mode of the dealias mask once and no
+        other; its scatter writes exactly those modes; its tables are the
+        grid's at those modes."""
+        g = Grid(n)
+        b = g.block
+        shape = g.spectral_shape
+        mask = np.broadcast_to(g.dealias_mask, shape)
+        labels = np.arange(mask.size, dtype=np.int32).reshape(shape)
+        taken = b.gather(labels, np.empty(b.shape, dtype=labels.dtype))
+        assert taken[0, 0, 0] == 0  # k = 0 leads the block
+        assert np.array_equal(np.sort(taken, axis=None), labels[mask])
+        assert np.array_equal(b.scatter(np.ones(b.shape, bool), np.zeros(shape, bool)), mask)
+        for name in ("kx", "ky", "kz", "k2", "inv_k2"):
+            want = np.broadcast_to(getattr(g, name), shape).flat[taken]
+            assert np.array_equal(np.broadcast_to(getattr(b, name), b.shape), want)
+        assert b.dealias_mask.all() and b.dealias_mask.shape == b.shape
+        assert g.block is b  # built once per grid
+
 
 class TestTransforms:
     def test_zero_field_zero_coefficients(self, grid16):
