@@ -205,6 +205,7 @@ class _Orchestra:
         self.series = {
             key: {"t": [], "integrand": [], "integral": []} for key in self.series_keys
         }
+        self.written = None  # (step index, path) of the last checkpoint written
 
     def __call__(self, state, _, dt):
         for acc in self.accs:
@@ -230,7 +231,9 @@ class _Orchestra:
             and dt > 0.0
             and state.step_index % self.config.checkpoint_every == 0
         ):
-            write_checkpoint(self.out_dir / f"state_{state.step_index:08d}.ehds", state)
+            path = self.out_dir / f"state_{state.step_index:08d}.ehds"
+            write_checkpoint(path, state)
+            self.written = (state.step_index, path)
 
     def _write_series_row(self, state, dt):
         first = {acc.kind.value: acc for acc in reversed(self.accs)}
@@ -280,7 +283,13 @@ def cmd_run(config: RunConfig) -> int:
         run_report = run(state0, control, hooks=[orchestra])
 
     final = run_report.final_state
-    write_checkpoint(out_dir / config.checkpoint_path, final)
+    if orchestra.written is not None and orchestra.written[0] == final.step_index:
+        # The last periodic checkpoint holds the final state: copy its bytes.
+        with open(orchestra.written[1], "rb") as fh:
+            write_atomically(out_dir / config.checkpoint_path,
+                             iter(lambda: fh.read(1 << 20), b""))
+    else:
+        write_checkpoint(out_dir / config.checkpoint_path, final)
 
     crit_report = _criteria.report(accs)
     # The report's norms are taken from the forward transforms of the final

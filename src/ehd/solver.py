@@ -28,13 +28,25 @@ forward transform, and scatters into a run-owned half-spectrum array, zero
 outside the block, before each inverse transform.  The new snapshot's
 coefficients are full half-spectrum arrays again, the block scattered into
 zeros, so snapshots, observers and checkpoints see one layout.
+
+Inside a run, each charged right-hand side makes its momentum and charge
+terms in two lanes: the calling thread the momentum terms, the lane the
+charge terms, each output with its serial operations, so the bits do not
+depend on the lanes.  The lane is a worker thread where a second core pays
+(`_lanes_pay`), otherwise its task runs after the momentum terms.  Both lanes have joined
+before `_nonlinear` returns or raises, so hooks always run on the calling
+thread, and no thread outlives `run`.
 """
 
 from __future__ import annotations
 
+import contextvars
 import enum
 import math
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -309,8 +321,68 @@ def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> l
             for g in grads]
 
 
-class _Work:
-    """Work arrays that one run reuses in every RK stage of every step.
+class _Scratch:
+    """The work arrays of one lane: two sample arrays and two block arrays."""
+
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.block = grid.block
+        self.real = [np.empty((grid.n,) * 3) for _ in range(2)]
+        self.spectral = [np.empty(self.block.shape, dtype=complex) for _ in range(2)]
+
+
+def _lanes_pay(grid: Grid) -> bool:
+    """Whether a worker lane pays for its hand-offs: two CPUs in this
+    process's affinity mask and a grid of 64^3 or more (a two-lane split
+    of the stage ran 3% slower than one lane at 32^3)."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and grid.n >= 64
+
+
+class _Lane:
+    """Runs a task beside the calling thread: on the one worker of pool, in
+    a copy of the caller's context (numpy's errstate is context-local), or,
+    without a pool, on the calling thread."""
+
+    def __init__(self, grid: Grid, pool: ThreadPoolExecutor | None):
+        self.grid = grid
+        self.pool = pool
+
+    @cached_property
+    def scratch(self) -> _Scratch:
+        """The worker's work arrays, made on first use (an uncharged run
+        never uses them)."""
+        return _Scratch(self.grid)
+
+    @contextmanager
+    def beside(self, task, *args):
+        """Run task(*args) in the lane while the with-body runs, or after it
+        without a worker.  Both have finished when the block exits; when
+        both raise, the body's exception wins, as in that serial order."""
+        if self.pool is None:
+            yield
+            task(*args)
+            return
+        pending = self.pool.submit(contextvars.copy_context().run, task, *args)
+        try:
+            yield
+        except BaseException:
+            pending.exception()  # waits for the task
+            raise
+        pending.result()
+
+    def close(self):
+        if self.pool is not None:
+            self.pool.shutdown()
+
+
+class _Work(_Scratch):
+    """Work arrays that one run reuses in every RK stage of every step, and
+    the lane of its right-hand sides (a worker of pool, when given, with
+    work arrays of its own).
 
     The coefficient arrays have the shape of the grid's block; full is the
     half-spectrum array that inverse transforms read, the block scattered
@@ -322,12 +394,17 @@ class _Work:
     faults per step).
     """
 
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.block = grid.block
-        self.real = [np.empty((grid.n,) * 3) for _ in range(2)]
-        self.spectral = [np.empty(self.block.shape, dtype=complex) for _ in range(2)]
+    def __init__(self, grid: Grid, pool: ThreadPoolExecutor | None = None):
+        super().__init__(grid)
         self.full = np.zeros(grid.spectral_shape, dtype=complex)
+        self.lane = _Lane(grid, pool)
+
+    @property
+    def side(self) -> _Scratch:
+        """The work arrays of the lane's tasks: the worker's, or these when
+        the lane runs inline.  Not stored: a reference cycle would keep a
+        finished run's arrays until the garbage collector runs."""
+        return self if self.lane.pool is None else self.lane.scratch
 
     @cached_property
     def stages(self) -> tuple:
@@ -359,6 +436,34 @@ def _finish_divergence(block, a: np.ndarray) -> np.ndarray:
     return np.multiply(a, block.dealias_mask, out=a)
 
 
+def _add_term(block, total, d, f, work):
+    """total = kx*f for d = 0, else total += k_d*f (formed in work): a
+    divergence sum in order."""
+    if d == 0:
+        np.multiply(block.kx, f, out=total)
+    else:
+        total += np.multiply((block.kx, block.ky, block.kz)[d], f, out=work)
+
+
+def _charge_terms(grid: Grid, samples, dpsi, out, scratch: _Scratch):
+    """The charge terms of `_nonlinear`, into out (the arrays of v and w).
+
+    Charges in divergence form (exact mean conservation): the drift carries
+    v down and w up the potential gradient, flux u_d q +- q d_d(psi).
+    """
+    block = scratch.block
+    prod, rwork = scratch.real
+    cwork, flux = scratch.spectral
+    u, (v, w) = samples[:3], samples[3:]
+    for q, drift, total in ((v, np.add, out[0]), (w, np.subtract, out[1])):
+        for d in range(3):
+            np.multiply(u[d], q, out=prod)
+            drift(prod, np.multiply(q, dpsi[d], out=rwork), out=prod)
+            _add_term(block, total, d, block.gather(_coeffs_from_samples(grid, prod), flux),
+                      cwork)
+        _finish_divergence(block, total)
+
+
 def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     """Dealiased nonlinear + coupling right-hand sides on block coefficients.
 
@@ -373,6 +478,10 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     snapshot.  c is read before out is first written, so out may be c.
     work holds the scratch arrays.
 
+    In a charged call, the lane (`_Work.lane`) makes the charge terms
+    (`_charge_terms`) while this thread makes the momentum terms; each
+    writes only what the other does not read.
+
     The momentum terms are evaluated through the flux tensor
     u_i u_j - d_i(psi) d_j(psi): with div u = 0 its negative divergence
     differs from -(u.grad)u + lap(psi) grad(psi) by a pure gradient, which
@@ -383,57 +492,32 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     order, so the result is bitwise the expression's.
     """
     block = work.block
-    kvec = (block.kx, block.ky, block.kz)
     prod, rwork = work.real
     cwork, flux = work.spectral
 
     charged = len(c) == 5
     if samples is None:
         samples = [_samples_from_coeffs(grid, work.spread(a)) for a in c]
-    u = samples[:3]
-    if charged:
-        v, w = samples[3], samples[4]
-        if dpsi is None:
-            psi = _poisson_coeffs(block, np.subtract(c[3], c[4], out=flux), out=flux)
-            dpsi = _gradient_samples(grid, psi, cwork, work.full)
+    if charged and dpsi is None:
+        psi = _poisson_coeffs(block, np.subtract(c[3], c[4], out=flux), out=flux)
+        dpsi = _gradient_samples(grid, psi, cwork, work.full)
     if out is None:
         out = [np.empty_like(a) for a in c]
 
-    def product(i, j):
-        """u_i u_j - d_i(psi) d_j(psi), in prod."""
-        np.multiply(u[i], u[j], out=prod)
-        if charged:
-            np.subtract(prod, np.multiply(dpsi[i], dpsi[j], out=rwork), out=prod)
-        return prod
-
-    def add_term(total, d, f):
-        """total = kx*f for d = 0, else total += k_d*f: a divergence sum in order."""
-        if d == 0:
-            np.multiply(kvec[0], f, out=total)
-        else:
-            total += np.multiply(kvec[d], f, out=cwork)
-
     # Row i of the momentum divergence sums k_j * F[i,j] over j; each flux
     # F[i,j] = F[j,i] is transformed once and added to both rows that use it.
-    nu = out[:3]
-    for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
-        f = block.gather(_coeffs_from_samples(grid, product(i, j)), flux)
-        add_term(nu[i], j, f)
-        if i != j:
-            add_term(nu[j], i, f)
-    _leray_coeffs(block, *(_finish_divergence(block, a) for a in nu), work.spectral)
-
-    if not charged:
-        return tuple(out)
-
-    # Charges in divergence form (exact mean conservation): the drift carries
-    # v down and w up the potential gradient, flux u_d q +- q d_d(psi).
-    for q, drift, total in ((v, np.add, out[3]), (w, np.subtract, out[4])):
-        for d in range(3):
-            np.multiply(u[d], q, out=prod)
-            drift(prod, np.multiply(q, dpsi[d], out=rwork), out=prod)
-            add_term(total, d, block.gather(_coeffs_from_samples(grid, prod), flux))
-        _finish_divergence(block, total)
+    u, nu = samples[:3], out[:3]
+    with (work.lane.beside(_charge_terms, grid, samples, dpsi, out[3:], work.side)
+          if charged else nullcontext()):
+        for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
+            np.multiply(u[i], u[j], out=prod)  # u_i u_j - d_i(psi) d_j(psi)
+            if charged:
+                np.subtract(prod, np.multiply(dpsi[i], dpsi[j], out=rwork), out=prod)
+            f = block.gather(_coeffs_from_samples(grid, prod), flux)
+            _add_term(block, nu[i], j, f, cwork)
+            if i != j:
+                _add_term(block, nu[j], i, f, cwork)
+        _leray_coeffs(block, *(_finish_divergence(block, a) for a in nu), work.spectral)
     return tuple(out)
 
 
@@ -562,8 +646,9 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     """Shared stepping core.
 
     Stage 1 does not depend on dt, so it runs first, on the snapshot's
-    samples and grad psi; the CFL bound then reads the same arrays.  With
-    no charge (grad psi is None) only the three velocity arrays are
+    samples and grad psi; the CFL bound then reads the same arrays, the
+    last use of grad psi, which the snapshot then drops.  With no charge
+    (grad psi is None) only the three velocity arrays are
     carried: the charge equations are linear and homogeneous in (v, w), so
     zero charges stay exactly zero.
     """
@@ -573,6 +658,12 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     samples = state.samples if state._coeffs is not None else None
     f1 = _nonlinear(grid, c0, work, samples, dpsi, out=work.stages[1][: len(c0)])
     dt_stab = cfl_limit(state, control.cfl)
+    # The step has read grad psi, and psi_hat it was made from, for the last
+    # time: their memory serves the new snapshot.  A hook that asks again
+    # gets them recomputed, same bits.
+    vars(state).pop("grad_psi", None)
+    vars(state).pop("psi_hat", None)
+    del dpsi
     dt = min(control.dt, dt_stab)
     if dt < control.dt_min:
         raise BlowUpSuspected(
@@ -624,7 +715,10 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     the t = 0 integrand.  derived is state again (observers take state
     alone).  Its fields are computed on first use, shared by all hooks and
     the next step, and read-only; once the hooks of a snapshot the run
-    made return, the run drops every field the next step does not read.
+    made return, the run drops every field the next step does not read,
+    and the next step drops grad psi.  Hooks run on the calling thread; the
+    worker lane of the charge terms (see the module docstring) is idle
+    while they run and shut down before run returns or raises.
     A hook raising BlowUpSuspected or InvariantViolation ends the run with
     that status, its message the diagnostic; a NonFiniteFieldError (a
     non-finite field a hook transformed) counts as a suspected blow-up.
@@ -636,7 +730,8 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     diagnostic = None
     s = state0
     steps = 0
-    work = _Work(state0.grid)
+    pool = ThreadPoolExecutor(1, "ehd-lane") if _lanes_pay(state0.grid) else None
+    work = _Work(state0.grid, pool)
 
     try:
         validate_initial_state(s)
@@ -665,6 +760,8 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
         status, diagnostic = RunStatus.BLOW_UP_SUSPECTED, str(exc)
     except (InvariantViolation, ChargeNeutralityError) as exc:
         status, diagnostic = RunStatus.INVARIANT_VIOLATION, str(exc)
+    finally:
+        work.lane.close()
 
     return RunReport(
         status=status,

@@ -17,8 +17,9 @@ arithmetic runs on that compact array alone, and scatters its result into
 full half-spectrum arrays, the layout of every field and snapshot.
 
 All operations are pure functions of their field snapshots; constructed
-fields are safe to share across threads.  Transforms run on one thread, and
-outputs are bitwise deterministic.
+fields are safe to share across threads.  Each transform runs on one thread
+(the solver may run two at once, on separate arrays), and outputs are
+bitwise deterministic.
 """
 
 from __future__ import annotations

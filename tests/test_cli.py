@@ -116,6 +116,48 @@ class TestRunCommand:
         report = json.loads((tmp_path / "report.json").read_text())
         assert ehd.state_checksum(state) == report["state_checksum"]
 
+    @pytest.fixture
+    def checkpoint_writes(self, monkeypatch):
+        """The names of the files ehd.cli writes with write_checkpoint."""
+        names = []
+        write_checkpoint = ehd.cli.write_checkpoint
+
+        def record(path, state):
+            names.append(Path(path).name)
+            write_checkpoint(path, state)
+
+        monkeypatch.setattr(ehd.cli, "write_checkpoint", record)
+        return names
+
+    def test_final_state_is_written_once(self, tmp_path, checkpoint_writes):
+        """When the last step was checkpointed, final.ehds is a copy of that
+        file, byte for byte what write_checkpoint makes of the final state."""
+        main(["run", tg_config(tmp_path, extra="checkpoint_every = 5\ndt = 2e-3\n")])
+        assert json.loads((tmp_path / "report.json").read_text())["steps"] == 10
+        assert checkpoint_writes == ["state_00000005.ehds", "state_00000010.ehds"]
+        final = (tmp_path / "final.ehds").read_bytes()
+        assert final == (tmp_path / "state_00000010.ehds").read_bytes()
+        ehd.write_checkpoint(tmp_path / "again.ehds", ehd.read_checkpoint(tmp_path / "final.ehds"))
+        assert final == (tmp_path / "again.ehds").read_bytes()
+
+    def test_hook_stopped_before_its_write_gets_a_fresh_final_state(
+        self, tmp_path, monkeypatch, checkpoint_writes
+    ):
+        observe = ehd.criteria.observe
+
+        def stop_at_step_10(acc, state, dt):
+            if state.step_index == 10:
+                raise ehd.BlowUpSuspected("stopped before the step-10 checkpoint (test)")
+            observe(acc, state, dt)
+
+        monkeypatch.setattr(ehd.criteria, "observe", stop_at_step_10)
+        assert main(["run", tg_config(tmp_path, extra="checkpoint_every = 5\ndt = 2e-3\n")]) == 2
+        assert checkpoint_writes == ["state_00000005.ehds", "final.ehds"]
+        report = json.loads((tmp_path / "report.json").read_text())
+        final = ehd.read_checkpoint(tmp_path / "final.ehds")
+        assert final.step_index == report["steps"] == 10
+        assert ehd.state_checksum(final) == report["state_checksum"]
+
     def test_failed_report_write_keeps_old_report_and_leaves_no_temporary(
         self, tmp_path, monkeypatch
     ):

@@ -339,11 +339,23 @@ class TestMemory:
             kept.append((s, s.omega_magnitude.samples, s.u_power, s.u_h3_norm))
 
         ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=3e-3), hooks=[hook])
-        for s, omega_mag, u_power, h3 in kept[1:]:
-            assert "grad_psi" in vars(s)  # the next step's input
+        for i, (s, omega_mag, u_power, h3) in enumerate(kept[1:], 2):
+            # grad psi is the next step's input, dropped once it has read it:
+            # only the final snapshot keeps it.
+            assert ("grad_psi" in vars(s)) == (i == len(kept))
             assert not {"omega", "omega_magnitude", "u_power", "u_h3_norm", "u_hat"} & set(vars(s))
             assert _bits(s.omega_magnitude.samples) == _bits(omega_mag)
             assert _bits(s.u_power) == _bits(u_power) and s.u_h3_norm == h3
+
+    def test_a_step_drops_the_potential_it_has_read(self, grid16):
+        """Without observers the step computes its input's grad psi, through
+        psi_hat; once it has read them, the snapshot keeps neither."""
+        kept = []
+        ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=3e-3),
+                hooks=[lambda s, d, dt: kept.append(s)])
+        assert len(kept) == 4
+        for s in kept[:-1]:
+            assert not {"grad_psi", "psi_hat"} & set(vars(s))
 
     def test_weight_tables_live_on_the_grid(self):
         g = ehd.Grid(8)

@@ -1,6 +1,12 @@
 """Right-hand sides, the integrating-factor step, and the run loop."""
 
+import gc
 import math
+import os
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -701,3 +707,175 @@ class TestPointwiseMagnitude:
             got = spectral.entry_magnitude(grid8, rows)
             want = _old_entry_magnitude(rows)
             assert np.array_equal(got.samples.view(np.int64), want.view(np.int64)), name
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def pin_to_one_cpu(patch):
+    """An affinity mask of one CPU: every lane task runs inline."""
+    patch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    patch.setattr(os, "cpu_count", lambda: 1)
+
+
+@pytest.fixture
+def one_cpu(monkeypatch):
+    pin_to_one_cpu(monkeypatch)
+
+
+@pytest.fixture(scope="module")
+def grid64():
+    return ehd.Grid(64)
+
+
+def on_threads(monkeypatch, name):
+    """Patch solver.<name> to record the thread each call runs on."""
+    threads = []
+    task = getattr(solver, name)
+
+    def record(*args):
+        threads.append(threading.current_thread())
+        return task(*args)
+
+    monkeypatch.setattr(solver, name, record)
+    return threads
+
+
+def two_steps(state):
+    return ehd.run(state, StepControl(dt=5e-4, t_end=1e-3)).final_state
+
+
+class TestLanes:
+    """At 64^3 with two CPUs the charged right-hand sides run in two lanes;
+    the bits are those of one lane, and no thread outlives the run."""
+
+    @pytest.mark.parametrize("preset", ["charged_shear", "random_smooth"])
+    def test_two_lanes_equal_one(self, preset, grid64, monkeypatch):
+        build = {"charged_shear": ehd.charged_shear,
+                 "random_smooth": lambda g: ehd.random_smooth(g, seed=7)}[preset]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            lanes = two_steps(build(grid64))
+        finally:
+            sys.setswitchinterval(interval)
+        with monkeypatch.context() as m:
+            pin_to_one_cpu(m)
+            inline = two_steps(build(grid64))
+        assert lanes.step_index == inline.step_index == 2
+        assert_bitwise_equal(lanes.coeffs, inline.coeffs)
+        assert_bitwise_equal(lanes.samples, inline.samples)
+
+    @pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs in the affinity mask")
+    def test_charge_terms_run_off_the_main_thread_at_64_only(self, grid32, grid64,
+                                                             monkeypatch):
+        threads = on_threads(monkeypatch, "_charge_terms")
+        control = StepControl(dt=5e-4, t_end=5e-4)
+        ehd.run(ehd.charged_shear(grid64), control)
+        assert len(threads) == 3 and threading.main_thread() not in threads
+        threads.clear()
+        ehd.run(ehd.charged_shear(grid32), control)
+        assert threads == [threading.main_thread()] * 3
+
+    def test_one_cpu_starts_no_thread(self, grid64, monkeypatch, one_cpu):
+        start = threading.Thread.start
+        started = []
+
+        def record(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", record)
+        threads = on_threads(monkeypatch, "_charge_terms")
+        ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=5e-4))
+        assert started == []
+        assert threads == [threading.main_thread()] * 3
+
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_lane_error_ends_the_run_as_in_one_lane(self, cpus, grid64, monkeypatch,
+                                                    request):
+        """A ChargeNeutralityError in the lane's task of RK stage 2 ends the
+        run with the status and diagnostic it has in one lane."""
+        if cpus == "one":
+            request.getfixturevalue("one_cpu")
+        charge_terms = solver._charge_terms
+        calls = []
+
+        def not_neutral_in_stage_2(*args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise ChargeNeutralityError("right-hand side is not neutral (test)")
+            charge_terms(*args)
+
+        monkeypatch.setattr(solver, "_charge_terms", not_neutral_in_stage_2)
+        report = ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=1e-3))
+        assert report.status is RunStatus.INVARIANT_VIOLATION
+        assert report.diagnostic == "right-hand side is not neutral (test)"
+        assert report.steps == 0 and len(calls) == 2
+
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_when_both_lanes_raise_the_main_lane_wins(self, cpus, grid64, monkeypatch,
+                                                      request):
+        """The charge terms (lane) and the momentum projection (this thread)
+        both raise in stage 1; serially the projection comes first."""
+        if cpus == "one":
+            request.getfixturevalue("one_cpu")
+
+        def lane(*args):
+            raise ChargeNeutralityError("charge terms failed (test)")
+
+        def main(*args):
+            raise BlowUpSuspected("projection failed (test)")
+
+        monkeypatch.setattr(solver, "_charge_terms", lane)
+        monkeypatch.setattr(solver, "_leray_coeffs", main)
+        report = ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=1e-3))
+        assert report.status is RunStatus.BLOW_UP_SUSPECTED
+        assert report.diagnostic == "projection failed (test)"
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_a_finished_run_frees_its_work_arrays(self, n, monkeypatch):
+        """No reference cycle keeps them until the garbage collector runs."""
+        made = []
+
+        class Recorded(solver._Work):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(weakref.ref(self))
+
+        monkeypatch.setattr(solver, "_Work", Recorded)
+        gc.disable()
+        try:
+            ehd.run(ehd.charged_shear(ehd.Grid(n)), StepControl(dt=5e-4, t_end=1e-3))
+            assert len(made) == 1 and made[0]() is None
+        finally:
+            gc.enable()
+
+    def test_no_thread_outlives_the_run(self, grid64):
+        before = threading.active_count()
+        control = StepControl(dt=5e-4, t_end=1e-3)
+        ehd.run(ehd.charged_shear(grid64), control)
+        assert threading.active_count() == before
+
+        def broken(state, derived, dt):
+            if dt > 0:
+                raise ValueError("observer bug")
+
+        with pytest.raises(ValueError, match="observer bug"):
+            ehd.run(ehd.charged_shear(grid64), control, hooks=[broken])
+        assert threading.active_count() == before
+
+    def test_lane_tasks_keep_the_callers_errstate(self):
+        """numpy's error state is context-local; the worker runs each task in
+        a copy of the caller's context."""
+        lane = solver._Lane(ehd.Grid(8), ThreadPoolExecutor(1))
+        try:
+            with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+                with lane.beside(np.multiply, np.float64(1e300), np.float64(1e300)):
+                    pass
+        finally:
+            lane.close()
