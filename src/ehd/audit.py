@@ -153,7 +153,6 @@ class AuditLedger:
     min_velocity_margin: float = math.inf
     max_margin_mismatch: float = 0.0  # |margin - d_coupling| / e0_vel
     flags: list = field(default_factory=list)
-    charge_tol: float = CHARGE_IDENTITY_TOL
     _last: dict | None = None
 
     @classmethod
@@ -163,12 +162,13 @@ class AuditLedger:
     # -- balance checks ----------------------------------------------------
 
     def check_charge_identity(self, state: State) -> float:
-        """Relative residual of the exact charge-energy identity; flags above charge_tol."""
+        """Relative residual of the exact charge-energy identity; flags above
+        CHARGE_IDENTITY_TOL."""
         lhs = _charge_energy(state) + self.d_charges + self.d_cross
         residual = abs(lhs - self.e0_charges) / max(self.e0_charges, 1e-300)
-        if residual > self.charge_tol:
+        if residual > CHARGE_IDENTITY_TOL:
             self.flags.append(
-                f"charge identity residual {residual:.3e} above {self.charge_tol:.1e} "
+                f"charge identity residual {residual:.3e} above {CHARGE_IDENTITY_TOL:.1e} "
                 f"at t={state.t:.6f}"
             )
         return residual

@@ -14,7 +14,8 @@ The run loop steps one snapshot (a `State`) at a time.  Hooks receive that
 snapshot; its coefficients and derived fields are computed on first use,
 once, and shared by every hook and by the next step, so hooks must treat
 them as read-only.  When the hooks return, the run drops the fields that
-only observers read.  The arrays the next step reuses (samples, coefficients,
+only observers read, and a step drops every cached field of its input once
+it has read it.  The arrays the next step reuses (samples, coefficients,
 grad psi) and the power arrays the observers' norms share are flagged
 read-only, and writing into them raises.
 
@@ -29,13 +30,15 @@ outside the block, before each inverse transform.  The new snapshot's
 coefficients are full half-spectrum arrays again, the block scattered into
 zeros, so snapshots, observers and checkpoints see one layout.
 
-Inside a run, each charged right-hand side makes its momentum and charge
-terms in two lanes: the calling thread the momentum terms, the lane the
-charge terms, each output with its serial operations, so the bits do not
-depend on the lanes.  The lane is a worker thread where a second core pays
-(`_lanes_pay`), otherwise its task runs after the momentum terms.  Both lanes have joined
-before `_nonlinear` returns or raises, so hooks always run on the calling
-thread, and no thread outlives `run`.
+A run's step context is one `_Work`: the grid, the work arrays and the
+lane of the charge terms.  Each charged right-hand side makes its momentum
+and charge terms in two lanes: the calling thread the momentum terms, the
+lane the charge terms, each output with its serial operations, so the bits
+do not depend on the lanes.  The lane is a worker thread that `_Work` owns
+where a second core pays (`_lanes_pay`), otherwise its task runs after the
+momentum terms.  Both lanes have joined before `_nonlinear` returns or
+raises, so hooks always run on the calling thread, and no thread outlives
+`run`.
 """
 
 from __future__ import annotations
@@ -93,15 +96,11 @@ class RunStatus(str, enum.Enum):
     INVARIANT_VIOLATION = "invariant_violation"
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
+def _readonly(a):
+    """a, an array or a sequence of arrays, flagged read-only."""
+    for x in [a] if isinstance(a, np.ndarray) else a:
+        x.flags.writeable = False
     return a
-
-
-def _readonly(arrays):
-    for a in arrays:
-        _frozen(a)
-    return arrays
 
 
 @dataclass
@@ -143,7 +142,7 @@ class State:
         made = self._transforms
         if made[i] is None:
             fields = (*self.u.components, self.v, self.w)
-            made[i] = _frozen(forward_transform(fields[i]).coeffs)
+            made[i] = _readonly(forward_transform(fields[i]).coeffs)
         return made[i]
 
     @property
@@ -177,15 +176,15 @@ class State:
 
     @cached_property
     def v_power(self) -> np.ndarray:
-        return _frozen(spectral_power(self.v_hat))
+        return _readonly(spectral_power(self.v_hat))
 
     @cached_property
     def w_power(self) -> np.ndarray:
-        return _frozen(spectral_power(self.w_hat))
+        return _readonly(spectral_power(self.w_hat))
 
     @cached_property
     def psi_power(self) -> np.ndarray:
-        return _frozen(spectral_power(self.psi_hat))
+        return _readonly(spectral_power(self.psi_hat))
 
     @cached_property
     def u_h3_norm(self) -> float:
@@ -321,16 +320,6 @@ def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> l
             for g in grads]
 
 
-class _Scratch:
-    """The work arrays of one lane: two sample arrays and two block arrays."""
-
-    def __init__(self, grid: Grid):
-        self.grid = grid
-        self.block = grid.block
-        self.real = [np.empty((grid.n,) * 3) for _ in range(2)]
-        self.spectral = [np.empty(self.block.shape, dtype=complex) for _ in range(2)]
-
-
 def _lanes_pay(grid: Grid) -> bool:
     """Whether a worker lane pays for its hand-offs: two CPUs in this
     process's affinity mask and a grid of 64^3 or more (a two-lane split
@@ -342,26 +331,49 @@ def _lanes_pay(grid: Grid) -> bool:
     return cpus >= 2 and grid.n >= 64
 
 
-class _Lane:
-    """Runs a task beside the calling thread: on the one worker of pool, in
-    a copy of the caller's context (numpy's errstate is context-local), or,
-    without a pool, on the calling thread."""
+class _Work:
+    """One run's step context: its grid, the work arrays it reuses in every
+    RK stage of every step, and the lane of its charge terms, a worker
+    thread of its own when lane is true, else the calling thread.
 
-    def __init__(self, grid: Grid, pool: ThreadPoolExecutor | None):
+    real holds two sample arrays and spectral two arrays of the shape of
+    the grid's block; full is the half-spectrum array that inverse
+    transforms read, the block scattered into it.  Nothing else writes
+    full, so its other modes stay +0.0.
+
+    Allocating them once per run, not once per stage, keeps freed
+    multi-megabyte blocks from going back to the system and being faulted
+    in again as fresh pages (at 64^3, 8,700 instead of 18,000 minor page
+    faults per step).
+    """
+
+    def __init__(self, grid: Grid, lane: bool = False):
         self.grid = grid
-        self.pool = pool
+        self.block = grid.block
+        self.real, self.spectral = self._arrays()
+        self.full = np.zeros(grid.spectral_shape, dtype=complex)
+        self.pool = ThreadPoolExecutor(1, "ehd-lane") if lane else None
+
+    def _arrays(self) -> tuple:
+        return ([np.empty((self.grid.n,) * 3) for _ in range(2)],
+                [np.empty(self.block.shape, dtype=complex) for _ in range(2)])
 
     @cached_property
-    def scratch(self) -> _Scratch:
-        """The worker's work arrays, made on first use (an uncharged run
-        never uses them)."""
-        return _Scratch(self.grid)
+    def side(self) -> tuple:
+        """The (real, spectral) work arrays of the charge terms: the
+        worker's own, made on first use (an uncharged run never uses them),
+        or these when the lane runs inline.  It holds the lists, never self:
+        a reference cycle would keep a finished run's arrays until the
+        garbage collector runs."""
+        return self._arrays() if self.pool is not None else (self.real, self.spectral)
 
     @contextmanager
     def beside(self, task, *args):
-        """Run task(*args) in the lane while the with-body runs, or after it
-        without a worker.  Both have finished when the block exits; when
-        both raise, the body's exception wins, as in that serial order."""
+        """Run task(*args) in the lane while the with-body runs: on the
+        worker, in a copy of the caller's context (numpy's errstate is
+        context-local), or after the body without one.  Both have finished
+        when the block exits; when both raise, the body's exception wins,
+        as in that serial order."""
         if self.pool is None:
             yield
             task(*args)
@@ -377,34 +389,6 @@ class _Lane:
     def close(self):
         if self.pool is not None:
             self.pool.shutdown()
-
-
-class _Work(_Scratch):
-    """Work arrays that one run reuses in every RK stage of every step, and
-    the lane of its right-hand sides (a worker of pool, when given, with
-    work arrays of its own).
-
-    The coefficient arrays have the shape of the grid's block; full is the
-    half-spectrum array that inverse transforms read, the block scattered
-    into it.  Nothing else writes full, so its other modes stay +0.0.
-
-    Allocating them once per run, not once per stage, keeps freed
-    multi-megabyte blocks from going back to the system and being faulted
-    in again as fresh pages (at 64^3, 8,700 instead of 18,000 minor page
-    faults per step).
-    """
-
-    def __init__(self, grid: Grid, pool: ThreadPoolExecutor | None = None):
-        super().__init__(grid)
-        self.full = np.zeros(grid.spectral_shape, dtype=complex)
-        self.lane = _Lane(grid, pool)
-
-    @property
-    def side(self) -> _Scratch:
-        """The work arrays of the lane's tasks: the worker's, or these when
-        the lane runs inline.  Not stored: a reference cycle would keep a
-        finished run's arrays until the garbage collector runs."""
-        return self if self.lane.pool is None else self.lane.scratch
 
     @cached_property
     def stages(self) -> tuple:
@@ -445,15 +429,15 @@ def _add_term(block, total, d, f, work):
         total += np.multiply((block.kx, block.ky, block.kz)[d], f, out=work)
 
 
-def _charge_terms(grid: Grid, samples, dpsi, out, scratch: _Scratch):
-    """The charge terms of `_nonlinear`, into out (the arrays of v and w).
+def _charge_terms(grid: Grid, samples, dpsi, out, side):
+    """The charge terms of `_nonlinear`, into out (the arrays of v and w),
+    with the work arrays side (`_Work.side`).
 
     Charges in divergence form (exact mean conservation): the drift carries
     v down and w up the potential gradient, flux u_d q +- q d_d(psi).
     """
-    block = scratch.block
-    prod, rwork = scratch.real
-    cwork, flux = scratch.spectral
+    block = grid.block
+    (prod, rwork), (cwork, flux) = side
     u, (v, w) = samples[:3], samples[3:]
     for q, drift, total in ((v, np.add, out[0]), (w, np.subtract, out[1])):
         for d in range(3):
@@ -464,21 +448,20 @@ def _charge_terms(grid: Grid, samples, dpsi, out, scratch: _Scratch):
         _finish_divergence(block, total)
 
 
-def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
+def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
     """Dealiased nonlinear + coupling right-hand sides on block coefficients.
 
     c = (ux, uy, uz, v, w) block arrays, or (ux, uy, uz) alone for an
     uncharged flow (v = w = 0, which the charge equations keep exactly
-    zero).  Returns the same layout, in the arrays of out (new arrays when
-    not given): the projected momentum terms P[-(u.grad)u + lap(psi)
-    grad(psi)] and the divergence-form charge fluxes; diffusion is left to
-    the integrator.
+    zero).  Returns the same layout, in the arrays of out: the projected
+    momentum terms P[-(u.grad)u + lap(psi) grad(psi)] and the
+    divergence-form charge fluxes; diffusion is left to the integrator.
     samples (the inverse transforms of c) and dpsi (the samples of grad
     psi) are computed here unless given; stage 1 takes them from the
     snapshot.  c is read before out is first written, so out may be c.
-    work holds the scratch arrays.
+    work holds the grid and the work arrays.
 
-    In a charged call, the lane (`_Work.lane`) makes the charge terms
+    In a charged call, the lane (`_Work.beside`) makes the charge terms
     (`_charge_terms`) while this thread makes the momentum terms; each
     writes only what the other does not read.
 
@@ -491,7 +474,7 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     F, accumulated in place with that expression's operations and operand
     order, so the result is bitwise the expression's.
     """
-    block = work.block
+    grid, block = work.grid, work.block
     prod, rwork = work.real
     cwork, flux = work.spectral
 
@@ -501,13 +484,11 @@ def _nonlinear(grid: Grid, c, work: _Work, samples=None, dpsi=None, out=None):
     if charged and dpsi is None:
         psi = _poisson_coeffs(block, np.subtract(c[3], c[4], out=flux), out=flux)
         dpsi = _gradient_samples(grid, psi, cwork, work.full)
-    if out is None:
-        out = [np.empty_like(a) for a in c]
 
     # Row i of the momentum divergence sums k_j * F[i,j] over j; each flux
     # F[i,j] = F[j,i] is transformed once and added to both rows that use it.
     u, nu = samples[:3], out[:3]
-    with (work.lane.beside(_charge_terms, grid, samples, dpsi, out[3:], work.side)
+    with (work.beside(_charge_terms, grid, samples, dpsi, out[3:], work.side)
           if charged else nullcontext()):
         for i, j in ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)):
             np.multiply(u[i], u[j], out=prod)  # u_i u_j - d_i(psi) d_j(psi)
@@ -526,7 +507,7 @@ def nonlinear_rhs(state: State) -> tuple[VectorField, RealField, RealField]:
     momentum terms, then the advection + drift terms of v and of w."""
     g, work = state.grid, _Work(state.grid)
     rhs = [RealField(g, _samples_from_coeffs(g, work.spread(a)))
-           for a in _nonlinear(g, work.gather(state.coeffs), work)]
+           for a in _nonlinear(work.gather(state.coeffs), work, out=work.stages[1])]
     return VectorField(*rhs[:3]), rhs[3], rhs[4]
 
 
@@ -561,22 +542,18 @@ def _max_magnitude(components) -> float:
     return scale * float(np.sqrt(sq.max()))
 
 
-def max_advection_speed(state: State) -> float:
-    """max |u| + max |grad psi|: the effective transport speed for the CFL bound."""
-    speed = _max_magnitude([c.samples for c in state.u.components])
-    dpsi = state.grad_psi
-    return speed + (0.0 if dpsi is None else _max_magnitude(dpsi))
-
-
 def cfl_limit(state: State, cfl: float) -> float:
-    """Largest admissible dt at this state; inf when nothing moves."""
-    speed = max_advection_speed(state)
+    """Largest admissible dt at this state, from the effective transport
+    speed max |u| + max |grad psi|; inf when nothing moves."""
+    dpsi = state.grad_psi
+    speed = _max_magnitude([c.samples for c in state.u.components]) + (
+        0.0 if dpsi is None else _max_magnitude(dpsi))
     if speed <= 0.0:
         return np.inf
     return cfl * state.grid.spacing / speed
 
 
-def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
+def _advance(c0, f1, dt: float, work: _Work):
     """One integrating-factor RK3 step on coefficient arrays; f1 is stage 1.
 
     c0 holds five arrays, or the three velocity arrays of an uncharged flow;
@@ -593,7 +570,7 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
     overwrites its input in work.stages, and c1 overwrites f1, so f1 is
     consumed; c0 is only read.
     """
-    e_full, e_half, neg_e_full, two_e_half, four_e_half = _diffusion_factors(grid, dt)
+    e_full, e_half, neg_e_full, two_e_half, four_e_half = _diffusion_factors(work.grid, dt)
     s2, s3 = (s[: len(c0)] for s in work.stages[2:])
     tmp = work.spectral[0]
 
@@ -602,14 +579,14 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
         np.multiply(half_dt, fa, out=s)
         np.add(a, s, out=s)
         np.multiply(e_half, s, out=s)
-    f2 = _nonlinear(grid, s2, work, out=s2)
+    f2 = _nonlinear(s2, work, out=s2)
 
     for a, fa, fb, s in zip(c0, f1, f2, s3):
         np.multiply(neg_e_full, fa, out=s)
         s += np.multiply(two_e_half, fb, out=tmp)
         np.multiply(dt, s, out=s)
         np.add(np.multiply(e_full, a, out=tmp), s, out=s)
-    f3 = _nonlinear(grid, s3, work, out=s3)
+    f3 = _nonlinear(s3, work, out=s3)
 
     c1 = f1
     for a, fa, fb, fc in zip(c0, c1, f2, f3):
@@ -626,9 +603,10 @@ def _advance(grid: Grid, c0, f1, dt: float, work: _Work):
     return tuple(c1)
 
 
-def _materialize(grid: Grid, c, t: float, step_index: int, work: _Work) -> State:
+def _materialize(c, t: float, step_index: int, work: _Work) -> State:
     """The snapshot of block arrays c, scattered into zeros; given only the
     three velocity arrays, v and w share the run's read-only zeros."""
+    grid = work.grid
     c = [work.block.scatter(a, np.zeros(grid.spectral_shape, dtype=complex)) for a in c]
     samples = [_samples_from_coeffs(grid, a) for a in c]
     if len(c) == 3:
@@ -647,22 +625,20 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
 
     Stage 1 does not depend on dt, so it runs first, on the snapshot's
     samples and grad psi; the CFL bound then reads the same arrays, the
-    last use of grad psi, which the snapshot then drops.  With no charge
-    (grad psi is None) only the three velocity arrays are
+    step's last read of its input, which then drops every cached field.
+    With no charge (grad psi is None) only the three velocity arrays are
     carried: the charge equations are linear and homogeneous in (v, w), so
     zero charges stay exactly zero.
     """
-    grid = state.grid
     dpsi = state.grad_psi
     c0 = work.gather(state.coeffs if dpsi is not None else state.coeffs[:3])
     samples = state.samples if state._coeffs is not None else None
-    f1 = _nonlinear(grid, c0, work, samples, dpsi, out=work.stages[1][: len(c0)])
+    f1 = _nonlinear(c0, work, samples, dpsi, out=work.stages[1][: len(c0)])
     dt_stab = cfl_limit(state, control.cfl)
-    # The step has read grad psi, and psi_hat it was made from, for the last
-    # time: their memory serves the new snapshot.  A hook that asks again
+    # The step has read its input for the last time: the memory of the
+    # input's cached fields serves the new snapshot.  A hook that asks again
     # gets them recomputed, same bits.
-    vars(state).pop("grad_psi", None)
-    vars(state).pop("psi_hat", None)
+    state._release()
     del dpsi
     dt = min(control.dt, dt_stab)
     if dt < control.dt_min:
@@ -674,9 +650,7 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     if 0.0 < remaining < dt:
         dt = remaining
 
-    new = _materialize(
-        grid, _advance(grid, c0, f1, dt, work), state.t + dt, state.step_index + 1, work
-    )
+    new = _materialize(_advance(c0, f1, dt, work), state.t + dt, state.step_index + 1, work)
     _check_finite_state(new, BlowUpSuspected, "step produced a non-finite state: ")
     return new
 
@@ -716,9 +690,10 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     alone).  Its fields are computed on first use, shared by all hooks and
     the next step, and read-only; once the hooks of a snapshot the run
     made return, the run drops every field the next step does not read,
-    and the next step drops grad psi.  Hooks run on the calling thread; the
-    worker lane of the charge terms (see the module docstring) is idle
-    while they run and shut down before run returns or raises.
+    and each step drops every field of its input once it has read it.
+    Hooks run on the calling thread; the worker lane of the charge terms,
+    which the run's `_Work` owns (see the module docstring), is idle while
+    they run and shut down before run returns or raises.
     A hook raising BlowUpSuspected or InvariantViolation ends the run with
     that status, its message the diagnostic; a NonFiniteFieldError (a
     non-finite field a hook transformed) counts as a suspected blow-up.
@@ -730,8 +705,7 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     diagnostic = None
     s = state0
     steps = 0
-    pool = ThreadPoolExecutor(1, "ehd-lane") if _lanes_pay(state0.grid) else None
-    work = _Work(state0.grid, pool)
+    work = _Work(state0.grid, _lanes_pay(state0.grid))
 
     try:
         validate_initial_state(s)
@@ -746,8 +720,6 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
         while s.t < control.t_end - 1e-12 * max(1.0, control.t_end):
             t_prev = s.t
             s = _step(s, control, work)
-            if steps == 0:
-                state0._release()  # the caller keeps state0; step 1 was its last use
             steps += 1
             _check_run_invariants(s, mean_v0, mean_w0)
             dt_used = s.t - t_prev
@@ -761,7 +733,7 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     except (InvariantViolation, ChargeNeutralityError) as exc:
         status, diagnostic = RunStatus.INVARIANT_VIOLATION, str(exc)
     finally:
-        work.lane.close()
+        work.close()
 
     return RunReport(
         status=status,

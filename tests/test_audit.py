@@ -170,10 +170,11 @@ class TestChargeIdentity:
         assert coarse.max_charge_residual <= 1e-5
         assert fine.max_charge_residual <= coarse.max_charge_residual / 3.0
 
-    def test_residual_above_tolerance_is_flagged(self, grid16):
+    def test_residual_above_tolerance_is_flagged(self, grid16, monkeypatch):
         s0 = ehd.charged_shear(grid16)
         ledger = AuditLedger.from_state(s0)
-        ledger.charge_tol = 1e-30  # force the flag on any discretization error
+        # force the flag on any discretization error
+        monkeypatch.setattr(ehd.audit, "CHARGE_IDENTITY_TOL", 1e-30)
         def watch(state, _, dt):
             ledger.update(state, dt)
         ehd.run(s0, StepControl(dt=2e-3, t_end=0.01), hooks=[watch])

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import sys
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -356,6 +357,16 @@ class TestMemory:
         assert len(kept) == 4
         for s in kept[:-1]:
             assert not {"grad_psi", "psi_hat"} & set(vars(s))
+
+    def test_a_step_drops_every_cached_field_of_its_input(self, grid16):
+        """A user state that `ehd.step` has read keeps none of the fields it
+        made, its forward transforms among them."""
+        s = ehd.random_smooth(grid16, seed=7)
+        s.omega, s.u_power
+        ehd.step(s, StepControl(dt=1e-3))
+        cached = {name for name, attr in vars(ehd.State).items()
+                  if isinstance(attr, cached_property)}
+        assert "_transforms" in cached and not cached & set(vars(s))
 
     def test_weight_tables_live_on_the_grid(self):
         g = ehd.Grid(8)

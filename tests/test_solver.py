@@ -6,7 +6,6 @@ import os
 import sys
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -554,13 +553,15 @@ class TestInPlaceArithmetic:
         for s, samples in ((user, None), (snapshot, snapshot.samples)):
             c0 = block_of(grid16, s.coeffs)  # writable, so a write would land
             before = tuple(a.copy() for a in c0)
-            f1 = solver._nonlinear(grid16, c0, solver._Work(grid16), samples, s.grad_psi)
+            f1 = solver._nonlinear(c0, solver._Work(grid16), samples, s.grad_psi,
+                                   out=[np.empty_like(a) for a in c0])
             ref_f1 = _ref_nonlinear(grid16, s.coeffs, samples, s.grad_psi)
             assert_equal_in_block(grid16, spread(grid16, f1), ref_f1)
             assert_equal_in_block(
-                grid16, spread(grid16, solver._nonlinear(grid16, c0, solver._Work(grid16))),
+                grid16, spread(grid16, solver._nonlinear(c0, solver._Work(grid16),
+                                                         out=[np.empty_like(a) for a in c0])),
                 _ref_nonlinear(grid16, s.coeffs))
-            c1 = solver._advance(grid16, c0, f1, dt, solver._Work(grid16))
+            c1 = solver._advance(c0, f1, dt, solver._Work(grid16))
             assert_equal_in_block(grid16, spread(grid16, c1),
                                   _ref_advance(grid16, s.coeffs, ref_f1, dt))
             assert_bitwise_equal(c0, before)
@@ -632,9 +633,9 @@ class TestUnchargedPath:
         seen = []
         nonlinear = solver._nonlinear
 
-        def record(grid, c, *args, **kwargs):
+        def record(c, *args, **kwargs):
             seen.append(len(c))
-            return nonlinear(grid, c, *args, **kwargs)
+            return nonlinear(c, *args, **kwargs)
 
         monkeypatch.setattr(solver, "_nonlinear", record)
         ehd.run(ehd.taylor_green(grid16), StepControl(dt=1e-3, t_end=2e-3))
@@ -872,10 +873,10 @@ class TestLanes:
     def test_lane_tasks_keep_the_callers_errstate(self):
         """numpy's error state is context-local; the worker runs each task in
         a copy of the caller's context."""
-        lane = solver._Lane(ehd.Grid(8), ThreadPoolExecutor(1))
+        work = solver._Work(ehd.Grid(8), lane=True)
         try:
             with np.errstate(over="raise"), pytest.raises(FloatingPointError):
-                with lane.beside(np.multiply, np.float64(1e300), np.float64(1e300)):
+                with work.beside(np.multiply, np.float64(1e300), np.float64(1e300)):
                     pass
         finally:
-            lane.close()
+            work.close()
