@@ -88,10 +88,11 @@ _SCALAR_KEYS = {
 }
 
 # Peak memory of `ehd run`, in states (a state is five n^3 float64 fields):
-# the snapshot, the RK3 stage and work arrays (with the second lane's at
-# 64^3), and the observers' fields.  tracemalloc measured 12.2 states at
-# 32^3 and 12.3 at 64^3 (random_smooth and charged_shear with the default
-# observers and checkpoint_every = 2; taylor_green 11.3 and 11.0).
+# the snapshot, the RK3 stage and work arrays (with the second lane's, its
+# scatter array among them, at 64^3), and the observers' fields.
+# tracemalloc measured 12.2 states at 32^3 and 12.5 at 64^3 (random_smooth
+# and charged_shear with the default observers and checkpoint_every = 2;
+# taylor_green 11.1 and 11.0).
 RUN_PEAK_STATES = 13
 
 

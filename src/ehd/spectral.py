@@ -123,7 +123,7 @@ class Grid:
 class Block:
     """The modes the dealias mask keeps, every |k_i| <= c = n//3, as one
     compact array of shape (2c+1, 2c+1, c+1), with its own kx, ky, kz, k2,
-    inv_k2 and (all-true) dealias_mask tables under Grid's names.
+    kmag, inv_k2 and (all-true) dealias_mask tables under Grid's names.
 
     Rows keep the half spectrum's order, k = 0..c then -c..-1, so k = 0 is
     entry (0, 0, 0).  In the half spectrum the block is four boxes, the low
@@ -139,7 +139,7 @@ class Block:
         self.pieces = [((bx, by, kz), (fx, fy, kz)) for bx, fx in rows for by, fy in rows]
         k = grid.k1d[np.r_[0 : c + 1, n - c : n]]
         self.kx, self.ky, self.kz = k[:, None, None], k[None, :, None], grid.kz[..., kz]
-        for name in ("k2", "inv_k2", "dealias_mask"):
+        for name in ("k2", "kmag", "inv_k2", "dealias_mask"):
             table = getattr(grid, name)
             setattr(self, name, self.gather(table, np.empty(self.shape, table.dtype)))
 

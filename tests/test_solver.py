@@ -365,21 +365,108 @@ class TestRunInvariants:
             solver._check_run_invariants(s, mean_v0, mean_w0 + 1e-6)
 
 
-class TestInitialDivergenceCheck:
-    @staticmethod
-    def taylor_green_times(grid, amplitude):
-        tg = ehd.taylor_green(grid)
-        u = VectorField(*(RealField(grid, amplitude * c.samples) for c in tg.u.components))
-        return State(u=u, v=tg.v, w=tg.w)
+def with_gradient_part(base: State, amplitude: float, eps: float) -> State:
+    """amplitude * (base's velocity - eps * (sin x, 0, 0)): a divergence of
+    max |div u| = amplitude * eps, one cosine mode."""
+    g = base.grid
+    ux, uy, uz = (amplitude * c.samples for c in base.u.components)
+    ux = ux - amplitude * eps * full(g, np.sin(g.x))
+    return State(u=VectorField(*(RealField(g, a) for a in (ux, uy, uz))), v=base.v, w=base.w)
 
+
+def count_inverse_transforms(monkeypatch) -> list:
+    """Patch solver._samples_from_coeffs to record each call."""
+    calls = []
+    inverse = solver._samples_from_coeffs
+
+    def counted(grid, coeffs):
+        calls.append(coeffs)
+        return inverse(grid, coeffs)
+
+    monkeypatch.setattr(solver, "_samples_from_coeffs", counted)
+    return calls
+
+
+DIVERGENCE_CHECKS = {
+    "initial": (ehd.validate_initial_state, "not divergence-free"),
+    "run": (lambda s: solver._check_run_invariants(s, float(np.mean(s.v.samples)),
+                                                   float(np.mean(s.w.samples))),
+            "divergence invariant failed"),
+}
+
+
+class TestInitialDivergenceCheck:
     def test_large_amplitude_raises_no_hermitian_false_alarm(self, grid16, grid32):
-        """div u is transformed without backward_transform's symmetry check:
-        the coefficients of Taylor-Green x 1e4 at 16^3 fail that check by
-        roundoff although max |div u| is 1.8e-11.  The absolute tolerance
-        still rejects x 1e6 at 32^3, where max |div u| is 3.8e-9."""
-        ehd.validate_initial_state(self.taylor_green_times(grid16, 1e4))
-        with pytest.raises(InvariantViolation, match="not divergence-free"):
-            ehd.validate_initial_state(self.taylor_green_times(grid32, 1e6))
+        """The coefficients of Taylor-Green x 1e4 at 16^3 fail
+        backward_transform's symmetry check by roundoff although max |div u|
+        is 1.8e-11.  Taylor-Green x 1e6 at 32^3 (max |div u| 3.8e-9, roundoff
+        of a field of size 1e6) failed an absolute 1e-9; the tolerance is
+        relative to the size of grad u, so it passes too."""
+        ehd.validate_initial_state(with_gradient_part(ehd.taylor_green(grid16), 1e4, 0.0))
+        ehd.validate_initial_state(with_gradient_part(ehd.taylor_green(grid32), 1e6, 0.0))
+
+
+class TestDivergenceTolerance:
+    """The divergence invariant is relative to the size of grad u, and a
+    bound on max |div u| settles it without a transform when it can."""
+
+    @pytest.mark.parametrize("check", sorted(DIVERGENCE_CHECKS))
+    @pytest.mark.parametrize("amplitude", [1.0, 1e4])
+    def test_relative_divergence_is_caught_at_any_amplitude(self, check, amplitude, grid16):
+        """A divergence of 1e-6 of max |grad u| (1 for Taylor-Green)."""
+        checker, message = DIVERGENCE_CHECKS[check]
+        checker(with_gradient_part(ehd.taylor_green(grid16), amplitude, 0.0))
+        with pytest.raises(InvariantViolation, match=message):
+            checker(with_gradient_part(ehd.taylor_green(grid16), amplitude, 1e-6))
+
+    @pytest.mark.parametrize("check", sorted(DIVERGENCE_CHECKS))
+    @pytest.mark.parametrize("fraction", [0.4, 0.6, 0.99, 1.01])
+    def test_bound_and_transform_give_one_verdict(self, check, fraction, grid16, monkeypatch):
+        """max |div u| at fraction x tol: the check passes exactly when the
+        transformed divergence is within tol, and transforms only when the
+        bound exceeds tol / 2 (here the bound is max |div u| itself)."""
+        checker, message = DIVERGENCE_CHECKS[check]
+        tg = ehd.taylor_green(grid16)
+        _, tol = solver._divergence_bound(tg)
+        s = with_gradient_part(tg, 1.0, fraction * tol)
+        bound, tol = solver._divergence_bound(s)
+        div = float(np.abs(solver._samples_from_coeffs(
+            grid16, ehd.divergence(s.u_hat).coeffs)).max())
+        assert div == pytest.approx(fraction * tol, rel=1e-6)
+        assert div <= bound == pytest.approx(div, rel=1e-6)
+        transforms = count_inverse_transforms(monkeypatch)
+        if div > tol:
+            with pytest.raises(InvariantViolation, match=message):
+                checker(s)
+        else:
+            checker(s)
+        assert (div > tol) == (fraction > 1)
+        assert len(transforms) == (0 if fraction < 0.5 else 1)
+
+    def test_non_finite_bound_falls_back_to_the_transform(self, grid16, monkeypatch):
+        """A NaN coefficient makes the bound NaN, which settles nothing; the
+        transformed maximum is NaN too, and NaN > tol is false, as before."""
+        tg = ehd.taylor_green(grid16)
+        c = [a.copy() for a in tg.coeffs]
+        c[0][1, 0, 0] = np.nan
+        s = State(u=tg.u, v=tg.v, w=tg.w, _coeffs=tuple(c))
+        assert math.isnan(solver._divergence_bound(s)[0])
+        transforms = count_inverse_transforms(monkeypatch)
+        DIVERGENCE_CHECKS["run"][0](s)
+        assert len(transforms) == 1
+
+    def test_strong_charges_no_longer_stop_on_the_divergence(self, grid16):
+        """charged_shear with v and w x 3000 stopped after 201 steps on an
+        absolute 1e-9 ("max |div u| = 1.223e-09").  Relative to the
+        Coulomb-driven grad u it passes; the step bound, which ignores
+        charge relaxation, ends the run 14 steps later instead."""
+        s = ehd.charged_shear(grid16)
+        s = State(u=s.u, v=RealField(grid16, 3000 * s.v.samples),
+                  w=RealField(grid16, 3000 * s.w.samples))
+        report = ehd.run(s, StepControl(dt=5e-4, t_end=0.2))
+        assert report.status is RunStatus.BLOW_UP_SUSPECTED
+        assert report.steps == 215
+        assert "time step collapsed" in report.diagnostic
 
 
 class TestCflLimit:
@@ -575,26 +662,34 @@ class TestInPlaceArithmetic:
         want = [_ref_inverse(grid16, a) for a in _ref_nonlinear(grid16, s.coeffs)]
         assert_bitwise_equal([f.samples for f in (*u.components, v, w)], want)
 
+    @pytest.mark.parametrize("lane", [False, True])
     @pytest.mark.parametrize("preset", ["random_smooth", "taylor_green"])
-    def test_work_arrays_carry_nothing_between_steps(self, preset, grid16):
-        """Steps reusing one set of work arrays, filled with NaN to start
-        (the block of the scatter array too), equal steps with fresh ones:
-        nothing is read before it is written.  The scatter array stays +0.0
-        outside the block."""
+    def test_work_arrays_carry_nothing_between_steps(self, preset, lane, grid16):
+        """Steps reusing one set of work arrays, the lane's own among them,
+        filled with NaN to start (the block of each scatter array too),
+        equal steps with fresh ones: nothing is read before it is written.
+        Both scatter arrays stay +0.0 outside the block."""
         control = StepControl(t_end=1.0)
         s = ehd.random_smooth(grid16, seed=5) if preset == "random_smooth" else (
             ehd.taylor_green(grid16))
-        work = solver._Work(grid16)
-        for a in (*work.real, *work.spectral, *(x for stage in work.stages for x in stage)):
-            a.fill(np.nan)
-        grid16.block.scatter(np.full(grid16.block.shape, np.nan), work.full)
-        for _ in range(3):
-            reused = solver._step(s, control, work)
-            fresh = solver._step(s, control, solver._Work(grid16))
-            assert_bitwise_equal(reused.coeffs, fresh.coeffs)
-            s = reused
+        work = solver._Work(grid16, lane)
+        try:
+            real, spectral, side_full = work.side
+            for a in (*work.real, *work.spectral, *real, *spectral,
+                      *(x for stage in work.stages for x in stage)):
+                a.fill(np.nan)
+            for f in (work.full, side_full):
+                grid16.block.scatter(np.full(grid16.block.shape, np.nan), f)
+            for _ in range(3):
+                reused = solver._step(s, control, work)
+                fresh = solver._step(s, control, solver._Work(grid16))
+                assert_bitwise_equal(reused.coeffs, fresh.coeffs)
+                s = reused
+        finally:
+            work.close()
         mask = np.broadcast_to(grid16.dealias_mask, grid16.spectral_shape)
-        assert not work.full[~mask].view(np.int64).any()
+        for f in (work.full, side_full):
+            assert not f[~mask].view(np.int64).any()
 
 
 class TestUnchargedPath:
@@ -746,8 +841,8 @@ def on_threads(monkeypatch, name):
     return threads
 
 
-def two_steps(state):
-    return ehd.run(state, StepControl(dt=5e-4, t_end=1e-3)).final_state
+def three_steps(state):
+    return ehd.run(state, StepControl(dt=5e-4, t_end=1.5e-3)).final_state
 
 
 class TestLanes:
@@ -761,20 +856,23 @@ class TestLanes:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
         try:
-            lanes = two_steps(build(grid64))
+            lanes = three_steps(build(grid64))
         finally:
             sys.setswitchinterval(interval)
         with monkeypatch.context() as m:
             pin_to_one_cpu(m)
-            inline = two_steps(build(grid64))
-        assert lanes.step_index == inline.step_index == 2
+            inline = three_steps(build(grid64))
+        assert lanes.step_index == inline.step_index == 3
         assert_bitwise_equal(lanes.coeffs, inline.coeffs)
         assert_bitwise_equal(lanes.samples, inline.samples)
 
     @pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs in the affinity mask")
-    def test_charge_terms_run_off_the_main_thread_at_64_only(self, grid32, grid64,
-                                                             monkeypatch):
-        threads = on_threads(monkeypatch, "_charge_terms")
+    @pytest.mark.parametrize("task", ["_charge_samples", "_charge_terms"])
+    def test_lane_tasks_run_off_the_main_thread_at_64_only(self, task, grid32, grid64,
+                                                           monkeypatch):
+        """One step from a user state: each of its three stages makes the
+        samples of v and w (stage 1 inverts the initial coefficients)."""
+        threads = on_threads(monkeypatch, task)
         control = StepControl(dt=5e-4, t_end=5e-4)
         ehd.run(ehd.charged_shear(grid64), control)
         assert len(threads) == 3 and threading.main_thread() not in threads
@@ -791,32 +889,37 @@ class TestLanes:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", record)
-        threads = on_threads(monkeypatch, "_charge_terms")
+        threads = {task: on_threads(monkeypatch, task)
+                   for task in ("_charge_samples", "_charge_terms")}
         ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=5e-4))
         assert started == []
-        assert threads == [threading.main_thread()] * 3
+        assert all(t == [threading.main_thread()] * 3 for t in threads.values())
 
+    @pytest.mark.parametrize("task", ["_charge_samples", "_charge_terms"])
     @pytest.mark.parametrize("cpus", ["all", "one"])
-    def test_lane_error_ends_the_run_as_in_one_lane(self, cpus, grid64, monkeypatch,
+    def test_lane_error_ends_the_run_as_in_one_lane(self, cpus, task, grid64, monkeypatch,
                                                     request):
-        """A ChargeNeutralityError in the lane's task of RK stage 2 ends the
-        run with the status and diagnostic it has in one lane."""
+        """A ChargeNeutralityError in a lane task of RK stage 2 ends the run
+        with the status and diagnostic it has in one lane, and stops the
+        lane's thread."""
         if cpus == "one":
             request.getfixturevalue("one_cpu")
-        charge_terms = solver._charge_terms
+        lane_task = getattr(solver, task)
         calls = []
 
         def not_neutral_in_stage_2(*args):
             calls.append(args)
             if len(calls) == 2:
                 raise ChargeNeutralityError("right-hand side is not neutral (test)")
-            charge_terms(*args)
+            lane_task(*args)
 
-        monkeypatch.setattr(solver, "_charge_terms", not_neutral_in_stage_2)
+        monkeypatch.setattr(solver, task, not_neutral_in_stage_2)
+        before = threading.active_count()
         report = ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=1e-3))
         assert report.status is RunStatus.INVARIANT_VIOLATION
         assert report.diagnostic == "right-hand side is not neutral (test)"
         assert report.steps == 0 and len(calls) == 2
+        assert threading.active_count() == before
 
     @pytest.mark.parametrize("cpus", ["all", "one"])
     def test_when_both_lanes_raise_the_main_lane_wins(self, cpus, grid64, monkeypatch,

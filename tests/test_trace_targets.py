@@ -12,8 +12,10 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 import ehd
-from ehd import StepControl
+from ehd import StepControl, solver
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -36,9 +38,9 @@ def test_tracer_finds_every_target():
 
 def test_each_step_charges_transforms_to_the_solver_callers():
     """The tracer charges an FFT to the first ehd frame that is not a
-    transform helper; solver.invariants_fft_per_step counts those of
-    _check_run_invariants.  Moving its divergence transform into a helper of
-    its own would charge it to the helper, and that metric would read 0."""
+    transform helper.  Stages 2 and 3 each make the v and w samples in the
+    charge lane's task, and the divergence bound settles the invariant
+    check of a divergence-free run without a transform."""
     tracer = make_tracer()
     marks = []
     tracer.install()
@@ -48,7 +50,34 @@ def test_each_step_charges_transforms_to_the_solver_callers():
     finally:
         tracer.uninstall()
     assert len(marks) == 4  # the t = 0 hook and three steps
-    for start, end in zip(marks, marks[1:]):
+    # Stage 1 of step 1 inverts the initial coefficients too.
+    for start, end, lane in zip(marks, marks[1:], (6, 4, 4)):
         callers = Counter(f.caller for f in tracer.ffts[start:end])
         assert {"solver._nonlinear", "solver._materialize"} <= set(callers)
-        assert callers["solver._check_run_invariants"] == 1
+        assert callers["solver._charge_samples"] == lane
+        assert callers["solver._check_run_invariants"] == 0
+
+
+def test_divergence_fallbacks_are_charged_to_the_checks():
+    """A divergence between half the tolerance and the tolerance leaves the
+    bound inconclusive, so each check transforms div u in its own frame:
+    solver.invariants_fft_per_step counts those of _check_run_invariants.
+    Moving that transform into a helper of its own would charge it to the
+    helper, and the metric would read 0."""
+    grid = ehd.Grid(16)
+    tg = ehd.taylor_green(grid)
+    _, tol = solver._divergence_bound(tg)
+    ux = tg.u.x.samples - 0.75 * tol * np.sin(grid.x)
+    s = ehd.State(u=ehd.VectorField(ehd.RealField(grid, ux), tg.u.y, tg.u.z), v=tg.v, w=tg.w)
+    bound, tol = solver._divergence_bound(s)
+    assert tol / 2 < bound < tol
+    s.coeffs  # the forward transforms, before the tracer
+    tracer = make_tracer()
+    tracer.install()
+    try:
+        ehd.validate_initial_state(s)
+        solver._check_run_invariants(s, 0.0, 0.0)
+    finally:
+        tracer.uninstall()
+    assert [f.caller for f in tracer.ffts] == ["solver.validate_initial_state",
+                                               "solver._check_run_invariants"]
