@@ -32,14 +32,15 @@ zeros, so snapshots, observers and checkpoints see one layout.
 
 A run's step context is one `_Work`: the grid, the work arrays and the
 lane of the charge terms.  Each charged right-hand side runs in two lanes,
-joined twice: the lane makes the samples of v and w (when the stage lacks
-them) and then the charge terms, the calling thread those of u and grad psi
-and then the momentum terms.  Each output keeps its serial operations, so
-the bits do not depend on the lanes.  The lane is a worker thread that
-`_Work` owns, with work arrays of its own, where a second core pays
-(`_lanes_pay`); otherwise each task runs after the calling thread's part.
-Both lanes have joined before `_nonlinear` returns or raises, so hooks
-always run on the calling thread, and no thread outlives `run`.
+joined twice: the lane makes the samples of w and grad psi (when the stage
+lacks them) and then the charge terms, the calling thread those of u and v
+and then the momentum terms; a new snapshot's samples are split alike.
+Each output keeps its serial operations, so the bits do not depend on the
+lanes.  The lane is a worker thread that `_Work` owns, with work arrays of
+its own, where a second core pays (`_lanes_pay`); otherwise each task runs
+after the calling thread's part.  Both lanes have joined before a
+right-hand side or snapshot is returned or an error raised, so hooks always
+run on the calling thread, and no thread outlives `run`.
 """
 
 from __future__ import annotations
@@ -219,7 +220,8 @@ class State:
     @cached_property
     def grad_psi(self) -> list | None:
         """Samples of the three components of grad psi (read-only); None
-        when both charge densities vanish."""
+        when both charge densities vanish.  The run sets it, bitwise this,
+        on each snapshot it makes but the last (`_materialize`)."""
         if not (self._field_coeffs(3).any() or self._field_coeffs(4).any()):
             return None
         return _readonly(_gradient_samples(self.grid, self.psi_hat.coeffs))
@@ -323,8 +325,8 @@ def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> l
 
 def _lanes_pay(grid: Grid) -> bool:
     """Whether a worker lane pays for its hand-offs: two CPUs in this
-    process's affinity mask and a grid of 64^3 or more (a two-lane split
-    of the stage ran 3% slower than one lane at 32^3)."""
+    process's affinity mask and a grid of 64^3 or more (two lanes ran 2-5%
+    slower than one at 32^3, whichever samples the lane made)."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -431,10 +433,16 @@ def _add_term(block, total, d, f, work):
         total += np.multiply((block.kx, block.ky, block.kz)[d], f, out=work)
 
 
-def _charge_samples(grid: Grid, c, full, out: list):
-    """The samples of the block arrays c (v and w), appended to out, each
-    transformed from full, the lane's scatter array (`_Work.side`)."""
-    out += [_samples_from_coeffs(grid, grid.block.scatter(a, full)) for a in c]
+def _lane_samples(grid: Grid, c, side, out: list, w: bool, grad: bool):
+    """Appended to out: the samples of w if w is true, then of grad psi if
+    grad is, from the block arrays c = (v, w), with the work arrays side
+    (`_Work.side`); the Poisson solve raises unless v - w is neutral."""
+    _, (cwork, flux), full = side
+    if w:
+        out.append(_samples_from_coeffs(grid, grid.block.scatter(c[1], full)))
+    if grad:
+        psi = _poisson_coeffs(grid.block, np.subtract(c[0], c[1], out=flux), out=flux)
+        out.append(_gradient_samples(grid, psi, cwork, full))
 
 
 def _charge_terms(grid: Grid, samples, dpsi, out, side):
@@ -469,11 +477,11 @@ def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
     snapshot.  c is read before out is first written, so out may be c.
     work holds the grid and the work arrays.
 
-    A charged call forks the lane (`_Work.beside`) twice: when samples are
-    not given, for those of v and w (`_charge_samples`) beside those of u
-    and grad psi, which read c[3] and c[4] too; then for the charge terms
-    (`_charge_terms`) beside the momentum terms.  No lane writes what the
-    other reads.
+    A charged call forks the lane (`_Work.beside`) twice: when samples or
+    dpsi are not given, for the samples of w and grad psi that are missing
+    (`_lane_samples`) beside those of u and v, which read c[3] too; then
+    for the charge terms (`_charge_terms`) beside the momentum terms.  No
+    lane writes what the other reads.
 
     The momentum terms are evaluated through the flux tensor
     u_i u_j - d_i(psi) d_j(psi): with div u = 0 its negative divergence
@@ -489,16 +497,15 @@ def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
     cwork, flux = work.spectral
 
     charged = len(c) == 5
-    vw = []
-    with (work.beside(_charge_samples, grid, c[3:], work.side[2], vw)
-          if charged and samples is None else nullcontext()):
+    make_w, make_grad = charged and samples is None, charged and dpsi is None
+    lane = []
+    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, make_w, make_grad)
+          if make_w or make_grad else nullcontext()):
         if samples is None:
-            samples = [_samples_from_coeffs(grid, work.spread(a)) for a in c[:3]]
-        if charged and dpsi is None:
-            psi = _poisson_coeffs(block, np.subtract(c[3], c[4], out=flux), out=flux)
-            dpsi = _gradient_samples(grid, psi, cwork, work.full)
-    if vw:
-        samples += vw
+            samples = [_samples_from_coeffs(grid, work.spread(a)) for a in c[:4]]
+    if make_w:
+        samples.append(lane[0])
+    dpsi = lane[-1] if make_grad else dpsi
 
     # Row i of the momentum divergence sums k_j * F[i,j] over j; each flux
     # F[i,j] = F[j,i] is transformed once and added to both rows that use it.
@@ -618,13 +625,22 @@ def _advance(c0, f1, dt: float, work: _Work):
     return tuple(c1)
 
 
-def _materialize(c, t: float, step_index: int, work: _Work) -> State:
+def _materialize(c, t: float, step_index: int, work: _Work, potential: bool) -> State:
     """The snapshot of block arrays c, scattered into zeros; given only the
-    three velocity arrays, v and w share the run's read-only zeros."""
-    grid = work.grid
-    c = [work.block.scatter(a, np.zeros(grid.spectral_shape, dtype=complex)) for a in c]
-    samples = [_samples_from_coeffs(grid, a) for a in c]
-    if len(c) == 3:
+    three velocity arrays, v and w share the run's read-only zeros.  Given
+    five, the lane makes w and, with potential, grad psi (bitwise
+    `State.grad_psi`), which the snapshot carries unless that property
+    would give None or raise (zero or non-neutral charges)."""
+    grid, charged = work.grid, len(c) == 5
+    grad = potential and charged and abs(c[3][0, 0, 0] - c[4][0, 0, 0]) <= NEUTRALITY_TOL and (
+        c[3].any() or c[4].any())
+    lane = []
+    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, True, grad)
+          if charged else nullcontext()):
+        c = [work.block.scatter(a, np.zeros(grid.spectral_shape, dtype=complex)) for a in c]
+        samples = [_samples_from_coeffs(grid, a) for a in c[:4]]
+    samples += lane[:1]
+    if not charged:
         zero_samples, zero_coeffs = work.zeros
         samples += [zero_samples] * 2
         c = (*c, zero_coeffs, zero_coeffs)
@@ -632,14 +648,22 @@ def _materialize(c, t: float, step_index: int, work: _Work) -> State:
     v, w = (RealField(grid, a) for a in samples[3:])
     state = State(u=u, v=v, w=w, t=t, step_index=step_index, _coeffs=_readonly(c))
     _readonly(state.samples)
+    if grad:
+        state.__dict__["grad_psi"] = _readonly(lane[1])
     return state
+
+
+def _before_end(t: float, control: StepControl) -> bool:
+    """Whether a run at time t takes another step: the run loop's test."""
+    return t < control.t_end - 1e-12 * max(1.0, control.t_end)
 
 
 def _step(state: State, control: StepControl, work: _Work) -> State:
     """Shared stepping core.
 
     Stage 1 does not depend on dt, so it runs first, on the snapshot's
-    samples and grad psi; the CFL bound then reads the same arrays, the
+    samples and grad psi (made with the snapshot by the step before, else
+    here through psi_hat); the CFL bound then reads the same arrays, the
     step's last read of its input, which then drops every cached field.
     With no charge (grad psi is None) only the three velocity arrays are
     carried: the charge equations are linear and homogeneous in (v, w), so
@@ -665,7 +689,8 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     if 0.0 < remaining < dt:
         dt = remaining
 
-    new = _materialize(_advance(c0, f1, dt, work), state.t + dt, state.step_index + 1, work)
+    new = _materialize(_advance(c0, f1, dt, work), state.t + dt, state.step_index + 1, work,
+                       _before_end(state.t + dt, control))
     _check_finite_state(new, BlowUpSuspected, "step produced a non-finite state: ")
     return new
 
@@ -751,7 +776,7 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
         for hook in hooks:
             hook(s, s, 0.0)
 
-        while s.t < control.t_end - 1e-12 * max(1.0, control.t_end):
+        while _before_end(s.t, control):
             t_prev = s.t
             s = _step(s, control, work)
             steps += 1

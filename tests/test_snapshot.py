@@ -47,9 +47,22 @@ class TestTransformBudget:
     def test_charged_step_makes_60_transforms(self, grid16, monkeypatch):
         steps = _step_windows(monkeypatch, ehd.charged_shear(grid16),
                               StepControl(dt=1e-3, t_end=5e-3))
-        assert len(steps) == 5
-        # The first step also inverts the initial coefficients for stage 1.
-        assert [len(s) for s in steps[1:]] == [60] * 4
+        # Each step but the last makes the grad psi of its snapshot, which
+        # the next step reads (3 transforms).  The first step also inverts
+        # the initial coefficients for stage 1 and makes the initial grad
+        # psi; the last leaves its snapshot's grad psi until asked.
+        assert [len(s) for s in steps] == [68, 60, 60, 60, 57]
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("preset, total", [("charged_shear", 310), ("taylor_green", 143)])
+    def test_run_transform_totals(self, preset, total, n, monkeypatch):
+        """Five steps of an unobserved run, set-up included: 5 + 68 + 3 * 60
+        + 57 charged, 5 + 30 + 4 * 27 uncharged, on either lane rule."""
+        s0 = getattr(ehd, preset)(ehd.Grid(n))
+        counter = FFTCounter(monkeypatch)
+        report = ehd.run(s0, StepControl(dt=1e-3, t_end=5e-3))
+        assert report.steps == 5
+        assert counter.count() == total
 
     def test_uncharged_step_makes_27_transforms(self, grid16, monkeypatch):
         steps = _step_windows(monkeypatch, ehd.taylor_green(grid16),
@@ -309,6 +322,43 @@ class TestHermitianChecks:
         assert per_hook == [4] * 5  # one check per band, at t = 0 and in each step
 
 
+class TestEagerPotential:
+    """A run hands out each snapshot but the last with grad psi made by the
+    step (on the block, in the charge lane), bitwise the lazy property's."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    @pytest.mark.parametrize("preset", ["charged_shear", "seed_7", "seed_5_energy_50"])
+    def test_handed_out_grad_psi_is_the_lazy_one(self, preset, n):
+        build = {"charged_shear": ehd.charged_shear,
+                 "seed_7": lambda g: ehd.random_smooth(g, seed=7),
+                 "seed_5_energy_50": lambda g: ehd.random_smooth(g, seed=5, energy=50.0)}[preset]
+        grid = ehd.Grid(n)
+        eager, lazy = [], []
+
+        def check(s, d, dt):
+            if "grad_psi" not in vars(s):
+                lazy.append(s.step_index)
+                return
+            want = ehd.solver._gradient_samples(grid, s.psi_hat.coeffs)
+            for got, ref in zip(s.grad_psi, want, strict=True):
+                assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+                assert not got.flags.writeable
+            eager.append(s.step_index)
+
+        report = ehd.run(build(grid), StepControl(dt=5e-4, t_end=1.5e-3), hooks=[check])
+        assert report.status is ehd.RunStatus.COMPLETED and report.steps == 3
+        # The initial (user) state and the final snapshot keep it lazy.
+        assert eager == [1, 2] and lazy == [0, 3]
+        assert "grad_psi" not in vars(report.final_state)
+
+    def test_uncharged_snapshot_has_no_potential(self, grid16):
+        seen = []
+        report = ehd.run(ehd.taylor_green(grid16), StepControl(dt=1e-3, t_end=3e-3),
+                         hooks=[lambda s, d, dt: seen.append("grad_psi" in vars(s))])
+        assert seen == [False] * 4
+        assert report.final_state.grad_psi is None
+
+
 class TestReadOnly:
     def test_hook_writing_into_samples_raises(self, grid16):
         def vandal(state, derived, dt):
@@ -350,8 +400,9 @@ class TestMemory:
             assert _bits(s.u_power) == _bits(u_power) and s.u_h3_norm == h3
 
     def test_a_step_drops_the_potential_it_has_read(self, grid16):
-        """Without observers the step computes its input's grad psi, through
-        psi_hat; once it has read them, the snapshot keeps neither."""
+        """Without observers each snapshot but the last carries the grad psi
+        its step made, and no psi_hat; once the next step has read it, the
+        snapshot keeps neither."""
         kept = []
         ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=3e-3),
                 hooks=[lambda s, d, dt: kept.append(s)])

@@ -841,6 +841,10 @@ def on_threads(monkeypatch, name):
     return threads
 
 
+# Each lane task by its calls in a two-step charged run.
+LANE_TASKS = {"_lane_samples": 7, "_charge_terms": 6}
+
+
 def three_steps(state):
     return ehd.run(state, StepControl(dt=5e-4, t_end=1.5e-3)).final_state
 
@@ -867,18 +871,20 @@ class TestLanes:
         assert_bitwise_equal(lanes.samples, inline.samples)
 
     @pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs in the affinity mask")
-    @pytest.mark.parametrize("task", ["_charge_samples", "_charge_terms"])
+    @pytest.mark.parametrize("task", LANE_TASKS)
     def test_lane_tasks_run_off_the_main_thread_at_64_only(self, task, grid32, grid64,
                                                            monkeypatch):
-        """One step from a user state: each of its three stages makes the
-        samples of v and w (stage 1 inverts the initial coefficients)."""
+        """Two steps from a user state: each of their six stages makes the
+        charge terms.  The w samples are made by RK stages 2 and 3, by
+        stage 1 of step 1 (which inverts the initial coefficients), and for
+        each new snapshot, the first one with grad psi."""
         threads = on_threads(monkeypatch, task)
-        control = StepControl(dt=5e-4, t_end=5e-4)
+        control = StepControl(dt=5e-4, t_end=1e-3)
         ehd.run(ehd.charged_shear(grid64), control)
-        assert len(threads) == 3 and threading.main_thread() not in threads
+        assert len(threads) == LANE_TASKS[task] and threading.main_thread() not in threads
         threads.clear()
         ehd.run(ehd.charged_shear(grid32), control)
-        assert threads == [threading.main_thread()] * 3
+        assert threads == [threading.main_thread()] * LANE_TASKS[task]
 
     def test_one_cpu_starts_no_thread(self, grid64, monkeypatch, one_cpu):
         start = threading.Thread.start
@@ -889,13 +895,13 @@ class TestLanes:
             start(thread)
 
         monkeypatch.setattr(threading.Thread, "start", record)
-        threads = {task: on_threads(monkeypatch, task)
-                   for task in ("_charge_samples", "_charge_terms")}
-        ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=5e-4))
+        threads = {task: on_threads(monkeypatch, task) for task in LANE_TASKS}
+        ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=1e-3))
         assert started == []
-        assert all(t == [threading.main_thread()] * 3 for t in threads.values())
+        assert all(t == [threading.main_thread()] * LANE_TASKS[task]
+                   for task, t in threads.items())
 
-    @pytest.mark.parametrize("task", ["_charge_samples", "_charge_terms"])
+    @pytest.mark.parametrize("task", LANE_TASKS)
     @pytest.mark.parametrize("cpus", ["all", "one"])
     def test_lane_error_ends_the_run_as_in_one_lane(self, cpus, task, grid64, monkeypatch,
                                                     request):
@@ -920,6 +926,45 @@ class TestLanes:
         assert report.diagnostic == "right-hand side is not neutral (test)"
         assert report.steps == 0 and len(calls) == 2
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("asked_by_hook", [False, True])
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("cpus", ["all", "one"])
+    def test_non_neutral_snapshot_ends_the_run_as_before(self, cpus, n, asked_by_hook,
+                                                         monkeypatch, request):
+        """Step 2 leaves v - w off neutrality by 1e-9, within the drift
+        tolerance of charges of mean 100.  The snapshot's grad psi stays
+        lazy, so the Poisson solve raises where it always has: in the hook
+        that asks for it, else in step 3, which ends the run after 2 steps."""
+        if cpus == "one":
+            request.getfixturevalue("one_cpu")
+        grid = ehd.Grid(n)
+        shear = ehd.charged_shear(grid)
+        s0 = State(u=shear.u, v=RealField(grid, shear.v.samples + 99.0),
+                   w=RealField(grid, shear.w.samples + 99.0))
+        advance = solver._advance
+        calls = []
+
+        def off_neutral_in_step_2(*args):
+            c1 = advance(*args)
+            calls.append(args)
+            if len(calls) == 2:
+                c1[3][0, 0, 0] += 1e-9
+            return c1
+
+        def hook(s, d, dt):
+            if asked_by_hook:
+                s.grad_psi
+
+        monkeypatch.setattr(solver, "_advance", off_neutral_in_step_2)
+        report = ehd.run(s0, StepControl(dt=5e-4, t_end=2e-3), hooks=[hook])
+        assert report.status is RunStatus.INVARIANT_VIOLATION
+        assert (report.steps, report.final_state.step_index) == (2, 2)
+        assert report.t_final == report.final_state.t == 5e-4 + 5e-4
+        assert report.diagnostic.startswith("right-hand side is not neutral: mean=1.0")
+        with pytest.raises(ChargeNeutralityError) as raised:
+            report.final_state.grad_psi
+        assert report.diagnostic == str(raised.value)
 
     @pytest.mark.parametrize("cpus", ["all", "one"])
     def test_when_both_lanes_raise_the_main_lane_wins(self, cpus, grid64, monkeypatch,

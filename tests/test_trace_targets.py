@@ -38,9 +38,12 @@ def test_tracer_finds_every_target():
 
 def test_each_step_charges_transforms_to_the_solver_callers():
     """The tracer charges an FFT to the first ehd frame that is not a
-    transform helper.  Stages 2 and 3 each make the v and w samples in the
-    charge lane's task, and the divergence bound settles the invariant
-    check of a divergence-free run without a transform."""
+    transform helper.  The charge lane's task makes the w samples of stages
+    2 and 3 and of each new snapshot (and of stage 1 of step 1), and every
+    grad psi is charged to `_gradient_samples`: stages 2 and 3 and each
+    snapshot but the last, plus the initial state's in step 1.  The
+    divergence bound settles the invariant check of a divergence-free run
+    without a transform."""
     tracer = make_tracer()
     marks = []
     tracer.install()
@@ -51,10 +54,13 @@ def test_each_step_charges_transforms_to_the_solver_callers():
         tracer.uninstall()
     assert len(marks) == 4  # the t = 0 hook and three steps
     # Stage 1 of step 1 inverts the initial coefficients too.
-    for start, end, lane in zip(marks, marks[1:], (6, 4, 4)):
+    for start, end, stages, lane, grad in zip(marks, marks[1:], (30, 26, 26), (4, 3, 3),
+                                              (12, 9, 6)):
         callers = Counter(f.caller for f in tracer.ffts[start:end])
-        assert {"solver._nonlinear", "solver._materialize"} <= set(callers)
-        assert callers["solver._charge_samples"] == lane
+        assert callers["solver._materialize"] == 4
+        assert callers["solver._nonlinear"] == stages
+        assert callers["solver._lane_samples"] == lane
+        assert callers["solver._gradient_samples"] == grad
         assert callers["solver._check_run_invariants"] == 0
 
 
