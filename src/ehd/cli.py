@@ -25,7 +25,6 @@ from .config import ConfigError, RunConfig, parse_config
 from .initial_conditions import PRESETS
 from .littlewood_paley import BesovParams, besov_norm
 from .solver import (
-    InvariantViolation,
     RunStatus,
     State,
     StepControl,
@@ -33,7 +32,6 @@ from .solver import (
     cfl_limit,
     derive,
     run,
-    validate_initial_state,
 )
 from .spectral import (
     Grid,
@@ -189,25 +187,48 @@ def _series_keys(accs) -> list:
 class _Orchestra:
     """Single run observer: criteria, audit ledger, CSV writers, checkpoints.
 
+    Its first call, the t = 0 hook after `run` has validated the initial
+    state, does the CLI's set-up (`_start`): the dt_min check against the
+    t = 0 CFL step, the audit ledger, the output directory and the CSVs.
+
     Also applies the default alarm heuristic: an unset threshold becomes
     10x the accumulated integral once 10% of the horizon has passed (left
     unset if the integral is still exactly zero there).
     """
 
-    def __init__(self, accs, ledger, writers, config, out_dir):
-        self.accs = accs
-        self.ledger = ledger
-        self.writers = writers  # a csv writer per CSV_HEADERS key
+    def __init__(self, config, files):
+        self.accs = [_criteria.make_accumulator(c.kind, c.p, c.threshold) for c in config.criteria]
+        self.ledger = None  # made by the first call, with the writers
         self.config = config
-        self.out_dir = out_dir
-        self.thresholds_pending = [a for a in accs if a.threshold is None]
-        self.series_keys = _series_keys(accs)
+        self.files = files  # the ExitStack that closes the CSVs
+        self.out_dir = Path(config.output_dir)
+        self.paths = [self.out_dir / getattr(config, key) for key in (*CSV_HEADERS, "report_json")]
+        self.thresholds_pending = [a for a in self.accs if a.threshold is None]
+        self.series_keys = _series_keys(self.accs)
         self.series = {
             key: {"t": [], "integrand": [], "integral": []} for key in self.series_keys
         }
         self.written = None  # (step index, path) of the last checkpoint written
 
+    def _start(self, state0):
+        limit = cfl_limit(state0, self.config.cfl)
+        if limit < self.config.dt_min:
+            raise ConfigError(
+                [
+                    f"dt_min={self.config.dt_min:.3e} exceeds the CFL step limit "
+                    f"{limit:.3e} at t=0; lower dt_min or the initial speeds"
+                ]
+            )
+        self.ledger = AuditLedger.from_state(state0)
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.writers = {}  # a csv writer per CSV_HEADERS key
+        for (key, header), path in zip(CSV_HEADERS.items(), self.paths):
+            self.writers[key] = csv.writer(self.files.enter_context(open(path, "w", newline="")))
+            self.writers[key].writerow(header)
+
     def __call__(self, state, _, dt):
+        if self.ledger is None:
+            self._start(state)
         for acc in self.accs:
             _criteria.observe(acc, state, dt)
         if self.thresholds_pending and state.t >= 0.1 * self.config.t_end:
@@ -219,7 +240,14 @@ class _Orchestra:
         self.writers["energy_csv"].writerow(
             [state.t, kinetic_energy(state), potential_energy(state)]
         )
-        self._write_series_row(state, dt)
+        first = {acc.kind.value: acc for acc in reversed(self.accs)}
+        self.writers["series_csv"].writerow(
+            [state.t, dt]
+            + [
+                getattr(first[kind], attr) if kind in first else ""
+                for kind, attr in SERIES_CRITERIA.values()
+            ]
+        )
         self.writers["audit_csv"].writerow(astuple(record))
         for acc, key in zip(self.accs, self.series_keys):
             s = self.series[key]
@@ -235,63 +263,30 @@ class _Orchestra:
             write_checkpoint(path, state)
             self.written = (state.step_index, path)
 
-    def _write_series_row(self, state, dt):
-        first = {acc.kind.value: acc for acc in reversed(self.accs)}
-        self.writers["series_csv"].writerow(
-            [state.t, dt]
-            + [
-                getattr(first[kind], attr) if kind in first else ""
-                for kind, attr in SERIES_CRITERIA.values()
-            ]
-        )
-
 
 def cmd_run(config: RunConfig) -> int:
     """Wire solver + criteria + audit observers, run, and write all outputs."""
     t_start = time.monotonic()
     state0 = _build_initial_state(config)
-    try:
-        validate_initial_state(state0)
-    except InvariantViolation as exc:
-        return _err(EXIT_INVARIANT, f"initial state rejected: {exc}")
-
     control = StepControl(
         dt=config.dt, cfl=config.cfl, t_end=config.t_end, dt_min=config.dt_min
     )
-    limit = cfl_limit(state0, control.cfl)
-    if limit < control.dt_min:
-        raise ConfigError(
-            [
-                f"dt_min={control.dt_min:.3e} exceeds the CFL step limit "
-                f"{limit:.3e} at t=0; lower dt_min or the initial speeds"
-            ]
-        )
-
-    accs = [_criteria.make_accumulator(c.kind, c.p, c.threshold) for c in config.criteria]
-    ledger = AuditLedger.from_state(state0)
-
-    out_dir = Path(config.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = [out_dir / getattr(config, key) for key in (*CSV_HEADERS, "report_json")]
-
     with contextlib.ExitStack() as files:
-        writers = {}
-        for (key, header), path in zip(CSV_HEADERS.items(), paths):
-            writers[key] = csv.writer(files.enter_context(open(path, "w", newline="")))
-            writers[key].writerow(header)
-        orchestra = _Orchestra(accs, ledger, writers, config, out_dir)
+        orchestra = _Orchestra(config, files)
         run_report = run(state0, control, hooks=[orchestra])
+    if orchestra.ledger is None:  # run() rejected the initial state
+        return _err(EXIT_INVARIANT, f"initial state rejected: {run_report.diagnostic}")
 
     final = run_report.final_state
     if orchestra.written is not None and orchestra.written[0] == final.step_index:
         # The last periodic checkpoint holds the final state: copy its bytes.
         with open(orchestra.written[1], "rb") as fh:
-            write_atomically(out_dir / config.checkpoint_path,
+            write_atomically(orchestra.out_dir / config.checkpoint_path,
                              iter(lambda: fh.read(1 << 20), b""))
     else:
-        write_checkpoint(out_dir / config.checkpoint_path, final)
+        write_checkpoint(orchestra.out_dir / config.checkpoint_path, final)
 
-    crit_report = _criteria.report(accs)
+    crit_report = _criteria.report(orchestra.accs)
     # The report's norms are taken from the forward transforms of the final
     # velocity samples (v and w are not transformed).
     fresh = derive(final)
@@ -312,7 +307,7 @@ def cmd_run(config: RunConfig) -> int:
         "criteria": crit_report.rows,
         "criteria_ranking": crit_report.ranking,
         "criteria_series": orchestra.series,
-        "audit": ledger.summary(),
+        "audit": orchestra.ledger.summary(),
         "linf": linf,
         "config": config.as_dict(),
         "wall_clock": {
@@ -320,9 +315,10 @@ def cmd_run(config: RunConfig) -> int:
             "steps_per_second": run_report.steps / wall if wall > 0 else 0.0,
         },
     }
-    write_atomically(paths[-1], [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()])
+    write_atomically(orchestra.paths[-1],
+                     [(json.dumps(report, indent=2, sort_keys=True) + "\n").encode()])
 
-    _print_run_summary(report, paths)
+    _print_run_summary(report, orchestra.paths)
 
     if run_report.status is RunStatus.COMPLETED:
         return EXIT_OK

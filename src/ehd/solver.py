@@ -30,17 +30,18 @@ outside the block, before each inverse transform.  The new snapshot's
 coefficients are full half-spectrum arrays again, the block scattered into
 zeros, so snapshots, observers and checkpoints see one layout.
 
-A run's step context is one `_Work`: the grid, the work arrays and the
-lane of the charge terms.  Each charged right-hand side runs in two lanes,
-joined twice: the lane makes the samples of w and grad psi (when the stage
-lacks them) and then the charge terms, the calling thread those of u and v
-and then the momentum terms; a new snapshot's samples are split alike.
-Each output keeps its serial operations, so the bits do not depend on the
+A run is one `_Stepper`, which validates the initial state once; its step
+context is one `_Work`: the grid, the work arrays and the lane of the
+charge terms.  Each charged right-hand side runs in two lanes, joined
+twice: the lane makes the samples of w and grad psi (when the stage lacks
+them) and then the charge terms, the calling thread those of u and v and
+then the momentum terms; a new snapshot's samples are split alike.  Each
+output keeps its serial operations, so the bits do not depend on the
 lanes.  The lane is a worker thread that `_Work` owns, with work arrays of
 its own, where a second core pays (`_lanes_pay`); otherwise each task runs
 after the calling thread's part.  Both lanes have joined before a
-right-hand side or snapshot is returned or an error raised, so hooks always
-run on the calling thread, and no thread outlives `run`.
+right-hand side or snapshot is returned or an error raised, so hooks
+always run on the calling thread, and no thread outlives `run`.
 """
 
 from __future__ import annotations
@@ -740,6 +741,34 @@ def validate_initial_state(state: State):
         )
 
 
+class _Stepper:
+    """One run: its snapshot, step count, `StepControl`, charge drift means
+    and `_Work`.  `start` validates the initial state, the run's one check
+    of it, and transforms its five fields; `advance` takes a checked step."""
+
+    def __init__(self, state0: State, control: StepControl):
+        self.state = state0
+        self.control = control
+        self.steps = 0
+        self.work = _Work(state0.grid, _lanes_pay(state0.grid))
+
+    def start(self) -> State:
+        validate_initial_state(self.state)
+        # A user state transforms each field when first asked; step 1 asks
+        # for all five, so they are transformed here, in set-up.
+        self.state.coeffs
+        self.means = (float(np.mean(self.state.v.samples)),
+                      float(np.mean(self.state.w.samples)))
+        return self.state
+
+    def advance(self) -> tuple[State, float]:
+        t_prev = self.state.t
+        self.state = _step(self.state, self.control, self.work)
+        self.steps += 1
+        _check_run_invariants(self.state, *self.means)
+        return self.state, self.state.t - t_prev
+
+
 def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     """Advance to t_end, invoking each hook after every accepted step.
 
@@ -753,37 +782,27 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     Hooks run on the calling thread; the worker lane of the charge terms,
     which the run's `_Work` owns (see the module docstring), is idle while
     they run and shut down before run returns or raises.
-    A hook raising BlowUpSuspected or InvariantViolation ends the run with
-    that status, its message the diagnostic; a NonFiniteFieldError (a
-    non-finite field a hook transformed) counts as a suspected blow-up.
+    An initial state that fails validation ends the run before any hook is
+    called, as an invariant violation.  A hook raising BlowUpSuspected or
+    InvariantViolation ends the run with that status, its message the
+    diagnostic; a NonFiniteFieldError (a non-finite field a hook
+    transformed) counts as a suspected blow-up.
     """
     from .checkpoint import state_checksum
 
     t0 = time.monotonic()
     status = RunStatus.COMPLETED
     diagnostic = None
-    s = state0
-    steps = 0
-    work = _Work(state0.grid, _lanes_pay(state0.grid))
-
+    stepper = _Stepper(state0, control)
     try:
-        validate_initial_state(s)
-        # A user state transforms each field when first asked; step 1 asks
-        # for all five, so they are transformed here, in set-up.
-        s.coeffs
-        mean_v0 = float(np.mean(s.v.samples))
-        mean_w0 = float(np.mean(s.w.samples))
+        s = stepper.start()
         for hook in hooks:
             hook(s, s, 0.0)
-
         while _before_end(s.t, control):
-            t_prev = s.t
-            s = _step(s, control, work)
-            steps += 1
-            _check_run_invariants(s, mean_v0, mean_w0)
-            dt_used = s.t - t_prev
+            del s  # so the step's input is freed as soon as the new snapshot replaces it
+            s, dt = stepper.advance()
             for hook in hooks:
-                hook(s, s, dt_used)
+                hook(s, s, dt)
             # Of its cached fields the next step reads grad psi alone; the
             # step's arrays reuse the memory of the others.
             s._release(keep=("grad_psi",))
@@ -792,16 +811,16 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     except (InvariantViolation, ChargeNeutralityError) as exc:
         status, diagnostic = RunStatus.INVARIANT_VIOLATION, str(exc)
     finally:
-        work.close()
+        stepper.work.close()
 
     return RunReport(
         status=status,
-        steps=steps,
-        t_final=s.t,
-        state_checksum=state_checksum(s),
+        steps=stepper.steps,
+        t_final=stepper.state.t,
+        state_checksum=state_checksum(stepper.state),
         wall_seconds=time.monotonic() - t0,
         diagnostic=diagnostic,
-        final_state=s,
+        final_state=stepper.state,
     )
 
 

@@ -197,12 +197,20 @@ class TestRunCommand:
         assert "EHD-E1:" in capsys.readouterr().err
 
     def test_dt_min_above_cfl_limit_exits_one(self, tmp_path, capsys):
-        # Taylor-Green speeds give a CFL step around 0.16 on a 16^3 grid
-        path = tg_config(tmp_path, extra="dt = 0.25\ndt_min = 0.2\n")
+        """Taylor-Green speeds give a CFL step around 0.16 on a 16^3 grid.
+        The run stops at its t = 0 check, before any output is made."""
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, "grid_n = 16\nt_end = 0.02\n"
+                                      "initial_condition = taylor_green\n"
+                                      f"dt = 0.25\ndt_min = 0.2\noutput_dir = {out_dir}\n")
         code = main(["run", path])
         assert code == 1
         err = capsys.readouterr().err
-        assert "EHD-E1:" in err and "CFL" in err
+        assert err.startswith("EHD-E1: dt_min=2.000e-01 exceeds the CFL step limit 1.")
+        assert err.endswith(" at t=0; lower dt_min or the initial speeds\n")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_blow_up_exits_two(self, tmp_path, capsys):
@@ -259,19 +267,62 @@ class TestRunCommand:
                    if line.startswith("audit flag: ")]
         assert printed == [f"audit flag: {f}" for f in flags]
 
-    def test_invariant_violation_exits_three(self, tmp_path, capsys):
+    @pytest.mark.parametrize("case, diagnostic", [
+        ("divergent", "initial velocity is not divergence-free: max |div u| = "),
+        ("non_neutral", "initial charges are not neutral: mean(v - w) = 1.000e+00\n"),
+        ("non_finite", "non-finite values in field u.x at t=0.000000 (step 0)\n"),
+    ], ids=["divergent", "non_neutral", "non_finite"])
+    def test_invariant_violation_exits_three(self, case, diagnostic, tmp_path, capsys):
+        """A rejected initial state exits 3 before any output is made.  The
+        check comes before the dt_min check and the audit ledger: the
+        potential of a non-neutral state would raise there (exit 1)."""
         grid = ehd.Grid(16)
-        skewed = make_state(grid, ux=full(grid, np.sin(grid.x)))  # div u != 0
-        ckpt = tmp_path / "skewed.ehds"
-        ehd.write_checkpoint(ckpt, skewed)
+        ux = full(grid, np.sin(grid.x))  # div u != 0
+        nan_at_origin = np.where(grid.x + grid.y + grid.z == 0.0, np.nan, 0.0)
+        state = {
+            "divergent": make_state(grid, ux=ux),
+            "non_neutral": make_state(grid, v=np.ones((16,) * 3)),
+            "non_finite": make_state(grid, ux=full(grid, nan_at_origin)),
+        }[case]
+        ckpt = tmp_path / "initial.ehds"
+        ehd.write_checkpoint(ckpt, state)
+        out_dir = tmp_path / "out"
         path = write_config(
             tmp_path,
             f"t_end = 0.01\ninitial_condition = from_checkpoint(path={ckpt})\n"
-            f"output_dir = {tmp_path}\n",
+            f"output_dir = {out_dir}\n",
         )
         code = main(["run", path])
         assert code == 3
-        assert "EHD-E3:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"EHD-E3: initial state rejected: {diagnostic}")
+        assert err.count("\n") == 1
+        assert not out_dir.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["initial.ehds", "run.cfg"]
+
+    def test_run_validates_the_initial_state_once(self, tmp_path, monkeypatch):
+        """`run` validates the initial state before its t = 0 hook, and
+        `cmd_run` does not validate it again."""
+        bound = ehd.solver._divergence_bound
+        calls = []
+
+        def counted(state):
+            calls.append(state.t)
+            return bound(state)
+
+        run = ehd.cli.run
+        at_hook = []
+
+        def mark(state, derived, dt):
+            at_hook.append(len(calls))
+
+        def marked_run(state0, control, hooks=()):
+            return run(state0, control, hooks=[mark, *hooks])
+
+        monkeypatch.setattr(ehd.solver, "_divergence_bound", counted)
+        monkeypatch.setattr(ehd.cli, "run", marked_run)
+        assert main(["run", tg_config(tmp_path)]) == 0
+        assert at_hook[0] == 1
 
     def test_run_time_invariant_violation_exits_three(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(ehd.solver, "MEAN_DRIFT_TOL", -1.0)

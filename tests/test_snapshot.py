@@ -130,9 +130,12 @@ class TestPowerBudget:
         config.write_text(f"grid_n = 16\nt_end = 2e-3\ninitial_condition = {preset}\n"
                           f"output_dir = {tmp_path}\n")
         assert cli.main(["run", str(config)]) == 0
-        # The t = 0 hook reads the powers the ledger's set-up formed.
-        assert per_hook[0] == per_step - 6
-        assert per_hook[1:] == [per_step] * 4
+        # The ledger's set-up forms the t = 0 powers inside the first hook,
+        # and the hook reads them.
+        assert per_hook == [per_step] * 5
+        # Five observed snapshots, then the report's tail fractions of u and
+        # omega (three each).
+        assert len(calls) == 5 * per_step + 6
 
 
 class TestFinalisation:

@@ -1004,7 +1004,12 @@ class TestLanes:
         finally:
             gc.enable()
 
-    def test_no_thread_outlives_the_run(self, grid64):
+    def test_no_thread_outlives_the_run(self, grid64, monkeypatch):
+        """Nor a lane left open: a completed run, a hook that raises after a
+        step or at t = 0, and an initial state that fails validation."""
+        closed = []
+        close = solver._Work.close
+        monkeypatch.setattr(solver._Work, "close", lambda work: (closed.append(1), close(work)))
         before = threading.active_count()
         control = StepControl(dt=5e-4, t_end=1e-3)
         ehd.run(ehd.charged_shear(grid64), control)
@@ -1017,6 +1022,21 @@ class TestLanes:
         with pytest.raises(ValueError, match="observer bug"):
             ehd.run(ehd.charged_shear(grid64), control, hooks=[broken])
         assert threading.active_count() == before
+
+        def broken_at_start(state, derived, dt):
+            raise ValueError("observer bug at t = 0")
+
+        with pytest.raises(ValueError, match="at t = 0"):
+            ehd.run(ehd.charged_shear(grid64), control, hooks=[broken_at_start])
+        assert threading.active_count() == before
+
+        shear = ehd.charged_shear(grid64)
+        non_neutral = State(u=shear.u, v=RealField(grid64, shear.v.samples + 1.0), w=shear.w)
+        report = ehd.run(non_neutral, control, hooks=[broken_at_start])
+        assert report.status is RunStatus.INVARIANT_VIOLATION and report.steps == 0
+        assert report.diagnostic.startswith("initial charges are not neutral")
+        assert threading.active_count() == before
+        assert len(closed) == 4
 
     def test_lane_tasks_keep_the_callers_errstate(self):
         """numpy's error state is context-local; the worker runs each task in
