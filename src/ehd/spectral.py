@@ -20,6 +20,14 @@ All operations are pure functions of their field snapshots; constructed
 fields are safe to share across threads.  Each transform runs on one thread
 (the solver may run two at once, on separate arrays), and outputs are
 bitwise deterministic.
+
+Every transform passes through `_coeffs_from_samples` and
+`_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
+for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
+checks.  They take the public call instead when the binding does not import,
+when `scipy.fft.rfftn`/`irfftn` is no longer the function scipy had at import
+(a tracer counting transforms replaced it), or when the input is not native
+float64 samples or complex128 coefficients.
 """
 
 from __future__ import annotations
@@ -29,6 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as _fft
+
+try:
+    from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
+except ImportError:
+    _r2c = _c2r = None
+_RFFTN, _IRFFTN = _fft.rfftn, _fft.irfftn
+_F8, _C16 = np.dtype(np.float64), np.dtype(np.complex128)
 
 VOLUME = (2.0 * np.pi) ** 3
 
@@ -209,13 +224,18 @@ class VectorField:
 
 
 # The 1/n^3 of the Fourier convention is applied inside the transform
-# (norm="forward").  n^3 is a power of two, so this equals dividing the
-# unnormalized forward transform by n^3, bit for bit.
+# (norm="forward"; the binding's inorm 2 forward, 0 inverse).  n^3 is a power
+# of two, so this equals dividing the unnormalized forward transform by n^3,
+# bit for bit.
 def _coeffs_from_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
+    if _r2c is not None and _fft.rfftn is _RFFTN and samples.dtype == _F8:
+        return _r2c(samples, (0, 1, 2), True, 2, None, 1)
     return _fft.rfftn(samples, norm="forward")
 
 
 def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    if _c2r is not None and _fft.irfftn is _IRFFTN and coeffs.dtype == _C16:
+        return _c2r(coeffs, (0, 1, 2), grid.n, False, 0, None, 1)
     return _fft.irfftn(coeffs, s=(grid.n,) * 3, norm="forward")
 
 

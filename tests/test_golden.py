@@ -21,6 +21,27 @@ PRESETS = {
 CSV_DIGESTS = json.loads((GOLDEN_DIR / "csv_sha256.json").read_text())
 
 
+def ehd_run(out, preset, mp):
+    """Run `ehd run` on a preset's golden config inside out."""
+    config = out / "run.cfg"
+    config.write_text(f"grid_n = 16\nt_end = 0.02\n{PRESETS[preset]}")
+    mp.chdir(out)
+    assert main(["run", str(config)]) == 0
+
+
+def report_without_clock(out):
+    produced = json.loads((out / "report.json").read_text())
+    produced.pop("wall_clock")
+    return produced
+
+
+def csv_digests(out, preset):
+    return {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+        for name in CSV_DIGESTS[preset]
+    }
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
     """The output directory of `ehd run` on each preset, run once per module."""
@@ -29,11 +50,8 @@ def golden_run(tmp_path_factory):
     def run(preset):
         if preset not in runs:
             out = tmp_path_factory.mktemp(preset)
-            config = out / "run.cfg"
-            config.write_text(f"grid_n = 16\nt_end = 0.02\n{PRESETS[preset]}")
             with pytest.MonkeyPatch.context() as mp:
-                mp.chdir(out)
-                assert main(["run", str(config)]) == 0
+                ehd_run(out, preset, mp)
             runs[preset] = out
         return runs[preset]
 
@@ -42,20 +60,24 @@ def golden_run(tmp_path_factory):
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_report_matches_golden(preset, golden_run):
-    produced = json.loads((golden_run(preset) / "report.json").read_text())
-    produced.pop("wall_clock")
     golden = json.loads((GOLDEN_DIR / f"{preset}.json").read_text())
-    assert produced == golden
+    assert report_without_clock(golden_run(preset)) == golden
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_csvs_match_golden_digests(preset, golden_run):
-    out = golden_run(preset)
-    produced = {
-        name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-        for name in CSV_DIGESTS[preset]
-    }
-    assert produced == CSV_DIGESTS[preset]
+    assert csv_digests(golden_run(preset), preset) == CSV_DIGESTS[preset]
+
+
+def test_public_call_gives_the_golden_bytes(tmp_path, monkeypatch):
+    """If pocketfft's binding does not import, the seam takes scipy's public
+    call, and a golden preset's report and CSVs stay the same bytes."""
+    monkeypatch.setattr(ehd.spectral, "_r2c", None)
+    monkeypatch.setattr(ehd.spectral, "_c2r", None)
+    ehd_run(tmp_path, "charged_shear", monkeypatch)
+    golden = json.loads((GOLDEN_DIR / "charged_shear.json").read_text())
+    assert report_without_clock(tmp_path) == golden
+    assert csv_digests(tmp_path, "charged_shear") == CSV_DIGESTS["charged_shear"]
 
 
 def test_schema_is_versioned():

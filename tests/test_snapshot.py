@@ -34,9 +34,18 @@ class FFTCounter:
         return sum(1 for k, _, _ in self.calls if kind in (None, k))
 
 
-def _step_windows(monkeypatch, state0, control):
+class SeamCounter(FFTCounter):
+    """Records every call of the seam's pocketfft binding; scipy.fft is left alone."""
+
+    def __init__(self, monkeypatch):
+        self.calls = []
+        for kind, name in (("fwd", "_r2c"), ("inv", "_c2r")):
+            monkeypatch.setattr(ehd.spectral, name, self._wrap(kind, getattr(ehd.spectral, name)))
+
+
+def _step_windows(monkeypatch, state0, control, counter_type=FFTCounter):
     """Transforms made in each step of a run whose only hook marks the steps."""
-    counter = FFTCounter(monkeypatch)
+    counter = counter_type(monkeypatch)
     marks = []
     report = ehd.run(state0, control, hooks=[lambda s, d, dt: marks.append(len(counter.calls))])
     assert report.status is ehd.RunStatus.COMPLETED
@@ -97,6 +106,25 @@ class TestTransformBudget:
         # 5 forward transforms of the samples and grad psi once; the
         # divergence bound settles both divergence checks.
         assert (counter.count("fwd"), counter.count("inv")) == (5, 3)
+
+
+class TestDirectBinding:
+    """The budget holds when counted at the binding the seam calls, so an
+    untraced run makes every transform there, none through scipy.fft."""
+
+    def test_charged_step_windows(self, grid16, monkeypatch):
+        steps = _step_windows(monkeypatch, ehd.charged_shear(grid16),
+                              StepControl(dt=1e-3, t_end=5e-3), SeamCounter)
+        assert [len(s) for s in steps] == [68, 60, 60, 60, 57]
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("preset, total", [("charged_shear", 310), ("taylor_green", 143)])
+    def test_run_transform_totals(self, preset, total, n, monkeypatch):
+        s0 = getattr(ehd, preset)(ehd.Grid(n))
+        counter = SeamCounter(monkeypatch)
+        report = ehd.run(s0, StepControl(dt=1e-3, t_end=5e-3))
+        assert report.steps == 5
+        assert counter.count() == total
 
 
 class TestPowerBudget:

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 import ehd
 from ehd import (
@@ -180,6 +181,57 @@ class TestTransforms:
             assert rejected == old, defect
             verdicts.append(rejected)
         assert verdicts[0] is False and verdicts[-1] is True
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _layout(a, layout):
+    """a as C-ordered, F-ordered (a restarted state's samples) or read-only."""
+    if layout == "F":
+        return np.asfortranarray(a)
+    if layout == "read-only":
+        a = a.copy()
+        a.flags.writeable = False
+    return a
+
+
+class TestDirectBinding:
+    """The seam calls pocketfft's binding; its bits are the public call's."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+        for name in ("_r2c", "_c2r"):
+            fn = getattr(ehd.spectral, name)
+            monkeypatch.setattr(
+                ehd.spectral, name, lambda *a, fn=fn, name=name: made.append(name) or fn(*a))
+        return made
+
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bitwise_the_public_call(self, n, layout, calls, rng):
+        grid = Grid(n)
+        x = _layout(rng.standard_normal((n,) * 3), layout)
+        c = ehd.spectral._coeffs_from_samples(grid, x)
+        assert _same_bits(c, scipy.fft.rfftn(x, norm="forward"))
+        c = _layout(c, layout)
+        y = ehd.spectral._samples_from_coeffs(grid, c)
+        assert _same_bits(y, scipy.fft.irfftn(c, s=(n,) * 3, norm="forward"))
+        assert calls == ["_r2c", "_c2r"]
+
+    @pytest.mark.parametrize("dtype, out", [
+        (np.int64, np.complex128), (">f8", np.complex128), (np.float32, np.complex64)])
+    def test_other_sample_types_take_the_public_call(self, dtype, out, grid8, calls):
+        """The binding raises on int64 and '>f8', where scipy converts."""
+        x = (np.arange(8**3).reshape((8,) * 3) % 7).astype(dtype)
+        F = ehd.forward_transform(RealField(grid8, x))
+        expected = scipy.fft.rfftn(x, norm="forward")
+        expected *= grid8.dealias_mask
+        assert F.coeffs.dtype == out
+        assert _same_bits(F.coeffs, expected)
+        assert calls == []
 
 
 def _roll_defect(F):
