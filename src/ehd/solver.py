@@ -24,11 +24,12 @@ run's dealiased arithmetic on them, so their inverse transforms go through
 `_samples_from_coeffs`, without `backward_transform`'s Hermitian check.
 
 The RK3 step works on the dealiased block (`Grid.block`) alone: it gathers
-the snapshot's coefficients into block arrays, gathers the block of each
-forward transform, and scatters into a run-owned half-spectrum array, zero
-outside the block, before each inverse transform.  The new snapshot's
-coefficients are full half-spectrum arrays again, the block scattered into
-zeros, so snapshots, observers and checkpoints see one layout.
+the snapshot's coefficients into block arrays, and every transform it makes
+takes the seam's block mode, which computes only the lines that reach or
+leave the block; each inverse works in a run-owned half-spectrum array.
+The new snapshot's coefficients are full half-spectrum arrays again, the
+block scattered into zeros, so snapshots, observers and checkpoints see one
+layout; their transforms take the full path.
 
 A run is one `_Stepper`, which validates the initial state once; its step
 context is one `_Work`: the grid, the work arrays and the lane of the
@@ -314,14 +315,13 @@ def _diffusion_factors(grid: Grid, dt: float):
 def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> list:
     """Samples of the gradient of the field with coefficients coeffs; work is
     an array of coeffs' shape to form i*k*coeffs in (allocated when not
-    given).  Given full, coeffs is a block array, and each product is
-    scattered into full for its inverse transform."""
+    given).  Given full, coeffs is a block array, and each product takes
+    the block inverse transform, with full as its work array."""
     tables = grid if full is None else grid.block
     if work is None:
         work = np.empty_like(coeffs)
     grads = (np.multiply(1j * kk, coeffs, out=work) for kk in (tables.kx, tables.ky, tables.kz))
-    return [_samples_from_coeffs(grid, g if full is None else tables.scatter(g, full))
-            for g in grads]
+    return [_samples_from_coeffs(grid, g, full) for g in grads]
 
 
 def _lanes_pay(grid: Grid) -> bool:
@@ -341,10 +341,11 @@ class _Work:
     thread of its own when lane is true, else the calling thread.
 
     real holds two sample arrays and spectral two arrays of the shape of
-    the grid's block; full is the half-spectrum array that inverse
-    transforms read, the block scattered into it.  The lane's work arrays
-    (side) have the same layout.  Nothing else writes either full array,
-    so their other modes stay +0.0.
+    the grid's block; full is the work array of the block inverse
+    transforms (`_samples_from_coeffs`), which zero its kept kz planes,
+    scatter the block into them and transform them in place.  The lane's
+    work arrays (side) have the same layout.  Nothing else writes either
+    full array, so their kz planes above the block stay +0.0.
 
     Allocating them once per run, not once per stage, keeps freed
     multi-megabyte blocks from going back to the system and being faulted
@@ -407,10 +408,6 @@ class _Work:
         """The blocks of the half-spectrum arrays coeffs, in stages[0]."""
         return [self.block.gather(a, out) for a, out in zip(coeffs, self.stages[0])]
 
-    def spread(self, a: np.ndarray) -> np.ndarray:
-        """full, with the block array a scattered into it."""
-        return self.block.scatter(a, self.full)
-
     @cached_property
     def zeros(self) -> tuple:
         """One zero sample array and one zero coefficient array: v and w,
@@ -440,7 +437,7 @@ def _lane_samples(grid: Grid, c, side, out: list, w: bool, grad: bool):
     (`_Work.side`); the Poisson solve raises unless v - w is neutral."""
     _, (cwork, flux), full = side
     if w:
-        out.append(_samples_from_coeffs(grid, grid.block.scatter(c[1], full)))
+        out.append(_samples_from_coeffs(grid, c[1], full))
     if grad:
         psi = _poisson_coeffs(grid.block, np.subtract(c[0], c[1], out=flux), out=flux)
         out.append(_gradient_samples(grid, psi, cwork, full))
@@ -460,8 +457,7 @@ def _charge_terms(grid: Grid, samples, dpsi, out, side):
         for d in range(3):
             np.multiply(u[d], q, out=prod)
             drift(prod, np.multiply(q, dpsi[d], out=rwork), out=prod)
-            _add_term(block, total, d, block.gather(_coeffs_from_samples(grid, prod), flux),
-                      cwork)
+            _add_term(block, total, d, _coeffs_from_samples(grid, prod, flux), cwork)
         _finish_divergence(block, total)
 
 
@@ -503,7 +499,7 @@ def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
     with (work.beside(_lane_samples, grid, c[3:], work.side, lane, make_w, make_grad)
           if make_w or make_grad else nullcontext()):
         if samples is None:
-            samples = [_samples_from_coeffs(grid, work.spread(a)) for a in c[:4]]
+            samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
     if make_w:
         samples.append(lane[0])
     dpsi = lane[-1] if make_grad else dpsi
@@ -517,7 +513,7 @@ def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
             np.multiply(u[i], u[j], out=prod)  # u_i u_j - d_i(psi) d_j(psi)
             if charged:
                 np.subtract(prod, np.multiply(dpsi[i], dpsi[j], out=rwork), out=prod)
-            f = block.gather(_coeffs_from_samples(grid, prod), flux)
+            f = _coeffs_from_samples(grid, prod, flux)
             _add_term(block, nu[i], j, f, cwork)
             if i != j:
                 _add_term(block, nu[j], i, f, cwork)
@@ -529,7 +525,7 @@ def nonlinear_rhs(state: State) -> tuple[VectorField, RealField, RealField]:
     """Right-hand sides with diffusion excluded, in samples: the projected
     momentum terms, then the advection + drift terms of v and of w."""
     g, work = state.grid, _Work(state.grid)
-    rhs = [RealField(g, _samples_from_coeffs(g, work.spread(a)))
+    rhs = [RealField(g, _samples_from_coeffs(g, a, work.full))
            for a in _nonlinear(work.gather(state.coeffs), work, out=work.stages[1])]
     return VectorField(*rhs[:3]), rhs[3], rhs[4]
 
@@ -638,8 +634,8 @@ def _materialize(c, t: float, step_index: int, work: _Work, potential: bool) -> 
     lane = []
     with (work.beside(_lane_samples, grid, c[3:], work.side, lane, True, grad)
           if charged else nullcontext()):
+        samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
         c = [work.block.scatter(a, np.zeros(grid.spectral_shape, dtype=complex)) for a in c]
-        samples = [_samples_from_coeffs(grid, a) for a in c[:4]]
     samples += lane[:1]
     if not charged:
         zero_samples, zero_coeffs = work.zeros

@@ -24,10 +24,13 @@ bitwise deterministic.
 Every transform passes through `_coeffs_from_samples` and
 `_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
 for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
-checks.  They take the public call instead when the binding does not import,
-when `scipy.fft.rfftn`/`irfftn` is no longer the function scipy had at import
-(a tracer counting transforms replaced it), or when the input is not native
-float64 samples or complex128 coefficients.
+checks.  Given a block array (the solver's transforms), they run only the
+1-D lines that reach or leave the block, bit for bit the full transform's
+block.  They take the public call instead, then gather or scatter the
+block, when the binding does not import, when `scipy.fft.rfftn`/`irfftn` is
+no longer the function scipy had at import (a tracer counting transforms
+replaced it), or when the input is not native float64 samples or
+complex128 coefficients.
 """
 
 from __future__ import annotations
@@ -39,9 +42,9 @@ import numpy as np
 from scipy import fft as _fft
 
 try:
-    from scipy.fft._pocketfft.pypocketfft import c2r as _c2r, r2c as _r2c
+    from scipy.fft._pocketfft.pypocketfft import c2c as _c2c, c2r as _c2r, r2c as _r2c
 except ImportError:
-    _r2c = _c2r = None
+    _r2c = _c2c = _c2r = None
 _RFFTN, _IRFFTN = _fft.rfftn, _fft.irfftn
 _F8, _C16 = np.dtype(np.float64), np.dtype(np.complex128)
 
@@ -143,14 +146,16 @@ class Block:
     Rows keep the half spectrum's order, k = 0..c then -c..-1, so k = 0 is
     entry (0, 0, 0).  In the half spectrum the block is four boxes, the low
     and high kx rows by the low and high ky rows; `pieces` pairs the slices
-    of each in the block and in the full array.
+    of each in the block and in the full array.  `rows` holds a full
+    array's two slices of kept rows (either axis), `planes` its kept kz
+    planes.
     """
 
     def __init__(self, grid: Grid):
         n, c = grid.n, grid.n // 3
         self.shape = (2 * c + 1, 2 * c + 1, c + 1)
-        rows = ((slice(0, c + 1), slice(0, c + 1)), (slice(c + 1, None), slice(n - c, None)))
-        kz = slice(0, c + 1)
+        self.rows, self.planes = (slice(0, c + 1), slice(n - c, None)), slice(0, c + 1)
+        rows, kz = tuple(zip((slice(0, c + 1), slice(c + 1, None)), self.rows)), self.planes
         self.pieces = [((bx, by, kz), (fx, fy, kz)) for bx, fx in rows for by, fy in rows]
         k = grid.k1d[np.r_[0 : c + 1, n - c : n]]
         self.kx, self.ky, self.kz = k[:, None, None], k[None, :, None], grid.kz[..., kz]
@@ -227,16 +232,49 @@ class VectorField:
 # (norm="forward"; the binding's inorm 2 forward, 0 inverse).  n^3 is a power
 # of two, so this equals dividing the unnormalized forward transform by n^3,
 # bit for bit.
-def _coeffs_from_samples(grid: Grid, samples: np.ndarray) -> np.ndarray:
-    if _r2c is not None and _fft.rfftn is _RFFTN and samples.dtype == _F8:
+#
+# Given a block array, a helper runs rfftn's/irfftn's 1-D passes one axis at
+# a time in their order (forward z, x, y; inverse x, y, z), on the lines
+# that reach or leave the block only (FFT pruning), with the same inputs:
+# the forward's 1/n^3 becomes three exact factors 1/n (bitwise for inputs
+# within about 1e+-300), and each line the inverse skips holds only +0,
+# which pocketfft maps to +0.
+def _direct(public, original) -> bool:
+    return None not in (_r2c, _c2c, _c2r) and public is original
+
+
+def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block=None) -> np.ndarray:
+    """Coefficients of samples; given block, an array of the block's shape,
+    only the block's, gathered into it."""
+    if not (_direct(_fft.rfftn, _RFFTN) and samples.dtype == _F8):
+        full = _fft.rfftn(samples, norm="forward")
+    elif block is None:
         return _r2c(samples, (0, 1, 2), True, 2, None, 1)
-    return _fft.rfftn(samples, norm="forward")
+    else:
+        full = _r2c(samples, (2,), True, 2, None, 1)
+        kept = full[..., grid.block.planes]
+        _c2c(kept, (0,), True, 2, kept, 1)
+        for rows in grid.block.rows:
+            _c2c(kept[rows], (1,), True, 2, kept[rows], 1)
+    return full if block is None else grid.block.gather(full, block)
 
 
-def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
-    if _c2r is not None and _fft.irfftn is _IRFFTN and coeffs.dtype == _C16:
+def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full=None) -> np.ndarray:
+    """Samples of coeffs; given full, a half-spectrum work array whose kz
+    planes above the block hold +0, coeffs is a block array, scattered into
+    full's kept planes, which the transform then overwrites."""
+    if full is not None:
+        kept = full[..., grid.block.planes]
+        kept.fill(0.0)
+        coeffs = grid.block.scatter(coeffs, full)
+    if not (_direct(_fft.irfftn, _IRFFTN) and coeffs.dtype == _C16):
+        return _fft.irfftn(coeffs, s=(grid.n,) * 3, norm="forward")
+    if full is None:
         return _c2r(coeffs, (0, 1, 2), grid.n, False, 0, None, 1)
-    return _fft.irfftn(coeffs, s=(grid.n,) * 3, norm="forward")
+    for rows in grid.block.rows:
+        _c2c(kept[:, rows], (0,), False, 0, kept[:, rows], 1)
+    _c2c(kept, (1,), False, 0, kept, 1)
+    return _c2r(full, (2,), grid.n, False, 0, None, 1)
 
 
 def forward_transform(f: RealField) -> SpectralField:

@@ -35,12 +35,19 @@ class FFTCounter:
 
 
 class SeamCounter(FFTCounter):
-    """Records every call of the seam's pocketfft binding; scipy.fft is left alone."""
+    """Records every call of the seam's pocketfft binding, r2c and c2r in
+    calls, and in passes every c2c (the x or y pass of a block transform);
+    scipy.fft is left alone."""
 
     def __init__(self, monkeypatch):
-        self.calls = []
+        self.calls, self.passes = [], []
         for kind, name in (("fwd", "_r2c"), ("inv", "_c2r")):
             monkeypatch.setattr(ehd.spectral, name, self._wrap(kind, getattr(ehd.spectral, name)))
+        c2c = ehd.spectral._c2c
+        monkeypatch.setattr(ehd.spectral, "_c2c", lambda *a: self.passes.append(a[2]) or c2c(*a))
+
+    def marks(self) -> tuple:
+        return len(self.calls), len(self.passes)
 
 
 def _step_windows(monkeypatch, state0, control, counter_type=FFTCounter):
@@ -125,6 +132,72 @@ class TestDirectBinding:
         report = ehd.run(s0, StepControl(dt=1e-3, t_end=5e-3))
         assert report.steps == 5
         assert counter.count() == total
+
+
+def _pass_windows(monkeypatch, state0, control):
+    """(transforms, c2c passes) counted at the binding before the t = 0 hook
+    and in each step of a run whose only hook marks the steps."""
+    counter = SeamCounter(monkeypatch)
+    marks = [(0, 0)]
+    report = ehd.run(state0, control, hooks=[lambda s, d, dt: marks.append(counter.marks())])
+    assert report.status is ehd.RunStatus.COMPLETED
+    return [(b[0] - a[0], b[1] - a[1]) for a, b in zip(marks, marks[1:])]
+
+
+class TestBlockTransforms:
+    """Every transform the solver makes takes the seam's block mode, three
+    c2c passes each (the forward's x and two y passes, the inverse's two x
+    and one y); set-up, State.grad_psi and the observers take the full
+    path, with none."""
+
+    def test_charged_windows(self, grid16, monkeypatch):
+        windows = _pass_windows(monkeypatch, ehd.charged_shear(grid16),
+                                StepControl(dt=1e-3, t_end=5e-3))
+        # Set-up transforms the five fields; step 1 makes the initial
+        # State.grad_psi (3 transforms) beside its 65 block transforms.
+        assert windows == [(5, 0), (68, 3 * 65)] + [(60, 3 * 60)] * 3 + [(57, 3 * 57)]
+
+    def test_uncharged_windows(self, grid16, monkeypatch):
+        windows = _pass_windows(monkeypatch, ehd.taylor_green(grid16),
+                                StepControl(dt=1e-3, t_end=5e-3))
+        assert windows == [(5, 0), (30, 3 * 30)] + [(27, 3 * 27)] * 4
+
+    def test_charged_windows_at_64_with_the_lane(self, monkeypatch):
+        """At 64^3 on two CPUs the lane makes half of each step's
+        transforms, through its own work arrays; inline on one."""
+        windows = _pass_windows(monkeypatch, ehd.charged_shear(ehd.Grid(64)),
+                                StepControl(dt=1e-3, t_end=3e-3))
+        assert windows == [(5, 0), (68, 3 * 65), (60, 3 * 60), (57, 3 * 57)]
+
+    def test_passes_run_in_the_transform_direction(self, grid16, monkeypatch):
+        counter = SeamCounter(monkeypatch)
+        ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=1e-3))
+        forward = sum(1 for kind, _, _ in counter.calls[5:] if kind == "fwd")
+        assert counter.passes.count(True) == 3 * forward
+        assert counter.passes.count(False) == 3 * (len(counter.calls) - 5 - 3 - forward)
+
+    def test_grad_psi_and_observers_take_the_full_path(self, tmp_path, monkeypatch):
+        from ehd import cli
+
+        counter = SeamCounter(monkeypatch)
+        per_hook = []
+        observe = cli._Orchestra.__call__
+
+        def counted_hook(self, state, derived, dt):
+            before = counter.marks()
+            if state.step_index:
+                state._release()
+                state.grad_psi  # made again by State.grad_psi
+            observe(self, state, derived, dt)
+            per_hook.append(tuple(b - a for a, b in zip(before, counter.marks())))
+
+        monkeypatch.setattr(cli._Orchestra, "__call__", counted_hook)
+        config = tmp_path / "run.cfg"
+        config.write_text("grid_n = 16\nt_end = 2e-3\ninitial_condition = charged_shear\n"
+                          f"output_dir = {tmp_path}\n")
+        assert cli.main(["run", str(config)]) == 0
+        assert len(per_hook) == 5
+        assert all(made > 0 and passes == 0 for made, passes in per_hook)
 
 
 class TestPowerBudget:

@@ -197,17 +197,19 @@ def _layout(a, layout):
     return a
 
 
+@pytest.fixture
+def calls(monkeypatch):
+    """The names of the binding's functions the seam calls, in call order."""
+    made = []
+    for name in ("_r2c", "_c2c", "_c2r"):
+        fn = getattr(ehd.spectral, name)
+        monkeypatch.setattr(
+            ehd.spectral, name, lambda *a, fn=fn, name=name: made.append(name) or fn(*a))
+    return made
+
+
 class TestDirectBinding:
     """The seam calls pocketfft's binding; its bits are the public call's."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        made = []
-        for name in ("_r2c", "_c2r"):
-            fn = getattr(ehd.spectral, name)
-            monkeypatch.setattr(
-                ehd.spectral, name, lambda *a, fn=fn, name=name: made.append(name) or fn(*a))
-        return made
 
     @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
@@ -232,6 +234,120 @@ class TestDirectBinding:
         assert F.coeffs.dtype == out
         assert _same_bits(F.coeffs, expected)
         assert calls == []
+
+
+def _forward_inputs(n, rng):
+    """(name, samples): random, zero, signed-zero and far-scaled fields."""
+    x = rng.standard_normal((n,) * 3)
+    yield "random", x
+    yield "zeros", np.zeros_like(x)
+    yield "negative zeros", np.full_like(x, -0.0)
+    signed = x.copy()
+    signed[x > 0.7] = 0.0
+    signed[x < -0.7] = -0.0
+    yield "signed zeros", signed
+    for e in (-280, -140, 140, 280):
+        yield f"scaled 1e{e}", x * 10.0**e
+
+
+def _block_inputs(shape, rng):
+    """(name, block coefficients): random, with -0 entries, with exact-zero
+    planes of each axis, all -0."""
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    yield "random", c
+    signed = c.copy()
+    signed.real[c.real > 0.5] = -0.0
+    signed.imag[c.imag < -0.5] = -0.0
+    yield "negative zeros", signed
+    planes = c.copy()
+    planes[1], planes[:, -1], planes[..., 0] = 0.0, -0.0, 0.0
+    yield "zero planes", planes
+    yield "all negative zeros", np.full(shape, -0.0 - 0.0j)
+
+
+class TestBlockMode:
+    """Given a block array, each helper runs only the 1-D lines that reach
+    or leave the block, bit for bit the block of the full transform.  The
+    bits can differ only for inputs beyond about 1e+-300: the forward's
+    1/n^3 is applied as three factors 1/n, whose products over- or underflow
+    at other magnitudes than the full transform's."""
+
+    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_forward_is_the_gathered_public_call(self, n, layout, calls, rng):
+        grid = Grid(n)
+        block = grid.block
+        inputs = list(_forward_inputs(n, rng))
+        for name, x in inputs:
+            x = _layout(x, layout)
+            expected = block.gather(scipy.fft.rfftn(x, norm="forward"),
+                                    np.empty(block.shape, complex))
+            out = np.full(block.shape, np.nan, complex)
+            assert ehd.spectral._coeffs_from_samples(grid, x, out) is out
+            assert _same_bits(out, expected), name
+        # z on every line, x on the kept kz planes, y on their kept kx rows.
+        assert calls == ["_r2c", "_c2c", "_c2c", "_c2c"] * len(inputs)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_inverse_is_the_public_call_of_the_scatter(self, n, calls, rng):
+        """One work array for every call, its kept kz planes NaN to start:
+        nothing carries over from one call to the next, and the planes above
+        the block stay +0."""
+        grid = Grid(n)
+        block = grid.block
+        work = np.zeros(grid.spectral_shape, complex)
+        work[..., block.planes] = np.nan
+        inputs = list(_block_inputs(block.shape, rng))
+        for name, c in inputs:
+            expected = scipy.fft.irfftn(
+                block.scatter(c, np.zeros(grid.spectral_shape, complex)), s=(n,) * 3,
+                norm="forward")
+            assert _same_bits(ehd.spectral._samples_from_coeffs(grid, c, work), expected), name
+        assert not work[..., block.planes.stop:].view(np.int64).any()
+        # x on the block's ky rows of the kept planes, y on those planes, z on every line.
+        assert calls == ["_c2c", "_c2c", "_c2c", "_c2r"] * len(inputs)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_binding_maps_plus_zero_lines_to_plus_zero(self, n):
+        """Why the inverse may skip a line that holds only +0: pocketfft's
+        1-D transforms map it to +0, c2c in both directions and c2r.  Each
+        batch of seven lines runs the vectorised path and the scalar one."""
+        spectral = ehd.spectral
+        for axis, shape in ((0, (n, 7)), (1, (7, n))):
+            for forward in (True, False):
+                out = spectral._c2c(np.zeros(shape, complex), (axis,), forward, 0, None, 1)
+                assert not out.view(np.int64).any(), (axis, forward)
+        for axis, shape in ((0, (n // 2 + 1, 7)), (1, (7, n // 2 + 1))):
+            out = spectral._c2r(np.zeros(shape, complex), (axis,), n, False, 0, None, 1)
+            assert not out.view(np.int64).any(), axis
+
+    @pytest.mark.parametrize("missing", ["_r2c", "_c2c", "_c2r", "replaced"])
+    def test_fallback_gathers_and_scatters_the_public_call(self, missing, grid16, rng,
+                                                           monkeypatch):
+        """Without any one binding name, or with scipy.fft's functions
+        replaced, both helpers make the full public transform: same bits."""
+        block = grid16.block
+        x = rng.standard_normal((16,) * 3)
+        c = next(_block_inputs(block.shape, rng))[1]
+        expected = (ehd.spectral._coeffs_from_samples(grid16, x, np.empty(block.shape, complex)),
+                    ehd.spectral._samples_from_coeffs(
+                        grid16, c, np.zeros(grid16.spectral_shape, complex)))
+        public = []
+        for name in ("rfftn", "irfftn"):
+            fn = getattr(scipy.fft, name)
+            monkeypatch.setattr(scipy.fft, name,
+                                lambda *a, fn=fn, name=name, **k: public.append(name) or fn(*a, **k))
+        if missing != "replaced":
+            monkeypatch.setattr(ehd.spectral, "_RFFTN", scipy.fft.rfftn)
+            monkeypatch.setattr(ehd.spectral, "_IRFFTN", scipy.fft.irfftn)
+            monkeypatch.setattr(ehd.spectral, missing, None)
+        work = np.full(grid16.spectral_shape, np.nan, complex)
+        work[..., block.planes.stop:] = 0.0
+        got = (ehd.spectral._coeffs_from_samples(grid16, x, np.empty(block.shape, complex)),
+               ehd.spectral._samples_from_coeffs(grid16, c, work))
+        assert public == ["rfftn", "irfftn"]
+        for a, b in zip(got, expected):
+            assert _same_bits(a, b)
 
 
 def _roll_defect(F):
