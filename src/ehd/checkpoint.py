@@ -29,20 +29,42 @@ class CheckpointError(ValueError):
     """Malformed, truncated, or corrupted checkpoint file."""
 
 
+def _header(state) -> bytes:
+    return _HEADER.pack(FORMAT_VERSION, state.grid.n, state.t, state.step_index)
+
+
 def _payload_blocks(state):
     """The payload as buffers: the header, then each field x-fastest (a view if F-ordered)."""
-    yield _HEADER.pack(FORMAT_VERSION, state.grid.n, state.t, state.step_index)
+    yield _header(state)
     for f in (state.u.x, state.u.y, state.u.z, state.v, state.w):
         yield np.ascontiguousarray(f.samples.T, dtype="<f8")
 
 
+def _kept_crc(state) -> int | None:
+    """The payload CRC state keeps for its header, if any.  A state whose
+    sample arrays are all read-only (every snapshot a run makes) keeps the
+    CRC once it is computed, so a run that checksums and writes its final
+    state hashes the payload once."""
+    kept = vars(state).get("_payload_crc")
+    return kept[1] if kept is not None and kept[0] == _header(state) else None
+
+
+def _keep_crc(state, crc: int) -> int:
+    if not any(a.flags.writeable for a in state.samples):
+        vars(state)["_payload_crc"] = (_header(state), crc)
+    return crc
+
+
 def state_checksum(state) -> str:
     """CRC32 of the checkpoint payload, as 8 hex digits."""
-    crc = 0
-    for block in _payload_blocks(state):
-        crc = zlib.crc32(block, crc)
-        del block  # one field's copy alive at a time, not two
-    return format(crc & 0xFFFFFFFF, "08x")
+    crc = _kept_crc(state)
+    if crc is None:
+        crc = 0
+        for block in _payload_blocks(state):
+            crc = zlib.crc32(block, crc)
+            del block  # one field's copy alive at a time, not two
+        crc = _keep_crc(state, crc & 0xFFFFFFFF)
+    return format(crc, "08x")
 
 
 def write_atomically(path, blocks) -> None:
@@ -66,12 +88,13 @@ def write_checkpoint(path, state) -> None:
     """Write state to path atomically, streaming its payload with a running CRC32."""
     def blocks():
         yield MAGIC
-        crc = 0
+        kept, crc = _kept_crc(state), 0
         for block in _payload_blocks(state):
-            crc = zlib.crc32(block, crc)
+            if kept is None:
+                crc = zlib.crc32(block, crc)
             yield block
             del block  # as in state_checksum
-        yield struct.pack("<I", crc & 0xFFFFFFFF)
+        yield struct.pack("<I", _keep_crc(state, crc & 0xFFFFFFFF) if kept is None else kept)
     write_atomically(path, blocks())
 
 

@@ -90,9 +90,9 @@ _SCALAR_KEYS = {
 # Peak memory of `ehd run`, in states (a state is five n^3 float64 fields):
 # the snapshot, the RK3 stage and work arrays (with the second lane's, its
 # scatter array among them, at 64^3), and the observers' fields.
-# tracemalloc measured 12.2 states at 32^3 and 12.5 at 64^3 (random_smooth
-# and charged_shear with the default observers and checkpoint_every = 2;
-# taylor_green 11.1 and 11.0).
+# tracemalloc measured 11.5 states at 32^3 and 12.2 at 64^3 on two lanes
+# (11.3 on one; random_smooth and charged_shear with the default observers
+# and checkpoint_every = 2; taylor_green 10.5 and 10.3).
 RUN_PEAK_STATES = 13
 
 

@@ -20,7 +20,6 @@ from .solver import BlowUpSuspected, State
 from .spectral import (
     RealField,
     entry_magnitude,
-    forward_transform,
     lp_norm,
     vector_magnitude,
 )
@@ -96,8 +95,7 @@ def instantaneous_quantity(acc: CriterionAccumulator, state: State) -> float:
         return lp_norm(vector_magnitude(state.u), acc.p)
     if acc.kind is CriterionKind.PS_GRAD_U:
         return lp_norm(state.grad_u_magnitude, acc.p)
-    block = horizontal_block_magnitude(state)
-    return besov_norm(forward_transform(block), BesovParams(0.0, acc.p, acc.r))
+    return besov_norm(horizontal_block_magnitude(state), BesovParams(0.0, acc.p, acc.r))
 
 
 def observe(acc: CriterionAccumulator, state: State, dt: float) -> CriterionAccumulator:

@@ -16,7 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, backward_transform, lp_norm
+from .spectral import (
+    Grid,
+    RealField,
+    SpectralField,
+    _check_real,
+    _samples_from_coeffs,
+    backward_transform,
+    lp_norm,
+)
 
 
 def _sigma(t: np.ndarray) -> np.ndarray:
@@ -99,19 +107,37 @@ def decompose(f: SpectralField) -> list[DyadicBand]:
     ]
 
 
-def besov_norm(f: SpectralField, params: BesovParams) -> float:
+def besov_norm(f: SpectralField | RealField, params: BesovParams) -> float:
     """Homogeneous Besov norm over the representable bands.
 
     (sum_j 2^(j s r) ||band_j||_Lp^r)^(1/r), with the supremum over j when
-    r = inf.  Band L^p norms are taken on samples.
+    r = inf.  Band L^p norms are taken on samples.  Given a real field, the
+    norm of its `forward_transform`, whose bands are formed on the grid's
+    block and take the block transforms; the norm is bit for bit the same.
     """
-    terms = []
-    for band in decompose(f):
-        norm = lp_norm(backward_transform(band.field), params.p)
-        terms.append(2.0 ** (band.j * params.s) * norm)
+    bands = _block_bands(f) if isinstance(f, RealField) else (
+        (band.j, backward_transform(band.field)) for band in decompose(f))
+    terms = [2.0 ** (j * params.s) * lp_norm(samples, params.p) for j, samples in bands]
     if np.isinf(params.r):
         return float(max(terms))
     return float(sum(t**params.r for t in terms) ** (1.0 / params.r))
+
+
+def _block_bands(f: RealField):
+    """(j, samples of band j) of f's dealiased forward transform, each band
+    formed on the block and checked as `backward_transform` checks it."""
+    grid, block = f.grid, f.grid.block
+    coeffs = block.forward_transform(f)
+    work, full = np.empty_like(coeffs), np.zeros(grid.spectral_shape, dtype=complex)
+    kept = full[..., block.planes]
+    j_min, j_max = band_range(grid)
+    for j in range(j_min, j_max + 1):
+        weight = grid.table(("band block", j), lambda: block.gather(
+            band_weight(grid, j), np.empty(block.shape)))
+        kept.fill(0.0)
+        block.scatter(np.multiply(coeffs, weight, out=work), full)
+        _check_real(SpectralField(grid, full))
+        yield j, RealField(grid, _samples_from_coeffs(grid, full, full))
 
 
 @dataclass

@@ -11,25 +11,28 @@ by a third-order explicit Runge-Kutta (Kutta's tableau, written so that only
 decaying exponential factors appear).
 
 The run loop steps one snapshot (a `State`) at a time.  Hooks receive that
-snapshot; its coefficients and derived fields are computed on first use,
-once, and shared by every hook and by the next step, so hooks must treat
-them as read-only.  When the hooks return, the run drops the fields that
-only observers read, and a step drops every cached field of its input once
-it has read it.  The arrays the next step reuses (samples, coefficients,
-grad psi) and the power arrays the observers' norms share are flagged
-read-only, and writing into them raises.
+snapshot; its derived fields are computed on first use, once, and shared by
+every hook and by the next step, so hooks must treat them as read-only.
+When the hooks return, the run drops the fields that only observers read,
+and a step drops every cached field of its input once it has read it.  The
+arrays the next step reuses (samples, coefficients, grad psi) and the power
+arrays the observers' norms share are flagged read-only, and writing into
+them raises.
 
 A snapshot's coefficients are forward transforms of real samples, or the
 run's dealiased arithmetic on them, so their inverse transforms go through
 `_samples_from_coeffs`, without `backward_transform`'s Hermitian check.
 
-The RK3 step works on the dealiased block (`Grid.block`) alone: it gathers
-the snapshot's coefficients into block arrays, and every transform it makes
-takes the seam's block mode, which computes only the lines that reach or
-leave the block; each inverse works in a run-owned half-spectrum array.
-The new snapshot's coefficients are full half-spectrum arrays again, the
-block scattered into zeros, so snapshots, observers and checkpoints see one
-layout; their transforms take the full path.
+A snapshot's coefficients live on the dealiased block (`Grid.block`): a
+snapshot the run makes carries five block arrays, copied from the step's
+result, which the next step reads, and a user state's forward transforms
+are gathered there once.  The RK3 step and the observer fields work on the
+block alone, and every transform they make takes the seam's block mode,
+which computes only the lines that reach or leave the block; each inverse
+works in a half-spectrum array whose kz planes above the block stay +0 (the
+run's, or one the field makes).  Full half-spectrum coefficients
+(`State.coeffs`, `u_hat`, `psi_hat`) are scattered from the block on
+request.
 
 A run is one `_Stepper`, which validates the initial state once; its step
 context is one `_Work`: the grid, the work arrays and the lane of the
@@ -68,16 +71,15 @@ from .spectral import (
     SpectralField,
     VectorField,
     _coeffs_from_samples,
+    _curl_coeffs,
     _leray_coeffs,
     _poisson_coeffs,
     _samples_from_coeffs,
-    curl,
     divergence,
     entry_magnitude,
     forward_transform,
     power_sum,
     sobolev_weights,
-    solve_poisson,
     spectral_power,
     vector_magnitude,
 )
@@ -112,11 +114,15 @@ class State:
     """Solution snapshot: velocity u, charge densities v and w, clock.
 
     Coefficients and derived fields are computed on first use and cached.
-    A state the run materializes carries the run's coefficient arrays, its
-    samples are their inverse transforms, and its samples are read-only;
-    any other state's coefficients are the forward transforms of its
-    samples, each made when first asked for.  Coefficient, power and grad
-    psi arrays are always read-only.
+    A state the run makes carries the run's coefficients as five arrays on
+    the dealiased block (`Grid.block`), its samples are their inverse
+    transforms, and its samples are read-only; any other state's
+    coefficients are the forward transforms of its samples, each made, and
+    gathered into the block, when first asked for.  Observer fields are
+    formed on the block; the full arrays (`coeffs`, `u_hat`, `v_hat`,
+    `w_hat`, `psi_hat`) of a state the run makes are its block scattered
+    into zeros.  Coefficient, power and grad psi arrays are always
+    read-only.
     """
 
     u: VectorField
@@ -124,7 +130,7 @@ class State:
     w: RealField
     t: float = 0.0
     step_index: int = 0
-    _coeffs: tuple | None = field(default=None, repr=False)
+    _block: tuple | None = field(default=None, repr=False)
 
     @property
     def grid(self) -> Grid:
@@ -136,18 +142,35 @@ class State:
 
     @cached_property
     def _transforms(self) -> list:
-        """A user state's coefficient arrays by field, each made on first use."""
+        """The full coefficient arrays by field, each made on first use."""
+        return [None] * 5
+
+    @cached_property
+    def _gathered(self) -> list:
+        """A user state's block arrays by field, each made on first use."""
         return [None] * 5
 
     def _field_coeffs(self, i: int) -> np.ndarray:
         """Coefficients of field i of (ux, uy, uz, v, w)."""
-        if self._coeffs is not None:
-            return self._coeffs[i]
-        made = self._transforms
+        made, g = self._transforms, self.grid
         if made[i] is None:
             fields = (*self.u.components, self.v, self.w)
-            made[i] = _readonly(forward_transform(fields[i]).coeffs)
+            made[i] = _readonly(forward_transform(fields[i]).coeffs if self._block is None else
+                                g.block.scatter(self._block[i], _zero_coeffs(g)))
         return made[i]
+
+    def _field_block(self, i: int) -> np.ndarray:
+        """Block array of field i of (ux, uy, uz, v, w)."""
+        if self._block is not None:
+            return self._block[i]
+        made, b = self._gathered, self.grid.block
+        if made[i] is None:
+            made[i] = _readonly(b.gather(self._field_coeffs(i), np.empty(b.shape, complex)))
+        return made[i]
+
+    def _blocks(self, count: int = 5) -> list:
+        """The block arrays of the first count fields of (ux, uy, uz, v, w)."""
+        return [self._field_block(i) for i in range(count)]
 
     @property
     def coeffs(self) -> tuple:
@@ -168,27 +191,33 @@ class State:
         return SpectralField(self.grid, self._field_coeffs(4))
 
     @cached_property
+    def _psi_block(self) -> np.ndarray:
+        """The potential's block array; the Poisson solve raises unless
+        v - w is neutral."""
+        eta = self._field_block(3) - self._field_block(4)
+        return _readonly(_poisson_coeffs(self.grid.block, eta))
+
+    @cached_property
     def psi_hat(self) -> SpectralField:
-        return solve_poisson(
-            SpectralField(self.grid, self._field_coeffs(3) - self._field_coeffs(4))
-        )
+        return SpectralField(self.grid, self.grid.block.scatter(self._psi_block,
+                                                                _zero_coeffs(self.grid)))
 
     @cached_property
     def u_power(self) -> tuple:
         """Full-lattice power (`spectral_power`) of each velocity component."""
-        return _readonly(tuple(spectral_power(c) for c in self.u_hat.components))
+        return _readonly(tuple(spectral_power(self.grid, c) for c in self._blocks(3)))
 
     @cached_property
     def v_power(self) -> np.ndarray:
-        return _readonly(spectral_power(self.v_hat))
+        return _readonly(spectral_power(self.grid, self._field_block(3)))
 
     @cached_property
     def w_power(self) -> np.ndarray:
-        return _readonly(spectral_power(self.w_hat))
+        return _readonly(spectral_power(self.grid, self._field_block(4)))
 
     @cached_property
     def psi_power(self) -> np.ndarray:
-        return _readonly(spectral_power(self.psi_hat))
+        return _readonly(spectral_power(self.grid, self._psi_block))
 
     @cached_property
     def u_h3_norm(self) -> float:
@@ -199,12 +228,14 @@ class State:
 
     @cached_property
     def psi(self) -> RealField:
-        return RealField(self.grid, _samples_from_coeffs(self.grid, self.psi_hat.coeffs))
+        g = self.grid
+        return RealField(g, _samples_from_coeffs(g, self._psi_block, _zero_coeffs(g)))
 
     @cached_property
     def omega(self) -> VectorField:
-        return VectorField(*(RealField(self.grid, _samples_from_coeffs(self.grid, c.coeffs))
-                             for c in curl(self.u_hat).components))
+        g, full = self.grid, _zero_coeffs(self.grid)
+        return VectorField(*(RealField(g, _samples_from_coeffs(g, c, full))
+                             for c in _curl_coeffs(g.block, *self._blocks(3))))
 
     @cached_property
     def omega_magnitude(self) -> RealField:
@@ -224,14 +255,16 @@ class State:
         """Samples of the three components of grad psi (read-only); None
         when both charge densities vanish.  The run sets it, bitwise this,
         on each snapshot it makes but the last (`_materialize`)."""
-        if not (self._field_coeffs(3).any() or self._field_coeffs(4).any()):
+        if not (self._field_block(3).any() or self._field_block(4).any()):
             return None
-        return _readonly(_gradient_samples(self.grid, self.psi_hat.coeffs))
+        return _readonly(_gradient_samples(self.grid, self._psi_block,
+                                           full=_zero_coeffs(self.grid)))
 
     @cached_property
     def grad_u(self) -> list:
         """Samples of the velocity gradient, d_j u_i as grad_u[i][j]."""
-        return [_gradient_samples(self.grid, c.coeffs) for c in self.u_hat.components]
+        g, full = self.grid, _zero_coeffs(self.grid)
+        return [_gradient_samples(g, c, full=full) for c in self._blocks(3)]
 
     @cached_property
     def grad_u_magnitude(self) -> RealField:
@@ -291,7 +324,7 @@ class RunReport:
 def derive(state: State) -> State:
     """The snapshot of state's samples, with coefficients from their forward
     transforms: state itself unless the run materialized it."""
-    if state._coeffs is None:
+    if state._block is None:
         return state
     return State(state.u, state.v, state.w, state.t, state.step_index)
 
@@ -312,6 +345,12 @@ def _diffusion_factors(grid: Grid, dt: float):
     return entry[1:]
 
 
+def _zero_coeffs(grid: Grid) -> np.ndarray:
+    """A half-spectrum array of +0: a scatter target, or the work array of
+    block inverse transforms (`_samples_from_coeffs`)."""
+    return np.zeros(grid.spectral_shape, dtype=complex)
+
+
 def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> list:
     """Samples of the gradient of the field with coefficients coeffs; work is
     an array of coeffs' shape to form i*k*coeffs in (allocated when not
@@ -326,8 +365,9 @@ def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> l
 
 def _lanes_pay(grid: Grid) -> bool:
     """Whether a worker lane pays for its hand-offs: two CPUs in this
-    process's affinity mask and a grid of 64^3 or more (two lanes ran 2-5%
-    slower than one at 32^3, whichever samples the lane made)."""
+    process's affinity mask and a grid of 64^3 or more.  At 32^3 a bare run
+    is about 25% faster on two lanes, but with observers between steps the
+    steps ran 9.7% slower on two lanes than on one."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
@@ -362,7 +402,7 @@ class _Work:
     def _arrays(self) -> tuple:
         return ([np.empty((self.grid.n,) * 3) for _ in range(2)],
                 [np.empty(self.block.shape, dtype=complex) for _ in range(2)],
-                np.zeros(self.grid.spectral_shape, dtype=complex))
+                _zero_coeffs(self.grid))
 
     @cached_property
     def side(self) -> tuple:
@@ -398,22 +438,18 @@ class _Work:
 
     @cached_property
     def stages(self) -> tuple:
-        """Four sets of five block arrays: a step's input; its stage-1
-        right-hand side, which becomes its result; the input of RK stage 2
-        and then its right-hand side; and the same for stage 3."""
+        """Three sets of five block arrays: a step's stage-1 right-hand
+        side, which becomes its result; the input of RK stage 2 and then its
+        right-hand side; and the same for stage 3."""
         return tuple([np.empty(self.block.shape, dtype=complex) for _ in range(5)]
-                     for _ in range(4))
-
-    def gather(self, coeffs) -> list:
-        """The blocks of the half-spectrum arrays coeffs, in stages[0]."""
-        return [self.block.gather(a, out) for a, out in zip(coeffs, self.stages[0])]
+                     for _ in range(3))
 
     @cached_property
     def zeros(self) -> tuple:
-        """One zero sample array and one zero coefficient array: v and w,
-        each time, of every uncharged snapshot of the run (which flags them
+        """One zero sample array and one zero block array: v and w, each
+        time, of every uncharged snapshot of the run (which flags them
         read-only)."""
-        return np.zeros((self.grid.n,) * 3), np.zeros(self.grid.spectral_shape, dtype=complex)
+        return np.zeros((self.grid.n,) * 3), np.zeros(self.block.shape, dtype=complex)
 
 
 def _finish_divergence(block, a: np.ndarray) -> np.ndarray:
@@ -526,7 +562,7 @@ def nonlinear_rhs(state: State) -> tuple[VectorField, RealField, RealField]:
     momentum terms, then the advection + drift terms of v and of w."""
     g, work = state.grid, _Work(state.grid)
     rhs = [RealField(g, _samples_from_coeffs(g, a, work.full))
-           for a in _nonlinear(work.gather(state.coeffs), work, out=work.stages[1])]
+           for a in _nonlinear(state._blocks(), work, out=work.stages[0])]
     return VectorField(*rhs[:3]), rhs[3], rhs[4]
 
 
@@ -590,7 +626,7 @@ def _advance(c0, f1, dt: float, work: _Work):
     consumed; c0 is only read.
     """
     e_full, e_half, neg_e_full, two_e_half, four_e_half = _diffusion_factors(work.grid, dt)
-    s2, s3 = (s[: len(c0)] for s in work.stages[2:])
+    s2, s3 = (s[: len(c0)] for s in work.stages[1:])
     tmp = work.spectral[0]
 
     half_dt = 0.5 * dt
@@ -623,11 +659,11 @@ def _advance(c0, f1, dt: float, work: _Work):
 
 
 def _materialize(c, t: float, step_index: int, work: _Work, potential: bool) -> State:
-    """The snapshot of block arrays c, scattered into zeros; given only the
-    three velocity arrays, v and w share the run's read-only zeros.  Given
-    five, the lane makes w and, with potential, grad psi (bitwise
-    `State.grad_psi`), which the snapshot carries unless that property
-    would give None or raise (zero or non-neutral charges)."""
+    """The snapshot of block arrays c, which carries copies of them; given
+    only the three velocity arrays, v and w share the run's read-only
+    zeros.  Given five, the lane makes w and, with potential, grad psi
+    (bitwise `State.grad_psi`), which the snapshot carries unless that
+    property would give None or raise (zero or non-neutral charges)."""
     grid, charged = work.grid, len(c) == 5
     grad = potential and charged and abs(c[3][0, 0, 0] - c[4][0, 0, 0]) <= NEUTRALITY_TOL and (
         c[3].any() or c[4].any())
@@ -635,15 +671,15 @@ def _materialize(c, t: float, step_index: int, work: _Work, potential: bool) -> 
     with (work.beside(_lane_samples, grid, c[3:], work.side, lane, True, grad)
           if charged else nullcontext()):
         samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
-        c = [work.block.scatter(a, np.zeros(grid.spectral_shape, dtype=complex)) for a in c]
+        c = [a.copy() for a in c]
     samples += lane[:1]
     if not charged:
-        zero_samples, zero_coeffs = work.zeros
+        zero_samples, zero_block = work.zeros
         samples += [zero_samples] * 2
-        c = (*c, zero_coeffs, zero_coeffs)
+        c += [zero_block] * 2
     u = VectorField(*(RealField(grid, a) for a in samples[:3]))
     v, w = (RealField(grid, a) for a in samples[3:])
-    state = State(u=u, v=v, w=w, t=t, step_index=step_index, _coeffs=_readonly(c))
+    state = State(u=u, v=v, w=w, t=t, step_index=step_index, _block=_readonly(tuple(c)))
     _readonly(state.samples)
     if grad:
         state.__dict__["grad_psi"] = _readonly(lane[1])
@@ -667,9 +703,9 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     zero charges stay exactly zero.
     """
     dpsi = state.grad_psi
-    c0 = work.gather(state.coeffs if dpsi is not None else state.coeffs[:3])
-    samples = state.samples if state._coeffs is not None else None
-    f1 = _nonlinear(c0, work, samples, dpsi, out=work.stages[1][: len(c0)])
+    c0 = state._blocks(5 if dpsi is not None else 3)
+    samples = state.samples if state._block is not None else None
+    f1 = _nonlinear(c0, work, samples, dpsi, out=work.stages[0][: len(c0)])
     dt_stab = cfl_limit(state, control.cfl)
     # The step has read its input for the last time: the memory of the
     # input's cached fields serves the new snapshot.  A hook that asks again
@@ -711,12 +747,11 @@ def _divergence_bound(state: State) -> tuple[float, float]:
     passes when the bound is at most half the tolerance (the half absorbs
     roundoff), else it transforms div u in its own frame."""
     block = state.grid.block
-    mult = state.grid.mult[..., : block.shape[2]]
-    cx, cy, cz = (block.gather(a, np.empty(block.shape, complex)) for a in state.coeffs[:3])
+    cx, cy, cz = state._blocks(3)
     size = (np.abs(cx) + np.abs(cy) + np.abs(cz)) * block.kmag
     bound = np.abs(block.kx * cx + block.ky * cy + block.kz * cz)
-    return (float((mult * bound).sum()),
-            DIVERGENCE_TOL * max(1.0, float((mult * size).sum())))
+    return (float((block.mult * bound).sum()),
+            DIVERGENCE_TOL * max(1.0, float((block.mult * size).sum())))
 
 
 def validate_initial_state(state: State):
@@ -750,9 +785,10 @@ class _Stepper:
 
     def start(self) -> State:
         validate_initial_state(self.state)
-        # A user state transforms each field when first asked; step 1 asks
-        # for all five, so they are transformed here, in set-up.
-        self.state.coeffs
+        # A user state transforms each field, and gathers it into the block,
+        # when first asked; step 1 asks for all five, so they are made here,
+        # in set-up.
+        self.state._blocks()
         self.means = (float(np.mean(self.state.v.samples)),
                       float(np.mean(self.state.w.samples)))
         return self.state
@@ -821,7 +857,6 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
 
 
 def _check_run_invariants(state: State, mean_v0: float, mean_w0: float):
-    coeffs = state.coeffs
     bound, tol = _divergence_bound(state)
     div = bound if bound <= tol / 2 else float(
         np.abs(_samples_from_coeffs(state.grid, divergence(state.u_hat).coeffs)).max())
@@ -829,8 +864,8 @@ def _check_run_invariants(state: State, mean_v0: float, mean_w0: float):
         raise InvariantViolation(
             f"divergence invariant failed at t={state.t:.6f}: max |div u| = {div:.3e}"
         )
-    for name, c, mean0 in (("v", coeffs[3], mean_v0), ("w", coeffs[4], mean_w0)):
-        drift = abs(float(c[0, 0, 0].real) - mean0)
+    for name, i, mean0 in (("v", 3, mean_v0), ("w", 4, mean_w0)):
+        drift = abs(float(state._field_block(i)[0, 0, 0].real) - mean0)
         if drift > MEAN_DRIFT_TOL * max(1.0, abs(mean0)):
             raise InvariantViolation(
                 f"mean of {name} drifted by {drift:.3e} at t={state.t:.6f}"

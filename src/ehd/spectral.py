@@ -13,8 +13,9 @@ modes by two (`Grid.mult`).  Every spectral field is kept dealiased by the
 products alias-free and grid sums of triple products exact.
 
 The modes the rule keeps form a box, `Grid.block`: the solver's RK3
-arithmetic runs on that compact array alone, and scatters its result into
-full half-spectrum arrays, the layout of every field and snapshot.
+arithmetic runs on that compact array alone, a run's snapshots keep their
+coefficients there, and the observers' products are formed there.  Fields
+(`SpectralField`) keep the full half-spectrum layout.
 
 All operations are pure functions of their field snapshots; constructed
 fields are safe to share across threads.  Each transform runs on one thread
@@ -24,13 +25,13 @@ bitwise deterministic.
 Every transform passes through `_coeffs_from_samples` and
 `_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
 for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
-checks.  Given a block array (the solver's transforms), they run only the
-1-D lines that reach or leave the block, bit for bit the full transform's
-block.  They take the public call instead, then gather or scatter the
-block, when the binding does not import, when `scipy.fft.rfftn`/`irfftn` is
-no longer the function scipy had at import (a tracer counting transforms
-replaced it), or when the input is not native float64 samples or
-complex128 coefficients.
+checks.  Given a block array (the solver's and the observers'
+transforms), they run only the 1-D lines that reach or leave the block,
+bit for bit the full transform's block.  They take the public call
+instead, then gather or scatter the block, when the binding does not
+import, when `scipy.fft.rfftn`/`irfftn` is no longer the function scipy
+had at import (a tracer counting transforms replaced it), or when the
+input is not native float64 samples or complex128 coefficients.
 """
 
 from __future__ import annotations
@@ -141,7 +142,7 @@ class Grid:
 class Block:
     """The modes the dealias mask keeps, every |k_i| <= c = n//3, as one
     compact array of shape (2c+1, 2c+1, c+1), with its own kx, ky, kz, k2,
-    kmag, inv_k2 and (all-true) dealias_mask tables under Grid's names.
+    kmag, inv_k2, mult and (all-true) dealias_mask tables under Grid's names.
 
     Rows keep the half spectrum's order, k = 0..c then -c..-1, so k = 0 is
     entry (0, 0, 0).  In the half spectrum the block is four boxes, the low
@@ -162,6 +163,7 @@ class Block:
         for name in ("k2", "kmag", "inv_k2", "dealias_mask"):
             table = getattr(grid, name)
             setattr(self, name, self.gather(table, np.empty(self.shape, table.dtype)))
+        self.mult = grid.mult[..., kz]
 
     def gather(self, full: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The block of the half-spectrum array full, in out."""
@@ -174,6 +176,14 @@ class Block:
         for b, f in self.pieces:
             full[f] = block[b]
         return full
+
+    def forward_transform(self, f: RealField) -> np.ndarray:
+        """The block of `forward_transform(f)`'s coefficients, bit for bit,
+        from the block forward transform."""
+        _check_finite(f)
+        coeffs = _coeffs_from_samples(f.grid, f.samples, np.empty(self.shape, dtype=complex))
+        coeffs *= self.dealias_mask
+        return coeffs
 
 
 @dataclass
@@ -262,11 +272,13 @@ def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block=None) -> np.ndar
 def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full=None) -> np.ndarray:
     """Samples of coeffs; given full, a half-spectrum work array whose kz
     planes above the block hold +0, coeffs is a block array, scattered into
-    full's kept planes, which the transform then overwrites."""
+    full's kept planes (or full itself, with a block so scattered), which
+    the transform then overwrites."""
     if full is not None:
         kept = full[..., grid.block.planes]
-        kept.fill(0.0)
-        coeffs = grid.block.scatter(coeffs, full)
+        if coeffs is not full:
+            kept.fill(0.0)
+            coeffs = grid.block.scatter(coeffs, full)
     if not (_direct(_fft.irfftn, _IRFFTN) and coeffs.dtype == _C16):
         return _fft.irfftn(coeffs, s=(grid.n,) * 3, norm="forward")
     if full is None:
@@ -282,15 +294,19 @@ def forward_transform(f: RealField) -> SpectralField:
 
     Rejects non-finite input, naming the first offending node.
     """
+    _check_finite(f)
+    coeffs = _coeffs_from_samples(f.grid, f.samples)
+    coeffs *= f.grid.dealias_mask
+    return SpectralField(f.grid, coeffs)
+
+
+def _check_finite(f: RealField):
     finite = np.isfinite(f.samples)
     if not finite.all():
         node = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise NonFiniteFieldError(
             f"non-finite sample {f.samples[node]} at grid node {node}"
         )
-    coeffs = _coeffs_from_samples(f.grid, f.samples)
-    coeffs *= f.grid.dealias_mask
-    return SpectralField(f.grid, coeffs)
 
 
 def _mirror_table(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
@@ -328,13 +344,18 @@ def backward_transform(F: SpectralField) -> RealField:
     The tolerance is 1e-12 * max(1, max |c|), so a defect of at most 1e-12
     passes at any scale and the scale is only measured above that.
     """
+    _check_real(F)
+    return RealField(F.grid, _samples_from_coeffs(F.grid, F.coeffs))
+
+
+def _check_real(F: SpectralField):
+    """`backward_transform`'s Hermitian check of F."""
     defect = hermitian_defect(F)
     if defect > 1e-12 and defect > 1e-12 * max(1.0, float(np.abs(F.coeffs).max())):
         raise HermitianSymmetryError(
             "coefficients violate c(-k) = conj(c(k)) on a self-conjugate plane; "
             "field is not real"
         )
-    return RealField(F.grid, _samples_from_coeffs(F.grid, F.coeffs))
 
 
 def gradient(F: SpectralField) -> VectorField:
@@ -363,12 +384,15 @@ def laplacian(F: SpectralField) -> SpectralField:
 
 def curl(U: VectorField) -> VectorField:
     g = U.grid
-    cx, cy, cz = U.x.coeffs, U.y.coeffs, U.z.coeffs
-    return VectorField(
-        SpectralField(g, 1j * (g.ky * cz - g.kz * cy)),
-        SpectralField(g, 1j * (g.kz * cx - g.kx * cz)),
-        SpectralField(g, 1j * (g.kx * cy - g.ky * cx)),
-    )
+    curl_coeffs = _curl_coeffs(g, U.x.coeffs, U.y.coeffs, U.z.coeffs)
+    return VectorField(*(SpectralField(g, c) for c in curl_coeffs))
+
+
+def _curl_coeffs(tables: Grid | Block, cx, cy, cz) -> tuple:
+    """curl on raw coefficient arrays of tables' layout (the grid's half
+    spectrum or its block)."""
+    kx, ky, kz = tables.kx, tables.ky, tables.kz
+    return 1j * (ky * cz - kz * cy), 1j * (kz * cx - kx * cz), 1j * (kx * cy - ky * cx)
 
 
 def leray_project(U: VectorField) -> VectorField:
@@ -436,9 +460,15 @@ def lp_norm(f: RealField, p: float) -> float:
     return float((np.sum(a) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def spectral_power(F: SpectralField) -> np.ndarray:
-    """|c_k|^2 with the conjugate modes counted (full-lattice power)."""
-    return F.grid.mult * (F.coeffs.real**2 + F.coeffs.imag**2)
+def spectral_power(F: SpectralField | Grid, block: np.ndarray | None = None) -> np.ndarray:
+    """|c_k|^2 with the conjugate modes counted (full-lattice power) of F;
+    given a grid F and block, an array of its block's shape, that of the
+    field whose coefficients block holds (zero elsewhere): formed on the
+    block and scattered into zeros, entry for entry the full formula's."""
+    if block is None:
+        return F.grid.mult * (F.coeffs.real**2 + F.coeffs.imag**2)
+    b = F.block
+    return b.scatter(b.mult * (block.real**2 + block.imag**2), np.zeros(F.spectral_shape))
 
 
 def power_sum(power: np.ndarray, weights: np.ndarray | None = None) -> float:

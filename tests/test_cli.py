@@ -3,6 +3,8 @@
 import csv
 import json
 import math
+import struct
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +141,29 @@ class TestRunCommand:
         assert final == (tmp_path / "state_00000010.ehds").read_bytes()
         ehd.write_checkpoint(tmp_path / "again.ehds", ehd.read_checkpoint(tmp_path / "final.ehds"))
         assert final == (tmp_path / "again.ehds").read_bytes()
+
+    @pytest.mark.parametrize("extra, copied", [("", False),
+                                               ("checkpoint_every = 5\ndt = 2e-3\n", True)])
+    def test_final_payload_is_hashed_once(self, tmp_path, monkeypatch, extra, copied):
+        """The run's state_checksum, the write of final.ehds and, when the
+        last step was checkpointed, that checkpoint's write make one CRC32
+        pass over the final payload: the snapshot keeps its CRC."""
+        crc32, headers = zlib.crc32, []
+
+        def counted(data, value=0):  # a pass hashes the header's bytes first
+            headers.append(data if isinstance(data, bytes) else None)
+            return crc32(data, value)
+
+        monkeypatch.setattr(zlib, "crc32", counted)
+        assert main(["run", tg_config(tmp_path, extra=extra)]) == 0
+        final_bytes = (tmp_path / "final.ehds").read_bytes()
+        final = ehd.read_checkpoint(tmp_path / "final.ehds")
+        assert headers.count(ehd.checkpoint._header(final)) == 1
+        assert (final_bytes == (tmp_path / "state_00000010.ehds").read_bytes()
+                if copied else not list(tmp_path.glob("state_*.ehds")))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert ehd.state_checksum(final) == report["state_checksum"]
+        assert struct.pack("<I", int(report["state_checksum"], 16)) == final_bytes[-4:]
 
     def test_hook_stopped_before_its_write_gets_a_fresh_final_state(
         self, tmp_path, monkeypatch, checkpoint_writes

@@ -1,5 +1,6 @@
 """The per-step snapshot: transform budget, lazily shared fields, read-only arrays."""
 
+import dataclasses
 import hashlib
 import math
 import sys
@@ -145,17 +146,17 @@ def _pass_windows(monkeypatch, state0, control):
 
 
 class TestBlockTransforms:
-    """Every transform the solver makes takes the seam's block mode, three
-    c2c passes each (the forward's x and two y passes, the inverse's two x
-    and one y); set-up, State.grad_psi and the observers take the full
-    path, with none."""
+    """Every transform the solver and a snapshot's observer fields make
+    takes the seam's block mode, three c2c passes each (the forward's x and
+    two y passes, the inverse's two x and one y); set-up's forward
+    transforms of the user state take the full path, with none."""
 
     def test_charged_windows(self, grid16, monkeypatch):
         windows = _pass_windows(monkeypatch, ehd.charged_shear(grid16),
                                 StepControl(dt=1e-3, t_end=5e-3))
         # Set-up transforms the five fields; step 1 makes the initial
-        # State.grad_psi (3 transforms) beside its 65 block transforms.
-        assert windows == [(5, 0), (68, 3 * 65)] + [(60, 3 * 60)] * 3 + [(57, 3 * 57)]
+        # State.grad_psi (3 transforms) beside its 65 solver transforms.
+        assert windows == [(5, 0), (68, 3 * 68)] + [(60, 3 * 60)] * 3 + [(57, 3 * 57)]
 
     def test_uncharged_windows(self, grid16, monkeypatch):
         windows = _pass_windows(monkeypatch, ehd.taylor_green(grid16),
@@ -167,37 +168,61 @@ class TestBlockTransforms:
         transforms, through its own work arrays; inline on one."""
         windows = _pass_windows(monkeypatch, ehd.charged_shear(ehd.Grid(64)),
                                 StepControl(dt=1e-3, t_end=3e-3))
-        assert windows == [(5, 0), (68, 3 * 65), (60, 3 * 60), (57, 3 * 57)]
+        assert windows == [(5, 0), (68, 3 * 68), (60, 3 * 60), (57, 3 * 57)]
 
     def test_passes_run_in_the_transform_direction(self, grid16, monkeypatch):
         counter = SeamCounter(monkeypatch)
         ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=1e-3))
         forward = sum(1 for kind, _, _ in counter.calls[5:] if kind == "fwd")
         assert counter.passes.count(True) == 3 * forward
-        assert counter.passes.count(False) == 3 * (len(counter.calls) - 5 - 3 - forward)
+        assert counter.passes.count(False) == 3 * (len(counter.calls) - 5 - forward)
 
-    def test_grad_psi_and_observers_take_the_full_path(self, tmp_path, monkeypatch):
-        from ehd import cli
+    def test_observers_take_the_block_path(self, tmp_path, monkeypatch):
+        """`ehd run`'s hooks: at t = 0 the set-up's grad psi (3), then
+        omega (3), grad u (9), the anisotropic norm's forward and 4 bands,
+        and gn_ratios' forward; grad psi again for the final snapshot, which
+        the run leaves lazy.  Each takes block mode."""
+        per_hook = hook_windows(monkeypatch, tmp_path, 16, "charged_shear", 2e-3)
+        assert [made for made, _ in per_hook] == [21, 18, 18, 18, 21]
+        assert all(passes == 3 * made for made, passes in per_hook)
 
+    def test_recomputed_grad_psi_takes_the_block_path(self, grid16, monkeypatch):
+        s = ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=2e-3),
+                    hooks=[lambda s, d, dt: s.grad_psi]).final_state
+        s._release()
         counter = SeamCounter(monkeypatch)
-        per_hook = []
-        observe = cli._Orchestra.__call__
+        s.grad_psi
+        assert counter.marks() == (3, 9)
 
-        def counted_hook(self, state, derived, dt):
-            before = counter.marks()
-            if state.step_index:
-                state._release()
-                state.grad_psi  # made again by State.grad_psi
-            observe(self, state, derived, dt)
-            per_hook.append(tuple(b - a for a, b in zip(before, counter.marks())))
 
-        monkeypatch.setattr(cli._Orchestra, "__call__", counted_hook)
-        config = tmp_path / "run.cfg"
-        config.write_text("grid_n = 16\nt_end = 2e-3\ninitial_condition = charged_shear\n"
-                          f"output_dir = {tmp_path}\n")
-        assert cli.main(["run", str(config)]) == 0
-        assert len(per_hook) == 5
-        assert all(made > 0 and passes == 0 for made, passes in per_hook)
+def count_hooks(monkeypatch) -> list:
+    """The list that each later call of `ehd run`'s observer hook appends
+    its (transforms, c2c passes) to, counted at the binding."""
+    from ehd import cli
+
+    counter = SeamCounter(monkeypatch)
+    per_hook = []
+    observe = cli._Orchestra.__call__
+
+    def counted_hook(self, state, derived, dt):
+        before = counter.marks()
+        observe(self, state, derived, dt)
+        per_hook.append(tuple(b - a for a, b in zip(before, counter.marks())))
+
+    monkeypatch.setattr(cli._Orchestra, "__call__", counted_hook)
+    return per_hook
+
+
+def hook_windows(monkeypatch, out_dir, n, preset, t_end):
+    """`count_hooks` of an `ehd run` of preset on an n^3 grid."""
+    from ehd import cli
+
+    per_hook = count_hooks(monkeypatch)
+    config = out_dir / "run.cfg"
+    config.write_text(f"grid_n = {n}\nt_end = {t_end!r}\ninitial_condition = {preset}\n"
+                      f"output_dir = {out_dir}\n")
+    assert cli.main(["run", str(config)]) == 0
+    return per_hook
 
 
 class TestPowerBudget:
@@ -211,9 +236,9 @@ class TestPowerBudget:
         original = ehd.spectral.spectral_power
         calls = []
 
-        def counted(F):
-            calls.append(F)
-            return original(F)
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
 
         for module in [m for name, m in sys.modules.items() if name.startswith("ehd.")]:
             if getattr(module, "spectral_power", None) is original:
@@ -344,6 +369,97 @@ class TestLazyFields:
         assert fresh is not final
         for f, c in zip((*final.u.components, final.v, final.w), fresh.coeffs):
             assert _bits(ehd.forward_transform(f).coeffs) == _bits(c)
+
+
+PRESETS = {"taylor_green": ehd.taylor_green, "charged_shear": ehd.charged_shear,
+           "random_smooth": lambda g: ehd.random_smooth(g, seed=7)}
+
+
+def _snapshot(n, preset, made_by_run):
+    """A user state, or the run's step-1 snapshot with the grad psi the run
+    made for it (at 64^3 on two CPUs, in the charge lane)."""
+    s0 = PRESETS[preset](ehd.Grid(n))
+    if not made_by_run:
+        return s0
+    kept = []
+    ehd.run(s0, StepControl(dt=5e-4, t_end=1e-3),
+            hooks=[lambda s, d, dt: kept.append((s, s.grad_psi))])
+    s, grad_psi = kept[1]
+    s.__dict__["grad_psi"] = grad_psi  # the next step dropped it
+    return s
+
+
+def _full_layout(s) -> dict:
+    """The observer fields of s by the full-layout formulas: products of
+    half-spectrum arrays (`State.coeffs`), each transformed in full."""
+    g, c = s.grid, s.coeffs
+    inverse = ehd.spectral._samples_from_coeffs
+    curl = ehd.curl(ehd.VectorField(*(SpectralField(g, a) for a in c[:3])))
+    psi_hat = ehd.solve_poisson(SpectralField(g, c[3] - c[4]))
+    grad_u = [ehd.solver._gradient_samples(g, a) for a in c[:3]]
+    block = ehd.spectral.entry_magnitude(g, [row[:2] for row in grad_u[:2]])
+    charged = c[3].any() or c[4].any()
+    return {
+        "omega": [inverse(g, a.coeffs) for a in curl.components],
+        "grad_u": [d for row in grad_u for d in row],
+        "psi": [inverse(g, psi_hat.coeffs)],
+        "grad_psi": ehd.solver._gradient_samples(g, psi_hat.coeffs) if charged else [],
+        "bands": [ehd.backward_transform(b.field).samples
+                  for b in ehd.decompose(ehd.forward_transform(block))],
+        "powers": [ehd.spectral_power(SpectralField(g, a)) for a in (*c, psi_hat.coeffs)],
+        "block": block,
+    }
+
+
+CRITERIA = [("BKM", math.inf), ("PS_u", 6.0), ("PS_u", math.inf), ("PS_grad_u", 2.0),
+            ("PS_grad_u", 3.0), ("BESOV_ANISO", 2.0), ("BESOV_ANISO", math.inf)]
+
+
+class TestBlockLayout:
+    """Observer fields formed on the block, with the block transforms, give
+    the numbers of the full-layout formulas: equal samples (an exact zero
+    may differ in sign), bitwise equal magnitudes, powers, norms and
+    criterion values."""
+
+    @pytest.mark.parametrize("n, preset, made_by_run", [
+        *((n, preset, made) for n in (16, 32) for preset in PRESETS for made in (False, True)),
+        (64, "charged_shear", True)])
+    def test_fields_equal_the_full_layout(self, n, preset, made_by_run):
+        s = _snapshot(n, preset, made_by_run)
+        want = _full_layout(s)
+        g = s.grid
+        got = {
+            "omega": [f.samples for f in s.omega.components],
+            "grad_u": [d for row in s.grad_u for d in row],
+            "psi": [s.psi.samples],
+            "grad_psi": s.grad_psi or [],
+            "bands": [f.samples for _, f in ehd.littlewood_paley._block_bands(
+                ehd.horizontal_block_magnitude(s))],
+        }
+        assert len(want["grad_psi"]) == (0 if preset == "taylor_green" else 3)
+        for name, arrays in got.items():
+            assert len(arrays) == len(want[name]), name
+            for a, b in zip(arrays, want[name]):
+                assert np.array_equal(a, b), name
+                assert _bits(np.abs(a)) == _bits(np.abs(b)), name
+        powers = [*s.u_power, s.v_power, s.w_power, s.psi_power]
+        assert _bits(powers) == _bits(want["powers"])
+        h3 = math.sqrt(sum(math.sqrt(ehd.power_sum(p, ehd.spectral.sobolev_weights(g, 3.0))) ** 2
+                           for p in want["powers"][:3]))
+        assert _bits(s.u_h3_norm) == _bits(h3)
+        omega = ehd.RealField(g, np.sqrt(sum(a**2 for a in want["omega"])))
+        grad_u = ehd.RealField(g, np.sqrt(sum(a**2 for a in want["grad_u"])))
+        for kind, p in CRITERIA:
+            acc = ehd.make_accumulator(kind, p)
+            ref = {"BKM": lambda: ehd.lp_norm(omega, p),
+                   "PS_u": lambda: ehd.lp_norm(ehd.vector_magnitude(s.u), p),
+                   "PS_grad_u": lambda: ehd.lp_norm(grad_u, p),
+                   "BESOV_ANISO": lambda: ehd.besov_norm(ehd.forward_transform(want["block"]),
+                                                         BesovParams(0.0, p, acc.r))}[kind]()
+            assert _bits(ehd.instantaneous_quantity(acc, s)) == _bits(ref), (kind, p)
+        v_power = ehd.spectral_power(ehd.forward_transform(s.v))
+        assert _bits(ehd.spectral_power(g, g.block.forward_transform(s.v))) == (
+            _bits(v_power))
 
 
 class TestOnePath:
@@ -480,6 +596,18 @@ class TestReadOnly:
         assert not any(a.flags.writeable for a in arrays)
 
 
+def _arrays_in(x):
+    """The arrays x holds, through dicts, sequences and dataclass fields."""
+    if isinstance(x, np.ndarray):
+        yield x
+    elif isinstance(x, (dict, list, tuple)):
+        for item in x.values() if isinstance(x, dict) else x:
+            yield from _arrays_in(item)
+    elif dataclasses.is_dataclass(x):
+        for f in dataclasses.fields(x):
+            yield from _arrays_in(getattr(x, f.name))
+
+
 class TestMemory:
     def test_run_drops_the_initial_snapshot_fields(self, grid16):
         s0 = ehd.charged_shear(grid16)
@@ -502,6 +630,25 @@ class TestMemory:
             assert not {"omega", "omega_magnitude", "u_power", "u_h3_norm", "u_hat"} & set(vars(s))
             assert _bits(s.omega_magnitude.samples) == _bits(omega_mag)
             assert _bits(s.u_power) == _bits(u_power) and s.u_h3_norm == h3
+
+    def test_run_made_snapshot_keeps_its_block_alone(self, grid16):
+        """Once its hooks return, a snapshot the run made holds its five
+        block arrays and no half-spectrum array, whatever the hooks asked
+        for."""
+        kept = []
+
+        def hook(s, d, dt):
+            s.coeffs, s.u_hat, s.psi_hat, s.psi, s.omega, s.grad_u, s.grad_psi
+            s.u_power, s.v_power, s.w_power, s.psi_power
+            kept.append(s)
+
+        ehd.run(ehd.charged_shear(grid16), StepControl(dt=1e-3, t_end=3e-3), hooks=[hook])
+        assert len(kept) == 4
+        for s in kept[1:]:
+            arrays = list(_arrays_in(vars(s)))
+            assert [id(a) for a in arrays if a.dtype == complex] == [id(a) for a in s._block]
+            assert all(a.shape == grid16.block.shape for a in s._block)
+            assert not [a for a in arrays if a.shape == grid16.spectral_shape]
 
     def test_a_step_drops_the_potential_it_has_read(self, grid16):
         """Without observers each snapshot but the last carries the grad psi

@@ -447,9 +447,9 @@ class TestDivergenceTolerance:
         """A NaN coefficient makes the bound NaN, which settles nothing; the
         transformed maximum is NaN too, and NaN > tol is false, as before."""
         tg = ehd.taylor_green(grid16)
-        c = [a.copy() for a in tg.coeffs]
+        c = block_of(grid16, tg.coeffs)
         c[0][1, 0, 0] = np.nan
-        s = State(u=tg.u, v=tg.v, w=tg.w, _coeffs=tuple(c))
+        s = State(u=tg.u, v=tg.v, w=tg.w, _block=tuple(c))
         assert math.isnan(solver._divergence_bound(s)[0])
         transforms = count_inverse_transforms(monkeypatch)
         DIVERGENCE_CHECKS["run"][0](s)
@@ -721,7 +721,7 @@ class TestUnchargedPath:
 
             # v and w are one shared read-only array, held by the run.
             assert new.v.samples is new.w.samples is work.zeros[0]
-            assert new.coeffs[3] is new.coeffs[4] is work.zeros[1]
+            assert new._block[3] is new._block[4] is work.zeros[1]
             assert not any(a.flags.writeable for a in work.zeros)
 
     def test_three_arrays_carried(self, grid16, monkeypatch):
