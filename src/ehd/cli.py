@@ -36,7 +36,6 @@ from .solver import (
 from .spectral import (
     Grid,
     VectorField,
-    forward_transform,
     lp_norm,
     spectral_tail_fraction,
     vector_forward,
@@ -374,7 +373,7 @@ def _print_run_summary(report, paths):
 def cmd_besov(checkpoint: str, s: float, p: float, r: float, field_name: str) -> int:
     """Print the Besov norm of the checkpoint's field named field_name in BESOV_FIELDS."""
     f = BESOV_FIELDS[field_name](read_checkpoint(checkpoint))
-    value = besov_norm(forward_transform(f), BesovParams(s, p, r))
+    value = besov_norm(f, BesovParams(s, p, r))
     print(value)
     return EXIT_OK
 

@@ -20,7 +20,6 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
-    _check_real,
     _samples_from_coeffs,
     backward_transform,
     lp_norm,
@@ -111,9 +110,10 @@ def besov_norm(f: SpectralField | RealField, params: BesovParams) -> float:
     """Homogeneous Besov norm over the representable bands.
 
     (sum_j 2^(j s r) ||band_j||_Lp^r)^(1/r), with the supremum over j when
-    r = inf.  Band L^p norms are taken on samples.  Given a real field, the
-    norm of its `forward_transform`, whose bands are formed on the grid's
-    block and take the block transforms; the norm is bit for bit the same.
+    r = inf.  Band L^p norms are taken on samples.  Given coefficients, each
+    band is checked as `backward_transform` checks it.  Given a real field,
+    the norm of its `forward_transform`, bit for bit, from the bands of its
+    pruned forward transform (`_block_bands`).
     """
     bands = _block_bands(f) if isinstance(f, RealField) else (
         (band.j, backward_transform(band.field)) for band in decompose(f))
@@ -124,20 +124,19 @@ def besov_norm(f: SpectralField | RealField, params: BesovParams) -> float:
 
 
 def _block_bands(f: RealField):
-    """(j, samples of band j) of f's dealiased forward transform, each band
-    formed on the block and checked as `backward_transform` checks it."""
+    """(j, samples of band j) of f's dealiased forward transform: each band
+    is formed on the block and takes the block inverse transform.  The
+    coefficients are the program's own forward transform of real samples,
+    so the bands make no Hermitian check."""
     grid, block = f.grid, f.grid.block
     coeffs = block.forward_transform(f)
     work, full = np.empty_like(coeffs), np.zeros(grid.spectral_shape, dtype=complex)
-    kept = full[..., block.planes]
     j_min, j_max = band_range(grid)
     for j in range(j_min, j_max + 1):
         weight = grid.table(("band block", j), lambda: block.gather(
             band_weight(grid, j), np.empty(block.shape)))
-        kept.fill(0.0)
-        block.scatter(np.multiply(coeffs, weight, out=work), full)
-        _check_real(SpectralField(grid, full))
-        yield j, RealField(grid, _samples_from_coeffs(grid, full, full))
+        band = np.multiply(coeffs, weight, out=work)
+        yield j, RealField(grid, _samples_from_coeffs(grid, band, full))
 
 
 @dataclass

@@ -25,14 +25,14 @@ run's dealiased arithmetic on them, so their inverse transforms go through
 
 A snapshot's coefficients live on the dealiased block (`Grid.block`): a
 snapshot the run makes carries five block arrays, copied from the step's
-result, which the next step reads, and a user state's forward transforms
-are gathered there once.  The RK3 step and the observer fields work on the
-block alone, and every transform they make takes the seam's block mode,
-which computes only the lines that reach or leave the block; each inverse
-works in a half-spectrum array whose kz planes above the block stay +0 (the
-run's, or one the field makes).  Full half-spectrum coefficients
-(`State.coeffs`, `u_hat`, `psi_hat`) are scattered from the block on
-request.
+result, which the next step reads, and a user state makes each once, by
+the seam's pruned forward transform of its samples.  The RK3 step and the
+observer fields work on the block alone, and every transform they make
+takes the seam's block mode, which computes only the lines that reach or
+leave the block; each inverse works in a half-spectrum array whose kz
+planes above the block stay +0 (the run's, or one the field makes).  Full
+half-spectrum coefficients (`State.coeffs`, `u_hat`, `v_hat`, `w_hat`,
+`psi_hat`) are scattered from the block on request.
 
 A run is one `_Stepper`, which validates the initial state once; its step
 context is one `_Work`: the grid, the work arrays and the lane of the
@@ -77,7 +77,6 @@ from .spectral import (
     _samples_from_coeffs,
     divergence,
     entry_magnitude,
-    forward_transform,
     power_sum,
     sobolev_weights,
     spectral_power,
@@ -113,16 +112,15 @@ def _readonly(a):
 class State:
     """Solution snapshot: velocity u, charge densities v and w, clock.
 
-    Coefficients and derived fields are computed on first use and cached.
-    A state the run makes carries the run's coefficients as five arrays on
-    the dealiased block (`Grid.block`), its samples are their inverse
-    transforms, and its samples are read-only; any other state's
-    coefficients are the forward transforms of its samples, each made, and
-    gathered into the block, when first asked for.  Observer fields are
-    formed on the block; the full arrays (`coeffs`, `u_hat`, `v_hat`,
-    `w_hat`, `psi_hat`) of a state the run makes are its block scattered
-    into zeros.  Coefficient, power and grad psi arrays are always
-    read-only.
+    Every state holds its coefficients as five arrays on the dealiased
+    block (`Grid.block`).  A state the run makes carries the run's, its
+    samples are their inverse transforms, and its samples are read-only;
+    any other state makes each field's array, the pruned forward transform
+    of its samples (`Block.forward_transform`), when first asked for.
+    Derived fields are computed on first use and cached.  Observer fields
+    are formed on the block; the full arrays (`coeffs`, `u_hat`, `v_hat`,
+    `w_hat`, `psi_hat`) are the block scattered into zeros, made on
+    request.  Coefficient, power and grad psi arrays are always read-only.
     """
 
     u: VectorField
@@ -142,53 +140,45 @@ class State:
 
     @cached_property
     def _transforms(self) -> list:
-        """The full coefficient arrays by field, each made on first use."""
-        return [None] * 5
-
-    @cached_property
-    def _gathered(self) -> list:
         """A user state's block arrays by field, each made on first use."""
         return [None] * 5
-
-    def _field_coeffs(self, i: int) -> np.ndarray:
-        """Coefficients of field i of (ux, uy, uz, v, w)."""
-        made, g = self._transforms, self.grid
-        if made[i] is None:
-            fields = (*self.u.components, self.v, self.w)
-            made[i] = _readonly(forward_transform(fields[i]).coeffs if self._block is None else
-                                g.block.scatter(self._block[i], _zero_coeffs(g)))
-        return made[i]
 
     def _field_block(self, i: int) -> np.ndarray:
         """Block array of field i of (ux, uy, uz, v, w)."""
         if self._block is not None:
             return self._block[i]
-        made, b = self._gathered, self.grid.block
+        made = self._transforms
         if made[i] is None:
-            made[i] = _readonly(b.gather(self._field_coeffs(i), np.empty(b.shape, complex)))
+            fields = (*self.u.components, self.v, self.w)
+            made[i] = _readonly(self.grid.block.forward_transform(fields[i]))
         return made[i]
 
     def _blocks(self, count: int = 5) -> list:
         """The block arrays of the first count fields of (ux, uy, uz, v, w)."""
         return [self._field_block(i) for i in range(count)]
 
+    def _full(self, block: np.ndarray) -> SpectralField:
+        """The field whose block array is block: block scattered into zeros,
+        read-only."""
+        g = self.grid
+        return SpectralField(g, _readonly(g.block.scatter(block, _zero_coeffs(g))))
+
     @property
     def coeffs(self) -> tuple:
         """The (ux, uy, uz, v, w) coefficient arrays (read-only)."""
-        return tuple(self._field_coeffs(i) for i in range(5))
+        return tuple(self._full(c).coeffs for c in self._blocks())
 
     @cached_property
     def u_hat(self) -> VectorField:
-        g = self.grid
-        return VectorField(*(SpectralField(g, self._field_coeffs(i)) for i in range(3)))
+        return VectorField(*(self._full(c) for c in self._blocks(3)))
 
     @property
     def v_hat(self) -> SpectralField:
-        return SpectralField(self.grid, self._field_coeffs(3))
+        return self._full(self._field_block(3))
 
     @property
     def w_hat(self) -> SpectralField:
-        return SpectralField(self.grid, self._field_coeffs(4))
+        return self._full(self._field_block(4))
 
     @cached_property
     def _psi_block(self) -> np.ndarray:
@@ -199,8 +189,7 @@ class State:
 
     @cached_property
     def psi_hat(self) -> SpectralField:
-        return SpectralField(self.grid, self.grid.block.scatter(self._psi_block,
-                                                                _zero_coeffs(self.grid)))
+        return self._full(self._psi_block)
 
     @cached_property
     def u_power(self) -> tuple:
@@ -257,14 +246,13 @@ class State:
         on each snapshot it makes but the last (`_materialize`)."""
         if not (self._field_block(3).any() or self._field_block(4).any()):
             return None
-        return _readonly(_gradient_samples(self.grid, self._psi_block,
-                                           full=_zero_coeffs(self.grid)))
+        return _readonly(_gradient_samples(self.grid, self._psi_block, _zero_coeffs(self.grid)))
 
     @cached_property
     def grad_u(self) -> list:
         """Samples of the velocity gradient, d_j u_i as grad_u[i][j]."""
         g, full = self.grid, _zero_coeffs(self.grid)
-        return [_gradient_samples(g, c, full=full) for c in self._blocks(3)]
+        return [_gradient_samples(g, c, full) for c in self._blocks(3)]
 
     @cached_property
     def grad_u_magnitude(self) -> RealField:
@@ -351,16 +339,16 @@ def _zero_coeffs(grid: Grid) -> np.ndarray:
     return np.zeros(grid.spectral_shape, dtype=complex)
 
 
-def _gradient_samples(grid: Grid, coeffs: np.ndarray, work=None, full=None) -> list:
-    """Samples of the gradient of the field with coefficients coeffs; work is
-    an array of coeffs' shape to form i*k*coeffs in (allocated when not
-    given).  Given full, coeffs is a block array, and each product takes
-    the block inverse transform, with full as its work array."""
-    tables = grid if full is None else grid.block
+def _gradient_samples(grid: Grid, coeffs: np.ndarray, full: np.ndarray, work=None) -> list:
+    """Samples of the gradient of the field with block array coeffs: each
+    i*k*coeffs, formed in work (an array of the block's shape, allocated
+    when not given), takes the block inverse transform with the work array
+    full."""
     if work is None:
         work = np.empty_like(coeffs)
-    grads = (np.multiply(1j * kk, coeffs, out=work) for kk in (tables.kx, tables.ky, tables.kz))
-    return [_samples_from_coeffs(grid, g, full) for g in grads]
+    b = grid.block
+    return [_samples_from_coeffs(grid, np.multiply(1j * kk, coeffs, out=work), full)
+            for kk in (b.kx, b.ky, b.kz)]
 
 
 def _lanes_pay(grid: Grid) -> bool:
@@ -476,7 +464,7 @@ def _lane_samples(grid: Grid, c, side, out: list, w: bool, grad: bool):
         out.append(_samples_from_coeffs(grid, c[1], full))
     if grad:
         psi = _poisson_coeffs(grid.block, np.subtract(c[0], c[1], out=flux), out=flux)
-        out.append(_gradient_samples(grid, psi, cwork, full))
+        out.append(_gradient_samples(grid, psi, full, cwork))
 
 
 def _charge_terms(grid: Grid, samples, dpsi, out, side):
@@ -785,9 +773,9 @@ class _Stepper:
 
     def start(self) -> State:
         validate_initial_state(self.state)
-        # A user state transforms each field, and gathers it into the block,
-        # when first asked; step 1 asks for all five, so they are made here,
-        # in set-up.
+        # A user state makes each field's block array, by the pruned forward
+        # transform, when first asked; step 1 asks for all five, so they are
+        # made here, in set-up.
         self.state._blocks()
         self.means = (float(np.mean(self.state.v.samples)),
                       float(np.mean(self.state.w.samples)))

@@ -13,9 +13,9 @@ modes by two (`Grid.mult`).  Every spectral field is kept dealiased by the
 products alias-free and grid sums of triple products exact.
 
 The modes the rule keeps form a box, `Grid.block`: the solver's RK3
-arithmetic runs on that compact array alone, a run's snapshots keep their
-coefficients there, and the observers' products are formed there.  Fields
-(`SpectralField`) keep the full half-spectrum layout.
+arithmetic runs on that compact array alone, every state keeps its
+coefficients there, and the observers' products are formed there.  Only
+the public fields (`SpectralField`) keep the full half-spectrum layout.
 
 All operations are pure functions of their field snapshots; constructed
 fields are safe to share across threads.  Each transform runs on one thread
@@ -25,13 +25,15 @@ bitwise deterministic.
 Every transform passes through `_coeffs_from_samples` and
 `_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
 for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
-checks.  Given a block array (the solver's and the observers'
-transforms), they run only the 1-D lines that reach or leave the block,
-bit for bit the full transform's block.  They take the public call
-instead, then gather or scatter the block, when the binding does not
-import, when `scipy.fft.rfftn`/`irfftn` is no longer the function scipy
-had at import (a tracer counting transforms replaced it), or when the
-input is not native float64 samples or complex128 coefficients.
+checks.  Given a block array (the transforms of the solver, of a state's
+coefficients and of the observers), they run only the 1-D lines that
+reach or leave the block, bit for bit the full transform's block; the
+public `forward_transform` and `backward_transform` run the full one.
+The helpers take the public call instead, then gather or scatter the
+block, when the binding does not import, when `scipy.fft.rfftn`/`irfftn`
+is no longer the function scipy had at import (a tracer counting
+transforms replaced it), or when the input is not native float64 samples
+or complex128 coefficients.
 """
 
 from __future__ import annotations
@@ -272,13 +274,11 @@ def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block=None) -> np.ndar
 def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full=None) -> np.ndarray:
     """Samples of coeffs; given full, a half-spectrum work array whose kz
     planes above the block hold +0, coeffs is a block array, scattered into
-    full's kept planes (or full itself, with a block so scattered), which
-    the transform then overwrites."""
+    full's kept planes, which the transform then overwrites."""
     if full is not None:
         kept = full[..., grid.block.planes]
-        if coeffs is not full:
-            kept.fill(0.0)
-            coeffs = grid.block.scatter(coeffs, full)
+        kept.fill(0.0)
+        coeffs = grid.block.scatter(coeffs, full)
     if not (_direct(_fft.irfftn, _IRFFTN) and coeffs.dtype == _C16):
         return _fft.irfftn(coeffs, s=(grid.n,) * 3, norm="forward")
     if full is None:
@@ -344,18 +344,13 @@ def backward_transform(F: SpectralField) -> RealField:
     The tolerance is 1e-12 * max(1, max |c|), so a defect of at most 1e-12
     passes at any scale and the scale is only measured above that.
     """
-    _check_real(F)
-    return RealField(F.grid, _samples_from_coeffs(F.grid, F.coeffs))
-
-
-def _check_real(F: SpectralField):
-    """`backward_transform`'s Hermitian check of F."""
     defect = hermitian_defect(F)
     if defect > 1e-12 and defect > 1e-12 * max(1.0, float(np.abs(F.coeffs).max())):
         raise HermitianSymmetryError(
             "coefficients violate c(-k) = conj(c(k)) on a self-conjugate plane; "
             "field is not real"
         )
+    return RealField(F.grid, _samples_from_coeffs(F.grid, F.coeffs))
 
 
 def gradient(F: SpectralField) -> VectorField:

@@ -445,6 +445,25 @@ class TestBesovCommand:
                      "--field", name]) == 0
         assert math.isfinite(float(capsys.readouterr().out))
 
+    @pytest.mark.parametrize("made_by_run", [False, True])
+    @pytest.mark.parametrize("s, p, r", [(0.0, 2.0, 2.0), (1.0, math.inf, math.inf),
+                                         (-0.5, 3.0, 1.0)])
+    def test_prints_the_norm_of_the_forward_transform(self, made_by_run, s, p, r, tmp_path,
+                                                      capsys):
+        """Every field prints `besov_norm` of its `forward_transform`, as
+        repr prints it, on a user state and on one a run made."""
+        state = ehd.random_smooth(ehd.Grid(16), seed=7)
+        if made_by_run:
+            state = ehd.run(state, ehd.StepControl(dt=1e-3, t_end=2e-3)).final_state
+        ckpt = tmp_path / "state.ehds"
+        ehd.write_checkpoint(ckpt, state)
+        read = ehd.read_checkpoint(ckpt)
+        for name, field in BESOV_FIELDS.items():
+            assert main(["besov", str(ckpt), "--s", str(s), "--p", str(p), "--r", str(r),
+                         "--field", name]) == 0
+            want = ehd.besov_norm(ehd.forward_transform(field(read)), ehd.BesovParams(s, p, r))
+            assert capsys.readouterr().out == f"{want!r}\n", name
+
     def test_default_field_is_the_first_of_the_table(self):
         args = _build_parser().parse_args(["besov", "c.ehds", "--s", "0", "--p", "2", "--r", "2"])
         assert args.field == next(iter(BESOV_FIELDS)) == "umag"
