@@ -38,7 +38,6 @@ from .spectral import (
     VectorField,
     lp_norm,
     spectral_tail_fraction,
-    vector_forward,
     vector_magnitude,
 )
 
@@ -290,9 +289,8 @@ def cmd_run(config: RunConfig) -> int:
     # velocity samples (v and w are not transformed).
     fresh = derive(final)
     linf = {
-        name: {"value": _sup_norm(U), "tail_fraction": spectral_tail_fraction(*U_hat.components)}
-        for name, U, U_hat in (("u", final.u, fresh.u_hat),
-                               ("omega", fresh.omega, vector_forward(fresh.omega)))
+        name: {"value": _sup_norm(U), "tail_fraction": spectral_tail_fraction(*tail.components)}
+        for name, U, tail in (("u", final.u, fresh.u_hat), ("omega", fresh.omega, fresh.omega))
     }
 
     wall = time.monotonic() - t_start

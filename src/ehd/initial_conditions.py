@@ -3,7 +3,9 @@
 All presets produce neutral charge data (mean(v) = mean(w)), nonnegative
 charges, and a divergence-free velocity.  The randomized preset uses the
 counter-based Philox generator so a seed reproduces bit-identical fields
-across platforms.
+across platforms; it shapes its noise on the dealiased block (`Grid.block`),
+and its coefficients, forward transforms of real samples times a real
+envelope, take their inverse transforms with no Hermitian check.
 """
 
 from __future__ import annotations
@@ -14,13 +16,12 @@ from .solver import State
 from .spectral import (
     Grid,
     RealField,
-    SpectralField,
     VectorField,
-    backward_transform,
-    curl,
-    forward_transform,
-    l2_norm_sq,
-    vector_backward,
+    _curl_coeffs,
+    _samples_from_coeffs,
+    _zero_coeffs,
+    power_sum,
+    spectral_power,
 )
 
 
@@ -57,11 +58,10 @@ def charged_shear(grid: Grid) -> State:
 
 def _smooth_scalar(grid: Grid, rng, peak_wavenumber: float) -> RealField:
     """Mean-free random field with a Gaussian spectral envelope around the peak."""
-    white = RealField(grid, rng.standard_normal((grid.n,) * 3))
-    c = forward_transform(white).coeffs
-    c *= np.exp(-((grid.kmag / peak_wavenumber) ** 2))
+    c = grid.block.forward_transform(RealField(grid, rng.standard_normal((grid.n,) * 3)))
+    c *= np.exp(-((grid.block.kmag / peak_wavenumber) ** 2))
     c[0, 0, 0] = 0.0
-    return backward_transform(SpectralField(grid, c))
+    return RealField(grid, _samples_from_coeffs(grid, c, _zero_coeffs(grid)))
 
 
 def random_smooth(
@@ -78,18 +78,14 @@ def random_smooth(
         raise ValueError(f"energy must be nonnegative, got {energy}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
-    potential = VectorField(
-        forward_transform(_smooth_scalar(grid, rng, peak_wavenumber)),
-        forward_transform(_smooth_scalar(grid, rng, peak_wavenumber)),
-        forward_transform(_smooth_scalar(grid, rng, peak_wavenumber)),
-    )
-    u_hat = curl(potential)
-    raw = sum(l2_norm_sq(c) for c in u_hat.components)
+    potential = [grid.block.forward_transform(_smooth_scalar(grid, rng, peak_wavenumber))
+                 for _ in range(3)]
+    u_hat = _curl_coeffs(grid.block, *potential)
+    raw = sum(power_sum(spectral_power(grid, c)) for c in u_hat)
     if energy > 0 and raw > 0:
-        scale = np.sqrt(energy / raw)
-        u = vector_backward(
-            VectorField(*[SpectralField(grid, c.coeffs * scale) for c in u_hat.components])
-        )
+        scale, full = np.sqrt(energy / raw), _zero_coeffs(grid)
+        u = VectorField(*[RealField(grid, _samples_from_coeffs(grid, c * scale, full))
+                          for c in u_hat])
     else:
         u = VectorField(_zero(grid), _zero(grid), _zero(grid))
 

@@ -21,6 +21,7 @@ from .spectral import (
     RealField,
     SpectralField,
     _samples_from_coeffs,
+    _zero_coeffs,
     backward_transform,
     lp_norm,
 )
@@ -130,7 +131,7 @@ def _block_bands(f: RealField):
     so the bands make no Hermitian check."""
     grid, block = f.grid, f.grid.block
     coeffs = block.forward_transform(f)
-    work, full = np.empty_like(coeffs), np.zeros(grid.spectral_shape, dtype=complex)
+    work, full = np.empty_like(coeffs), _zero_coeffs(grid)
     j_min, j_max = band_range(grid)
     for j in range(j_min, j_max + 1):
         weight = grid.table(("band block", j), lambda: block.gather(
@@ -206,6 +207,8 @@ def bernstein_check(
         raise ValueError(f"exponents must satisfy 1 <= p <= q <= inf, got p={p}, q={q}")
     if k < 0:
         raise ValueError(f"derivative order must be nonnegative, got {k}")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     j_min, j_max = band_range(grid)
     if not j_min <= j <= j_max:
         raise ValueError(

@@ -75,6 +75,7 @@ from .spectral import (
     _leray_coeffs,
     _poisson_coeffs,
     _samples_from_coeffs,
+    _zero_coeffs,
     divergence,
     entry_magnitude,
     power_sum,
@@ -333,12 +334,6 @@ def _diffusion_factors(grid: Grid, dt: float):
     return entry[1:]
 
 
-def _zero_coeffs(grid: Grid) -> np.ndarray:
-    """A half-spectrum array of +0: a scatter target, or the work array of
-    block inverse transforms (`_samples_from_coeffs`)."""
-    return np.zeros(grid.spectral_shape, dtype=complex)
-
-
 def _gradient_samples(grid: Grid, coeffs: np.ndarray, full: np.ndarray, work=None) -> list:
     """Samples of the gradient of the field with block array coeffs: each
     i*k*coeffs, formed in work (an array of the block's shape, allocated
@@ -455,13 +450,12 @@ def _add_term(block, total, d, f, work):
         total += np.multiply((block.kx, block.ky, block.kz)[d], f, out=work)
 
 
-def _lane_samples(grid: Grid, c, side, out: list, w: bool, grad: bool):
-    """Appended to out: the samples of w if w is true, then of grad psi if
-    grad is, from the block arrays c = (v, w), with the work arrays side
+def _lane_samples(grid: Grid, c, side, out: list, grad: bool):
+    """Appended to out: the samples of w, then of grad psi if grad is true,
+    from the block arrays c = (v, w), with the work arrays side
     (`_Work.side`); the Poisson solve raises unless v - w is neutral."""
     _, (cwork, flux), full = side
-    if w:
-        out.append(_samples_from_coeffs(grid, c[1], full))
+    out.append(_samples_from_coeffs(grid, c[1], full))
     if grad:
         psi = _poisson_coeffs(grid.block, np.subtract(c[0], c[1], out=flux), out=flux)
         out.append(_gradient_samples(grid, psi, full, cwork))
@@ -499,8 +493,8 @@ def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
     work holds the grid and the work arrays.
 
     A charged call forks the lane (`_Work.beside`) twice: when samples or
-    dpsi are not given, for the samples of w and grad psi that are missing
-    (`_lane_samples`) beside those of u and v, which read c[3] too; then
+    dpsi are not given, for the samples of w, and of grad psi unless given
+    (`_lane_samples`), beside those of u and v, which read c[3] too; then
     for the charge terms (`_charge_terms`) beside the momentum terms.  No
     lane writes what the other reads.
 
@@ -520,7 +514,7 @@ def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
     charged = len(c) == 5
     make_w, make_grad = charged and samples is None, charged and dpsi is None
     lane = []
-    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, make_w, make_grad)
+    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, make_grad)
           if make_w or make_grad else nullcontext()):
         if samples is None:
             samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
@@ -656,7 +650,7 @@ def _materialize(c, t: float, step_index: int, work: _Work, potential: bool) -> 
     grad = potential and charged and abs(c[3][0, 0, 0] - c[4][0, 0, 0]) <= NEUTRALITY_TOL and (
         c[3].any() or c[4].any())
     lane = []
-    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, True, grad)
+    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, grad)
           if charged else nullcontext()):
         samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
         c = [a.copy() for a in c]

@@ -25,10 +25,11 @@ bitwise deterministic.
 Every transform passes through `_coeffs_from_samples` and
 `_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
 for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
-checks.  Given a block array (the transforms of the solver, of a state's
-coefficients and of the observers), they run only the 1-D lines that
-reach or leave the block, bit for bit the full transform's block; the
-public `forward_transform` and `backward_transform` run the full one.
+checks.  Given a block array (every transform of a run, set-up and
+report included, but the divergence checks' rare fallback), they run only
+the 1-D lines that reach or leave the block, bit for bit the full
+transform's block; `forward_transform` and `backward_transform` run the
+full one.
 The helpers take the public call instead, then gather or scatter the
 block, when the binding does not import, when `scipy.fft.rfftn`/`irfftn`
 is no longer the function scipy had at import (a tracer counting
@@ -271,10 +272,17 @@ def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block=None) -> np.ndar
     return full if block is None else grid.block.gather(full, block)
 
 
+def _zero_coeffs(grid: Grid) -> np.ndarray:
+    """A half-spectrum array of +0: a scatter target, or the work array
+    `_samples_from_coeffs` takes with a block array, whose kz planes above
+    the block nothing else writes, so they stay +0."""
+    return np.zeros(grid.spectral_shape, dtype=complex)
+
+
 def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full=None) -> np.ndarray:
     """Samples of coeffs; given full, a half-spectrum work array whose kz
-    planes above the block hold +0, coeffs is a block array, scattered into
-    full's kept planes, which the transform then overwrites."""
+    planes above the block hold +0 (`_zero_coeffs`), coeffs is a block array
+    scattered into full's kept planes, which the transform then overwrites."""
     if full is not None:
         kept = full[..., grid.block.planes]
         kept.fill(0.0)
@@ -515,13 +523,15 @@ def vector_magnitude(U: VectorField) -> RealField:
     return entry_magnitude(U.grid, [[c.samples for c in U.components]])
 
 
-def spectral_tail_fraction(*fields: SpectralField) -> float:
+def spectral_tail_fraction(*fields: SpectralField | RealField) -> float:
     """Energy fraction in the outer half of the retained band.
 
     Given several fields (the components of a vector field), the fraction
-    of their summed power.  Reported beside grid-max L-inf values, which
-    under-report for marginally resolved fields; a large tail means the
-    maximum is not trustworthy.
+    of their summed power; given real fields, that of their
+    `forward_transform`s, bit for bit, from their pruned forward transforms.
+    Reported beside grid-max L-inf values, which under-report for
+    marginally resolved fields; a large tail means the maximum is not
+    trustworthy.
     """
     g = fields[0].grid
     cap = np.floor(g.n / 3.0)
@@ -530,7 +540,8 @@ def spectral_tail_fraction(*fields: SpectralField) -> float:
     )
     total = tail = 0.0
     for F in fields:
-        power = spectral_power(F)
+        real = isinstance(F, RealField)
+        power = spectral_power(g, g.block.forward_transform(F)) if real else spectral_power(F)
         total += power.sum()
         tail += power[np.broadcast_to(outer, power.shape)].sum()
     if total == 0.0:

@@ -401,6 +401,20 @@ class TestRunCommand:
         for name in written:
             assert len(_csv_rows(tmp_path / name)) == len(times)
 
+    def test_auto_threshold_stays_unset_while_the_integral_is_zero(self, tmp_path):
+        """A quiescent, uniformly charged restart: every criterion integral
+        is exactly 0 at 10% of the horizon, so no auto threshold is set."""
+        grid = ehd.Grid(16)
+        ones = np.ones((16,) * 3)
+        ckpt = tmp_path / "rest.ehds"
+        ehd.write_checkpoint(ckpt, make_state(grid, v=ones, w=ones.copy()))
+        path = write_config(tmp_path, f"t_end = 0.002\ninitial_condition = "
+                                      f"from_checkpoint(path={ckpt})\noutput_dir = {tmp_path}\n")
+        assert main(["run", path]) == 0
+        rows = json.loads((tmp_path / "report.json").read_text())["criteria"]
+        assert len(rows) == 4
+        assert [(row["integral"], row["threshold"]) for row in rows] == [(0.0, None)] * 4
+
     def test_series_keys_stay_distinct(self):
         accs = [ehd.make_accumulator(kind, p) for kind, p in (
             ("BKM", math.inf), ("PS_u", 6.0), ("PS_u", 12.0), ("PS_u", 6.0),
@@ -492,6 +506,15 @@ class TestAuditCommand:
             f"criteria integrals at end: BKM={bkm!r}, PS_u=n/a, "
             f"PS_grad_u={grad!r}, BESOV_ANISO=n/a"
         )
+
+    def test_directory_without_series_csv_summarizes_the_audit(self, tmp_path, capsys):
+        main(["run", tg_config(tmp_path)])
+        (tmp_path / "series.csv").unlink()
+        capsys.readouterr()
+        assert main(["audit", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "criteria integrals at end" not in out
+        assert out.splitlines()[-1].startswith("final Y:")
 
     def test_missing_directory_exits_one(self, tmp_path, capsys):
         code = main(["audit", str(tmp_path / "empty")])

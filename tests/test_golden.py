@@ -81,6 +81,18 @@ def test_public_call_gives_the_golden_bytes(tmp_path, monkeypatch):
     assert csv_digests(tmp_path, "charged_shear") == CSV_DIGESTS["charged_shear"]
 
 
+def test_public_call_gives_the_golden_bytes_of_random_smooth(tmp_path, monkeypatch):
+    """The same for random_smooth, whose preset shapes its noise on the
+    block: its set-up takes the public call too, and its run's report and
+    CSVs stay the golden bytes."""
+    for name in ("_r2c", "_c2c", "_c2r"):
+        monkeypatch.setattr(ehd.spectral, name, None)
+    ehd_run(tmp_path, "random_smooth", monkeypatch)
+    golden = json.loads((GOLDEN_DIR / "random_smooth.json").read_text())
+    assert report_without_clock(tmp_path) == golden
+    assert csv_digests(tmp_path, "random_smooth") == CSV_DIGESTS["random_smooth"]
+
+
 def test_schema_is_versioned():
     for preset in PRESETS:
         golden = json.loads((GOLDEN_DIR / f"{preset}.json").read_text())

@@ -220,6 +220,15 @@ class TestBernstein:
         with pytest.raises(ValueError, match="p <= q"):
             ehd.bernstein_check(grid16, 2, k=1, p=4.0, q=2.0, trials=1)
 
+    def test_negative_order_rejected(self, grid16):
+        with pytest.raises(ValueError, match="derivative order must be nonnegative, got -1"):
+            ehd.bernstein_check(grid16, 2, k=-1, trials=1)
+
+    @pytest.mark.parametrize("trials", [0, -3])
+    def test_trials_below_one_rejected(self, grid16, trials):
+        with pytest.raises(ValueError, match=f"trials must be at least 1, got {trials}"):
+            ehd.bernstein_check(grid16, 2, trials=trials)
+
     def test_band_fields_live_in_band(self, grid16, rng):
         f = ehd.random_band_field(grid16, 2, rng)
         kmag = np.broadcast_to(grid16.kmag, grid16.spectral_shape)

@@ -556,6 +556,39 @@ class TestHermitianChecks:
         assert checks == []
 
 
+class TestSinglePath:
+    """Every transform of a default `ehd run`, from the preset's or the
+    restart's set-up through the report's tail fractions, takes the seam's
+    block mode: the binding's r2c and c2r over the z axis alone, three c2c
+    passes each, and no Hermitian check."""
+
+    @pytest.mark.parametrize("preset", ["taylor_green", "charged_shear",
+                                        "random_smooth(seed=3)", "restart"])
+    def test_default_run_takes_the_block_mode_throughout(self, preset, tmp_path, monkeypatch):
+        from ehd import cli
+
+        if preset == "restart":
+            path = tmp_path / "restart.ehds"
+            ehd.write_checkpoint(path, ehd.random_smooth(ehd.Grid(16), seed=5))
+            preset = f"from_checkpoint(path={path})"
+        axes, passes, checks = [], [], []
+        for name in ("_r2c", "_c2r"):
+            binding = getattr(ehd.spectral, name)
+            monkeypatch.setattr(ehd.spectral, name, lambda a, ax, *rest, f=binding: (
+                axes.append(ax) or f(a, ax, *rest)))
+        c2c, defect = ehd.spectral._c2c, ehd.spectral.hermitian_defect
+        monkeypatch.setattr(ehd.spectral, "_c2c", lambda *a: passes.append(a[1]) or c2c(*a))
+        monkeypatch.setattr(ehd.spectral, "hermitian_defect",
+                            lambda F: checks.append(F) or defect(F))
+        config = tmp_path / "run.cfg"
+        config.write_text(f"grid_n = 16\nt_end = 2e-3\ninitial_condition = {preset}\n"
+                          f"output_dir = {tmp_path}\n")
+        assert cli.main(["run", str(config)]) == 0
+        assert axes and set(axes) == {(2,)}
+        assert len(passes) == 3 * len(axes)
+        assert checks == []
+
+
 class TestEagerPotential:
     """A run hands out each snapshot but the last with grad psi made by the
     step (on the block, in the charge lane), bitwise the lazy property's."""

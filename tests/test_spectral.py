@@ -492,6 +492,17 @@ class TestOperators:
         with pytest.raises(GridMismatchError):
             VectorField(a, a, b)
 
+    def test_fields_of_the_wrong_shape_rejected(self, grid8, grid16):
+        with pytest.raises(ValueError, match=r"expected samples of shape \(16, 16, 16\)"):
+            RealField(grid16, np.zeros((8,) * 3))
+        with pytest.raises(ValueError, match=r"expected coefficients of shape \(16, 16, 9\)"):
+            SpectralField(grid16, np.zeros(grid8.spectral_shape, dtype=complex))
+
+    def test_mixed_representations_rejected(self, grid16):
+        f = cos_field(grid16, 1)
+        with pytest.raises(ValueError, match="share one representation"):
+            VectorField(f, f, ehd.forward_transform(f))
+
     def test_operations_preserve_hermitian_symmetry(self, grid16, band_limited):
         F = ehd.forward_transform(band_limited(grid16))
         U = ehd.vector_forward(
@@ -688,3 +699,15 @@ class TestNorms:
         P = powers[0]
         one = float(P[np.broadcast_to(outer, P.shape)].sum() / P.sum())
         assert ehd.spectral_tail_fraction(fields[0]) == one
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    def test_tail_fraction_of_real_fields_is_that_of_their_transforms(self, n, rng):
+        """Given samples, the fraction of their `forward_transform`s, bit for
+        bit: white noise, so the modes the dealias mask drops carry power."""
+        g = Grid(n)
+        fields = [RealField(g, rng.standard_normal((n,) * 3)) for _ in range(3)]
+        spectral = [ehd.forward_transform(f) for f in fields]
+        assert ehd.spectral_tail_fraction(*fields) == ehd.spectral_tail_fraction(*spectral)
+        assert ehd.spectral_tail_fraction(fields[1]) == ehd.spectral_tail_fraction(spectral[1])
+        zero = RealField(g, np.zeros((n,) * 3))
+        assert ehd.spectral_tail_fraction(zero) == 0.0
