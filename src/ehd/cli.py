@@ -382,36 +382,39 @@ def cmd_audit(directory: str, audit_csv: str = RunConfig.audit_csv,
     audit_path = Path(directory) / audit_csv
     if not audit_path.exists():
         raise FileNotFoundError(f"no audit CSV at {audit_path}")
-    with open(audit_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    rows = _read_csv(audit_path, AUDIT_COLUMNS[:6])  # the columns summarized below
     if not rows:
         raise ValueError(f"audit CSV {audit_path} has no data rows")
-
-    def column(name):
-        return [float(r[name]) for r in rows if r[name] not in ("", "nan")]
-
-    residuals = column("charge_identity_residual")
-    margins = column("velocity_margin")
-    print(f"steps audited: {len(rows)}  t range: [{rows[0]['t']}, {rows[-1]['t']}]")
-    print(f"max charge-identity residual: {max(residuals):.6g}")
-    print(f"min velocity decay margin:    {min(margins):.6g}")
-    print(f"max positivity term:          {max(column('positivity_term')):.6g}")
-    print(f"max log-Sobolev ratio:        {max(column('ls_ratio')):.6g}")
-    print(f"final Y:                      {column('Y')[-1]:.6g}")
-
     series_path = Path(directory) / series_csv
-    if series_path.exists():
-        with open(series_path, newline="") as fh:
-            srows = list(csv.DictReader(fh))
-        if srows:
-            last = srows[-1]
-            integrals = ", ".join(
-                f"{kind}={last[column] or 'n/a'}"
-                for column, (kind, attr) in SERIES_CRITERIA.items()
-                if attr == "integral"
-            )
-            print(f"criteria integrals at end: {integrals}")
+    integrals = [c for c, (_, attr) in SERIES_CRITERIA.items() if attr == "integral"]
+    srows = _read_csv(series_path, integrals) if series_path.exists() else []
+
+    def extreme(pick, name):
+        """pick (max, min or last) of the column, or n/a if no value is finite."""
+        values = [float(r[name]) for r in rows if r[name] not in ("", "nan")]
+        return f"{pick(values):.6g}" if any(map(math.isfinite, values)) else "n/a"
+
+    print(f"steps audited: {len(rows)}  t range: [{rows[0]['t']}, {rows[-1]['t']}]")
+    print(f"max charge-identity residual: {extreme(max, 'charge_identity_residual')}")
+    print(f"min velocity decay margin:    {extreme(min, 'velocity_margin')}")
+    print(f"max positivity term:          {extreme(max, 'positivity_term')}")
+    print(f"max log-Sobolev ratio:        {extreme(max, 'ls_ratio')}")
+    print(f"final Y:                      {extreme(lambda ys: ys[-1], 'Y')}")
+    if srows:
+        print("criteria integrals at end: " + ", ".join(
+            f"{SERIES_CRITERIA[c][0]}={srows[-1][c] or 'n/a'}" for c in integrals))
     return EXIT_OK
+
+
+def _read_csv(path: Path, needed) -> list:
+    """The CSV's data rows; a ValueError if it has some and lacks a needed column."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in needed if c not in (reader.fieldnames or ())]
+    if rows and missing:
+        raise ValueError(f"CSV {path} has no column {missing[0]!r}")
+    return rows
 
 
 def cmd_report(report_json: str) -> int:

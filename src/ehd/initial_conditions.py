@@ -74,8 +74,11 @@ def random_smooth(
     1 + perturbation/2 with mean-free perturbations of unit grid maximum, so
     v, w >= 1/2 and mean(v - w) = 0.
     """
-    if energy < 0:
-        raise ValueError(f"energy must be nonnegative, got {energy}")
+    if not 0 <= energy < np.inf:
+        need = "nonnegative" if energy < 0 else "finite"
+        raise ValueError(f"energy must be {need}, got {energy}")
+    if not 0 < peak_wavenumber < np.inf:
+        raise ValueError(f"peak_wavenumber must be finite and positive, got {peak_wavenumber}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
     potential = [grid.block.forward_transform(_smooth_scalar(grid, rng, peak_wavenumber))

@@ -34,18 +34,17 @@ planes above the block stay +0 (the run's, or one the field makes).  Full
 half-spectrum coefficients (`State.coeffs`, `u_hat`, `v_hat`, `w_hat`,
 `psi_hat`) are scattered from the block on request.
 
-A run is one `_Stepper`, which validates the initial state once; its step
-context is one `_Work`: the grid, the work arrays and the lane of the
-charge terms.  Each charged right-hand side runs in two lanes, joined
-twice: the lane makes the samples of w and grad psi (when the stage lacks
-them) and then the charge terms, the calling thread those of u and v and
-then the momentum terms; a new snapshot's samples are split alike.  Each
-output keeps its serial operations, so the bits do not depend on the
-lanes.  The lane is a worker thread that `_Work` owns, with work arrays of
-its own, where a second core pays (`_lanes_pay`); otherwise each task runs
-after the calling thread's part.  Both lanes have joined before a
-right-hand side or snapshot is returned or an error raised, so hooks
-always run on the calling thread, and no thread outlives `run`.
+A run's step context is one `_Work`: the grid, the work arrays and the lane
+of the charge terms.  Block arrays become samples in `_materialize` alone
+(RK stages 2 and 3, stage 1 of a user state, each new snapshot): the lane
+makes those of w and, when asked, of grad psi, the calling thread those of
+u and v.  A charged right-hand side then forks the lane for the charge
+terms beside the momentum terms.  Each output keeps its serial operations,
+so the bits do not depend on the lanes.  The lane is a worker thread that
+`_Work` owns, with work arrays of its own, where a second core pays
+(`_lanes_pay`); otherwise each task runs after the calling thread's part.
+Both lanes have joined before `_materialize` or `_nonlinear` returns or
+raises, so hooks run on the calling thread, and no thread outlives `run`.
 """
 
 from __future__ import annotations
@@ -76,7 +75,6 @@ from .spectral import (
     _poisson_coeffs,
     _samples_from_coeffs,
     _zero_coeffs,
-    divergence,
     entry_magnitude,
     power_sum,
     sobolev_weights,
@@ -244,7 +242,7 @@ class State:
     def grad_psi(self) -> list | None:
         """Samples of the three components of grad psi (read-only); None
         when both charge densities vanish.  The run sets it, bitwise this,
-        on each snapshot it makes but the last (`_materialize`)."""
+        on each snapshot it makes but the last (`_snapshot`)."""
         if not (self._field_block(3).any() or self._field_block(4).any()):
             return None
         return _readonly(_gradient_samples(self.grid, self._psi_block, _zero_coeffs(self.grid)))
@@ -461,6 +459,18 @@ def _lane_samples(grid: Grid, c, side, out: list, grad: bool):
         out.append(_gradient_samples(grid, psi, full, cwork))
 
 
+def _materialize(c, work: _Work, grad: bool) -> tuple:
+    """(samples, dpsi): the inverse transforms of the block arrays c =
+    (ux, uy, uz, v, w), or (ux, uy, uz) alone, and the samples of grad psi
+    if grad is true, else None.  Given five, the lane (`_Work.beside`) makes
+    w and grad psi (`_lane_samples`) beside u and v; neither writes c."""
+    grid, lane = work.grid, []
+    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, grad)
+          if len(c) == 5 else nullcontext()):
+        samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
+    return samples + lane[:1], (lane[1] if grad else None)
+
+
 def _charge_terms(grid: Grid, samples, dpsi, out, side):
     """The charge terms of `_nonlinear`, into out (the arrays of v and w),
     with the work arrays side (`_Work.side`).
@@ -479,24 +489,17 @@ def _charge_terms(grid: Grid, samples, dpsi, out, side):
         _finish_divergence(block, total)
 
 
-def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
+def _nonlinear(samples, dpsi, work: _Work, *, out):
     """Dealiased nonlinear + coupling right-hand sides on block coefficients.
 
-    c = (ux, uy, uz, v, w) block arrays, or (ux, uy, uz) alone for an
-    uncharged flow (v = w = 0, which the charge equations keep exactly
-    zero).  Returns the same layout, in the arrays of out: the projected
-    momentum terms P[-(u.grad)u + lap(psi) grad(psi)] and the
-    divergence-form charge fluxes; diffusion is left to the integrator.
-    samples (the inverse transforms of c) and dpsi (the samples of grad
-    psi) are computed here unless given; stage 1 takes them from the
-    snapshot.  c is read before out is first written, so out may be c.
-    work holds the grid and the work arrays.
-
-    A charged call forks the lane (`_Work.beside`) twice: when samples or
-    dpsi are not given, for the samples of w, and of grad psi unless given
-    (`_lane_samples`), beside those of u and v, which read c[3] too; then
-    for the charge terms (`_charge_terms`) beside the momentum terms.  No
-    lane writes what the other reads.
+    samples are those of (ux, uy, uz, v, w) and dpsi those of grad psi, or
+    None for an uncharged flow (v = w = 0, which the charge equations keep
+    exactly zero), whose right-hand sides are three.  Returns, in the block
+    arrays of out, the projected momentum terms P[-(u.grad)u + lap(psi)
+    grad(psi)] and the divergence-form charge fluxes, which the lane
+    (`_Work.beside`, `_charge_terms`) makes beside the momentum terms;
+    diffusion is left to the integrator.  work holds the grid and the work
+    arrays.
 
     The momentum terms are evaluated through the flux tensor
     u_i u_j - d_i(psi) d_j(psi): with div u = 0 its negative divergence
@@ -510,17 +513,7 @@ def _nonlinear(c, work: _Work, samples=None, dpsi=None, *, out):
     grid, block = work.grid, work.block
     prod, rwork = work.real
     cwork, flux = work.spectral
-
-    charged = len(c) == 5
-    make_w, make_grad = charged and samples is None, charged and dpsi is None
-    lane = []
-    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, make_grad)
-          if make_w or make_grad else nullcontext()):
-        if samples is None:
-            samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
-    if make_w:
-        samples.append(lane[0])
-    dpsi = lane[-1] if make_grad else dpsi
+    charged = dpsi is not None
 
     # Row i of the momentum divergence sums k_j * F[i,j] over j; each flux
     # F[i,j] = F[j,i] is transformed once and added to both rows that use it.
@@ -544,7 +537,8 @@ def nonlinear_rhs(state: State) -> tuple[VectorField, RealField, RealField]:
     momentum terms, then the advection + drift terms of v and of w."""
     g, work = state.grid, _Work(state.grid)
     rhs = [RealField(g, _samples_from_coeffs(g, a, work.full))
-           for a in _nonlinear(state._blocks(), work, out=work.stages[0])]
+           for a in _nonlinear(*_materialize(state._blocks(), work, True), work,
+                               out=work.stages[0])]
     return VectorField(*rhs[:3]), rhs[3], rhs[4]
 
 
@@ -616,14 +610,14 @@ def _advance(c0, f1, dt: float, work: _Work):
         np.multiply(half_dt, fa, out=s)
         np.add(a, s, out=s)
         np.multiply(e_half, s, out=s)
-    f2 = _nonlinear(s2, work, out=s2)
+    f2 = _nonlinear(*_materialize(s2, work, len(s2) == 5), work, out=s2)
 
     for a, fa, fb, s in zip(c0, f1, f2, s3):
         np.multiply(neg_e_full, fa, out=s)
         s += np.multiply(two_e_half, fb, out=tmp)
         np.multiply(dt, s, out=s)
         np.add(np.multiply(e_full, a, out=tmp), s, out=s)
-    f3 = _nonlinear(s3, work, out=s3)
+    f3 = _nonlinear(*_materialize(s3, work, len(s3) == 5), work, out=s3)
 
     c1 = f1
     for a, fa, fb, fc in zip(c0, c1, f2, f3):
@@ -640,21 +634,17 @@ def _advance(c0, f1, dt: float, work: _Work):
     return tuple(c1)
 
 
-def _materialize(c, t: float, step_index: int, work: _Work, potential: bool) -> State:
+def _snapshot(c, t: float, step_index: int, work: _Work, potential: bool) -> State:
     """The snapshot of block arrays c, which carries copies of them; given
     only the three velocity arrays, v and w share the run's read-only
-    zeros.  Given five, the lane makes w and, with potential, grad psi
-    (bitwise `State.grad_psi`), which the snapshot carries unless that
-    property would give None or raise (zero or non-neutral charges)."""
+    zeros.  Given five, and with potential, it carries grad psi from
+    `_materialize` (bitwise `State.grad_psi`) unless that property would
+    give None or raise (zero or non-neutral charges)."""
     grid, charged = work.grid, len(c) == 5
     grad = potential and charged and abs(c[3][0, 0, 0] - c[4][0, 0, 0]) <= NEUTRALITY_TOL and (
         c[3].any() or c[4].any())
-    lane = []
-    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, grad)
-          if charged else nullcontext()):
-        samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
-        c = [a.copy() for a in c]
-    samples += lane[:1]
+    samples, dpsi = _materialize(c, work, grad)
+    c = [a.copy() for a in c]
     if not charged:
         zero_samples, zero_block = work.zeros
         samples += [zero_samples] * 2
@@ -664,7 +654,7 @@ def _materialize(c, t: float, step_index: int, work: _Work, potential: bool) -> 
     state = State(u=u, v=v, w=w, t=t, step_index=step_index, _block=_readonly(tuple(c)))
     _readonly(state.samples)
     if grad:
-        state.__dict__["grad_psi"] = _readonly(lane[1])
+        state.__dict__["grad_psi"] = _readonly(dpsi)
     return state
 
 
@@ -677,8 +667,9 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     """Shared stepping core.
 
     Stage 1 does not depend on dt, so it runs first, on the snapshot's
-    samples and grad psi (made with the snapshot by the step before, else
-    here through psi_hat); the CFL bound then reads the same arrays, the
+    samples and grad psi (made with the snapshot by the step before; for a
+    user state, its block arrays' samples by `_materialize` and grad psi by
+    `State.grad_psi`); the CFL bound then reads the same arrays, the
     step's last read of its input, which then drops every cached field.
     With no charge (grad psi is None) only the three velocity arrays are
     carried: the charge equations are linear and homogeneous in (v, w), so
@@ -686,14 +677,14 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     """
     dpsi = state.grad_psi
     c0 = state._blocks(5 if dpsi is not None else 3)
-    samples = state.samples if state._block is not None else None
-    f1 = _nonlinear(c0, work, samples, dpsi, out=work.stages[0][: len(c0)])
+    samples = state.samples if state._block is not None else _materialize(c0, work, False)[0]
+    f1 = _nonlinear(samples, dpsi, work, out=work.stages[0][: len(c0)])
     dt_stab = cfl_limit(state, control.cfl)
-    # The step has read its input for the last time: the memory of the
-    # input's cached fields serves the new snapshot.  A hook that asks again
-    # gets them recomputed, same bits.
+    # The step has read its input and stage-1 samples for the last time:
+    # their memory (with the input's cached fields) serves the new snapshot.
+    # A hook that asks again gets the fields recomputed, same bits.
     state._release()
-    del dpsi
+    del dpsi, samples
     dt = min(control.dt, dt_stab)
     if dt < control.dt_min:
         raise BlowUpSuspected(
@@ -704,8 +695,8 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     if 0.0 < remaining < dt:
         dt = remaining
 
-    new = _materialize(_advance(c0, f1, dt, work), state.t + dt, state.step_index + 1, work,
-                       _before_end(state.t + dt, control))
+    new = _snapshot(_advance(c0, f1, dt, work), state.t + dt, state.step_index + 1, work,
+                    _before_end(state.t + dt, control))
     _check_finite_state(new, BlowUpSuspected, "step produced a non-finite state: ")
     return new
 
@@ -721,18 +712,25 @@ def step(state: State, control: StepControl) -> State:
     return _step(state, control, _Work(state.grid))
 
 
+def _k_dot_u(state: State) -> np.ndarray:
+    """k.c on the velocity's block in `divergence`'s order: div u / 1j."""
+    block = state.grid.block
+    cx, cy, cz = state._blocks(3)
+    return block.kx * cx + block.ky * cy + block.kz * cz
+
+
 def _divergence_bound(state: State) -> tuple[float, float]:
     """sum mult*|k.c| over the velocity's block, which bounds max |div u|
     (a snapshot's coefficients are zero outside the block), and the
     divergence tolerance, relative to the size of grad u:
     DIVERGENCE_TOL * max(1, sum mult*|k|*(|cx| + |cy| + |cz|)).  A check
     passes when the bound is at most half the tolerance (the half absorbs
-    roundoff), else it transforms div u in its own frame."""
+    roundoff), else it transforms div u, 1j*k.c on the block, in its own
+    frame."""
     block = state.grid.block
     cx, cy, cz = state._blocks(3)
     size = (np.abs(cx) + np.abs(cy) + np.abs(cz)) * block.kmag
-    bound = np.abs(block.kx * cx + block.ky * cy + block.kz * cz)
-    return (float((block.mult * bound).sum()),
+    return (float((block.mult * np.abs(_k_dot_u(state))).sum()),
             DIVERGENCE_TOL * max(1.0, float((block.mult * size).sum())))
 
 
@@ -741,8 +739,8 @@ def validate_initial_state(state: State):
     div u is transformed only when `_divergence_bound` does not settle it."""
     _check_finite_state(state, InvariantViolation)
     bound, tol = _divergence_bound(state)
-    div = bound if bound <= tol / 2 else float(
-        np.abs(_samples_from_coeffs(state.grid, divergence(state.u_hat).coeffs)).max())
+    div = bound if bound <= tol / 2 else float(np.abs(_samples_from_coeffs(
+        state.grid, 1j * _k_dot_u(state), _zero_coeffs(state.grid))).max())
     if div > tol:
         raise InvariantViolation(
             f"initial velocity is not divergence-free: max |div u| = {div:.3e}"
@@ -752,35 +750,6 @@ def validate_initial_state(state: State):
         raise InvariantViolation(
             f"initial charges are not neutral: mean(v - w) = {mean_eta:.3e}"
         )
-
-
-class _Stepper:
-    """One run: its snapshot, step count, `StepControl`, charge drift means
-    and `_Work`.  `start` validates the initial state, the run's one check
-    of it, and transforms its five fields; `advance` takes a checked step."""
-
-    def __init__(self, state0: State, control: StepControl):
-        self.state = state0
-        self.control = control
-        self.steps = 0
-        self.work = _Work(state0.grid, _lanes_pay(state0.grid))
-
-    def start(self) -> State:
-        validate_initial_state(self.state)
-        # A user state makes each field's block array, by the pruned forward
-        # transform, when first asked; step 1 asks for all five, so they are
-        # made here, in set-up.
-        self.state._blocks()
-        self.means = (float(np.mean(self.state.v.samples)),
-                      float(np.mean(self.state.w.samples)))
-        return self.state
-
-    def advance(self) -> tuple[State, float]:
-        t_prev = self.state.t
-        self.state = _step(self.state, self.control, self.work)
-        self.steps += 1
-        _check_run_invariants(self.state, *self.means)
-        return self.state, self.state.t - t_prev
 
 
 def run(state0: State, control: StepControl, hooks=()) -> RunReport:
@@ -793,6 +762,7 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     the next step, and read-only; once the hooks of a snapshot the run
     made return, the run drops every field the next step does not read,
     and each step drops every field of its input once it has read it.
+    Each snapshot the run makes passes `_check_run_invariants` first.
     Hooks run on the calling thread; the worker lane of the charge terms,
     which the run's `_Work` owns (see the module docstring), is idle while
     they run and shut down before run returns or raises.
@@ -807,16 +777,24 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     t0 = time.monotonic()
     status = RunStatus.COMPLETED
     diagnostic = None
-    stepper = _Stepper(state0, control)
+    s, steps = state0, 0
+    work = _Work(state0.grid, _lanes_pay(state0.grid))
     try:
-        s = stepper.start()
+        validate_initial_state(s)
+        # A user state makes each field's block array, by the pruned forward
+        # transform, when first asked; step 1 asks for all five, so they are
+        # made here, in set-up.
+        s._blocks()
+        means = (float(np.mean(s.v.samples)), float(np.mean(s.w.samples)))
         for hook in hooks:
             hook(s, s, 0.0)
         while _before_end(s.t, control):
-            del s  # so the step's input is freed as soon as the new snapshot replaces it
-            s, dt = stepper.advance()
+            t_prev = s.t
+            s = _step(s, control, work)
+            steps += 1
+            _check_run_invariants(s, *means)
             for hook in hooks:
-                hook(s, s, dt)
+                hook(s, s, s.t - t_prev)
             # Of its cached fields the next step reads grad psi alone; the
             # step's arrays reuse the memory of the others.
             s._release(keep=("grad_psi",))
@@ -825,23 +803,23 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     except (InvariantViolation, ChargeNeutralityError) as exc:
         status, diagnostic = RunStatus.INVARIANT_VIOLATION, str(exc)
     finally:
-        stepper.work.close()
+        work.close()
 
     return RunReport(
         status=status,
-        steps=stepper.steps,
-        t_final=stepper.state.t,
-        state_checksum=state_checksum(stepper.state),
+        steps=steps,
+        t_final=s.t,
+        state_checksum=state_checksum(s),
         wall_seconds=time.monotonic() - t0,
         diagnostic=diagnostic,
-        final_state=stepper.state,
+        final_state=s,
     )
 
 
 def _check_run_invariants(state: State, mean_v0: float, mean_w0: float):
     bound, tol = _divergence_bound(state)
-    div = bound if bound <= tol / 2 else float(
-        np.abs(_samples_from_coeffs(state.grid, divergence(state.u_hat).coeffs)).max())
+    div = bound if bound <= tol / 2 else float(np.abs(_samples_from_coeffs(
+        state.grid, 1j * _k_dot_u(state), _zero_coeffs(state.grid))).max())
     if div > tol:
         raise InvariantViolation(
             f"divergence invariant failed at t={state.t:.6f}: max |div u| = {div:.3e}"

@@ -25,8 +25,8 @@ bitwise deterministic.
 Every transform passes through `_coeffs_from_samples` and
 `_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
 for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
-checks.  Given a block array (every transform of a run, set-up and
-report included, but the divergence checks' rare fallback), they run only
+checks.  Given a block array (every transform of a run, set-up, the
+divergence checks' rare fallback and the report included), they run only
 the 1-D lines that reach or leave the block, bit for bit the full
 transform's block; `forward_transform` and `backward_transform` run the
 full one.

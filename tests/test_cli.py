@@ -221,6 +221,17 @@ class TestRunCommand:
         assert code == 1
         assert "EHD-E1:" in capsys.readouterr().err
 
+    def test_senseless_preset_parameter_exits_one(self, tmp_path, capsys):
+        """random_smooth with energy = nan ran with u = 0."""
+        out_dir = tmp_path / "out"
+        path = write_config(tmp_path, "grid_n = 16\nt_end = 0.002\n"
+                            "initial_condition = random_smooth(seed=1, energy=nan)\n"
+                            f"output_dir = {out_dir}\n")
+        assert main(["run", path]) == 1
+        assert capsys.readouterr().err == "EHD-E1: energy must be finite, got nan\n"
+        assert not out_dir.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_dt_min_above_cfl_limit_exits_one(self, tmp_path, capsys):
         """Taylor-Green speeds give a CFL step around 0.16 on a 16^3 grid.
         The run stops at its t = 0 check, before any output is made."""
@@ -525,6 +536,45 @@ class TestAuditCommand:
         (tmp_path / "audit.csv").write_text("t,charge_identity_residual\n")
         assert main(["audit", str(tmp_path)]) == 1
         assert "has no data rows" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, column", [("audit.csv", "positivity_term"),
+                                              ("series.csv", "ps_u_integral")])
+    def test_csv_without_a_read_column_exits_one(self, name, column, tmp_path, capsys):
+        """Each file is checked before anything is printed; `--audit-csv
+        series.csv` ends here too."""
+        main(["run", tg_config(tmp_path)])
+        path = tmp_path / name
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, [c for c in rows[0] if c != column])
+            writer.writeheader()
+            writer.writerows({k: v for k, v in r.items() if k != column} for r in rows)
+        capsys.readouterr()
+        assert main(["audit", str(tmp_path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"EHD-E1: CSV {path} has no column {column!r}\n"
+
+    def test_series_csv_as_the_audit_csv_exits_one(self, tmp_path, capsys):
+        main(["run", tg_config(tmp_path)])
+        capsys.readouterr()
+        assert main(["audit", str(tmp_path), "--audit-csv", "series.csv"]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("EHD-E1: CSV ") and "has no column" in err
+
+    def test_column_without_a_finite_value_prints_n_a(self, tmp_path, capsys):
+        (tmp_path / "audit.csv").write_text(
+            "t,charge_identity_residual,velocity_margin,positivity_term,ls_ratio,Y\n"
+            "0.0,nan,-1.5,,nan,inf\n0.1,2.0,,nan,inf,nan\n")
+        assert main(["audit", str(tmp_path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "max charge-identity residual: 2",
+            "min velocity decay margin:    -1.5",
+            "max positivity term:          n/a",
+            "max log-Sobolev ratio:        n/a",
+            "final Y:                      n/a",
+        ]
 
     def test_default_file_names_are_the_run_config_names(self):
         args = _build_parser().parse_args(["audit", "run"])

@@ -47,6 +47,22 @@ class TestRandomSmooth:
         with pytest.raises(ValueError, match="energy must be nonnegative, got -1"):
             ehd.random_smooth(grid16, seed=3, energy=-1)
 
+    @pytest.mark.parametrize("params, message", [
+        ({"energy": float("nan")}, "energy must be finite, got nan"),
+        ({"energy": float("inf")}, "energy must be finite, got inf"),
+        ({"energy": -float("inf")}, "energy must be nonnegative, got -inf"),
+        ({"peak_wavenumber": 0.0}, "peak_wavenumber must be finite and positive, got 0.0"),
+        ({"peak_wavenumber": -3.0}, "peak_wavenumber must be finite and positive, got -3.0"),
+        ({"peak_wavenumber": float("nan")}, "peak_wavenumber must be finite and positive, got nan"),
+        ({"peak_wavenumber": float("inf")}, "peak_wavenumber must be finite and positive, got inf"),
+    ])
+    def test_senseless_parameters_rejected(self, params, message, grid16):
+        """nan energy gave u = 0, inf energy a non-finite state, a zero peak
+        a division by zero, a negative one its absolute value, and a nan
+        peak a NonFiniteFieldError; each is now named before any work."""
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ehd.random_smooth(grid16, seed=3, **params)
+
     def test_zero_energy_gives_zero_velocity(self, grid16):
         s = ehd.random_smooth(grid16, seed=3, energy=0.0)
         charged = ehd.random_smooth(grid16, seed=3)

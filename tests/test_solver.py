@@ -379,9 +379,9 @@ def count_inverse_transforms(monkeypatch) -> list:
     calls = []
     inverse = solver._samples_from_coeffs
 
-    def counted(grid, coeffs):
+    def counted(grid, coeffs, *full):
         calls.append(coeffs)
-        return inverse(grid, coeffs)
+        return inverse(grid, coeffs, *full)
 
     monkeypatch.setattr(solver, "_samples_from_coeffs", counted)
     return calls
@@ -442,6 +442,42 @@ class TestDivergenceTolerance:
             checker(s)
         assert (div > tol) == (fraction > 1)
         assert len(transforms) == (0 if fraction < 0.5 else 1)
+
+    @pytest.mark.parametrize("check", sorted(DIVERGENCE_CHECKS))
+    @pytest.mark.parametrize("preset", ["taylor_green", "random_smooth"])
+    @pytest.mark.parametrize("eps", [0.75, 1e-3, 1.0])
+    def test_fallback_takes_the_block_inverse(self, check, preset, eps, grid16, monkeypatch):
+        """A divergence of 0.75 tol, 1e-3 or 1: the fallback's max |div u|
+        is bitwise that of the full-layout formula, and it takes one block
+        inverse transform at the seam, a c2r along axis 2 after three c2c
+        passes."""
+        checker, message = DIVERGENCE_CHECKS[check]
+        base = (ehd.taylor_green(grid16) if preset == "taylor_green"
+                else ehd.random_smooth(grid16, seed=3))
+        if eps == 0.75:
+            eps *= solver._divergence_bound(base)[1]
+        s = with_gradient_part(base, 1.0, eps)
+        s._blocks()  # the forward transforms, before the seam is watched
+        bound, tol = solver._divergence_bound(s)
+        assert bound > tol / 2
+        want = float(np.abs(solver._samples_from_coeffs(
+            grid16, ehd.divergence(s.u_hat).coeffs)).max())
+        made, seam = [], []
+        inverse = solver._samples_from_coeffs
+        monkeypatch.setattr(solver, "_samples_from_coeffs",
+                            lambda *a: made.append(inverse(*a)) or made[-1])
+        for name in ("_r2c", "_c2r", "_c2c"):
+            binding = getattr(spectral, name)
+            monkeypatch.setattr(spectral, name, lambda *a, name=name, binding=binding: (
+                seam.append((name, a[1])) or binding(*a)))
+        if want > tol:
+            with pytest.raises(InvariantViolation, match=message):
+                checker(s)
+        else:
+            checker(s)
+        assert len(made) == 1
+        assert float(np.abs(made[0]).max()).hex() == want.hex()
+        assert seam == [("_c2c", (0,))] * 2 + [("_c2c", (1,)), ("_c2r", (2,))]
 
     def test_non_finite_bound_falls_back_to_the_transform(self, grid16, monkeypatch):
         """A NaN coefficient makes the bound NaN, which settles nothing; the
@@ -640,12 +676,17 @@ class TestInPlaceArithmetic:
         for s, samples in ((user, None), (snapshot, snapshot.samples)):
             c0 = block_of(grid16, s.coeffs)  # writable, so a write would land
             before = tuple(a.copy() for a in c0)
-            f1 = solver._nonlinear(c0, solver._Work(grid16), samples, s.grad_psi,
-                                   out=[np.empty_like(a) for a in c0])
+            # Five arrays: grad psi is given, that of zero charges too, so
+            # both calls take the charged arithmetic.
+            made, dpsi = solver._materialize(c0, solver._Work(grid16), True)
+            if s.grad_psi is not None:
+                assert_bitwise_equal(dpsi, s.grad_psi)
+            f1 = solver._nonlinear(made if samples is None else samples, dpsi,
+                                   solver._Work(grid16), out=[np.empty_like(a) for a in c0])
             ref_f1 = _ref_nonlinear(grid16, s.coeffs, samples, s.grad_psi)
             assert_equal_in_block(grid16, spread(grid16, f1), ref_f1)
             assert_equal_in_block(
-                grid16, spread(grid16, solver._nonlinear(c0, solver._Work(grid16),
+                grid16, spread(grid16, solver._nonlinear(made, dpsi, solver._Work(grid16),
                                                          out=[np.empty_like(a) for a in c0])),
                 _ref_nonlinear(grid16, s.coeffs))
             c1 = solver._advance(c0, f1, dt, solver._Work(grid16))
@@ -728,9 +769,9 @@ class TestUnchargedPath:
         seen = []
         nonlinear = solver._nonlinear
 
-        def record(c, *args, **kwargs):
-            seen.append(len(c))
-            return nonlinear(c, *args, **kwargs)
+        def record(*args, out):
+            seen.append(len(out))
+            return nonlinear(*args, out=out)
 
         monkeypatch.setattr(solver, "_nonlinear", record)
         ehd.run(ehd.taylor_green(grid16), StepControl(dt=1e-3, t_end=2e-3))

@@ -13,6 +13,7 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import ehd
 from ehd import StepControl, solver
@@ -36,29 +37,36 @@ def test_tracer_finds_every_target():
         tracer.uninstall()
 
 
-def test_each_step_charges_transforms_to_the_solver_callers():
+@pytest.mark.parametrize("n", [16, 64])
+def test_each_step_charges_transforms_to_the_solver_callers(n):
     """The tracer charges an FFT to the first ehd frame that is not a
-    transform helper.  The charge lane's task makes the w samples of stages
-    2 and 3 and of each new snapshot (and of stage 1 of step 1), and every
-    grad psi is charged to `_gradient_samples`: stages 2 and 3 and each
-    snapshot but the last, plus the initial state's in step 1.  The
-    divergence bound settles the invariant check of a divergence-free run
-    without a transform."""
+    transform helper.  `_materialize` makes every sample the step's stages
+    and its new snapshot read: u and v on the calling thread, w in the lane
+    task `_lane_samples`, which charges grad psi to `_gradient_samples`
+    (stages 2 and 3 and each snapshot but the last, plus the initial
+    state's in step 1).  Stage 1 of step 1 inverts the initial coefficients
+    too.  `_nonlinear` makes only the six momentum flux forwards of each
+    stage, and `_charge_terms` the six charge flux forwards.  The divergence
+    bound settles the invariant check of a divergence-free run without a
+    transform.  At 64^3 on two CPUs the lane tasks run on a worker thread,
+    with the same counts."""
     tracer = make_tracer()
     marks = []
     tracer.install()
     try:
-        ehd.run(ehd.charged_shear(ehd.Grid(16)), StepControl(dt=1e-3, t_end=3e-3),
+        ehd.run(ehd.charged_shear(ehd.Grid(n)), StepControl(dt=1e-3, t_end=3e-3),
                 hooks=[lambda s, d, dt: marks.append(len(tracer.ffts))])
     finally:
         tracer.uninstall()
     assert len(marks) == 4  # the t = 0 hook and three steps
-    # Stage 1 of step 1 inverts the initial coefficients too.
-    for start, end, stages, lane, grad in zip(marks, marks[1:], (30, 26, 26), (4, 3, 3),
-                                              (12, 9, 6)):
-        callers = Counter(f.caller for f in tracer.ffts[start:end])
-        assert callers["solver._materialize"] == 4
-        assert callers["solver._nonlinear"] == stages
+    for start, end, made, lane, grad in zip(marks, marks[1:], (16, 12, 12), (4, 3, 3),
+                                            (12, 9, 6)):
+        ffts = tracer.ffts[start:end]
+        callers = Counter(f.caller for f in ffts)
+        assert callers["solver._materialize"] == made
+        assert callers["solver._nonlinear"] == 18
+        assert {f.kind for f in ffts if f.caller == "solver._nonlinear"} == {"fwd"}
+        assert callers["solver._charge_terms"] == 18
         assert callers["solver._lane_samples"] == lane
         assert callers["solver._gradient_samples"] == grad
         assert callers["solver._check_run_invariants"] == 0
