@@ -19,7 +19,8 @@ j_min, j_max = ehd.band_range(grid)
 print(f"bands representable on n={grid.n}: j = {j_min} .. {j_max}")
 
 # --- a single mode lands in one band ---------------------------------------
-coeffs = np.zeros(grid.spectral_shape, dtype=complex)
+# Coefficients live on the dealiased block, rows k = 0..n//3 then -n//3..-1.
+coeffs = np.zeros(grid.block.shape, dtype=complex)
 coeffs[4, 0, 0] = 0.5
 coeffs[-4, 0, 0] = 0.5  # together: cos(4 x1)
 mode = ehd.SpectralField(grid, coeffs)

@@ -22,6 +22,7 @@ samples = []
 
 
 def record(state, _, dt):
+    # u_hat holds the snapshot's own block coefficients: Parseval, no transform.
     energy = sum(ehd.l2_norm_sq(c) for c in state.u_hat.components)
     samples.append((state.t, energy))
 

@@ -32,6 +32,7 @@ from .criteria import jsonable
 from .solver import State
 from .spectral import (
     RealField,
+    forward_transform,
     lp_norm,
     power_sum,
     sobolev_weights,
@@ -104,7 +105,7 @@ def interpolation_ratios(f: RealField) -> tuple[float, float]:
     """
     if not f.samples.any():
         return (math.nan, math.nan)
-    power = spectral_power(f.grid, f.grid.block.forward_transform(f))
+    power = spectral_power(forward_transform(f))
     l2_sq = power_sum(power)
     grad_sq = power_sum(power, f.grid.k2)
     if grad_sq <= 1e-24 * max(l2_sq, 1e-300):

@@ -3,9 +3,9 @@
 All presets produce neutral charge data (mean(v) = mean(w)), nonnegative
 charges, and a divergence-free velocity.  The randomized preset uses the
 counter-based Philox generator so a seed reproduces bit-identical fields
-across platforms; it shapes its noise on the dealiased block (`Grid.block`),
-and its coefficients, forward transforms of real samples times a real
-envelope, take their inverse transforms with no Hermitian check.
+across platforms; its coefficients, forward transforms of real samples
+times a real envelope, take their inverse transforms with no Hermitian
+check.
 """
 
 from __future__ import annotations
@@ -17,11 +17,11 @@ from .spectral import (
     Grid,
     RealField,
     VectorField,
-    _curl_coeffs,
     _samples_from_coeffs,
     _zero_coeffs,
-    power_sum,
-    spectral_power,
+    curl,
+    forward_transform,
+    l2_norm_sq,
 )
 
 
@@ -58,7 +58,7 @@ def charged_shear(grid: Grid) -> State:
 
 def _smooth_scalar(grid: Grid, rng, peak_wavenumber: float) -> RealField:
     """Mean-free random field with a Gaussian spectral envelope around the peak."""
-    c = grid.block.forward_transform(RealField(grid, rng.standard_normal((grid.n,) * 3)))
+    c = forward_transform(RealField(grid, rng.standard_normal((grid.n,) * 3))).coeffs
     c *= np.exp(-((grid.block.kmag / peak_wavenumber) ** 2))
     c[0, 0, 0] = 0.0
     return RealField(grid, _samples_from_coeffs(grid, c, _zero_coeffs(grid)))
@@ -81,13 +81,12 @@ def random_smooth(
         raise ValueError(f"peak_wavenumber must be finite and positive, got {peak_wavenumber}")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
 
-    potential = [grid.block.forward_transform(_smooth_scalar(grid, rng, peak_wavenumber))
-                 for _ in range(3)]
-    u_hat = _curl_coeffs(grid.block, *potential)
-    raw = sum(power_sum(spectral_power(grid, c)) for c in u_hat)
+    potential = [forward_transform(_smooth_scalar(grid, rng, peak_wavenumber)) for _ in range(3)]
+    u_hat = curl(VectorField(*potential)).components
+    raw = sum(l2_norm_sq(c) for c in u_hat)
     if energy > 0 and raw > 0:
         scale, full = np.sqrt(energy / raw), _zero_coeffs(grid)
-        u = VectorField(*[RealField(grid, _samples_from_coeffs(grid, c * scale, full))
+        u = VectorField(*[RealField(grid, _samples_from_coeffs(grid, c.coeffs * scale, full))
                           for c in u_hat])
     else:
         u = VectorField(_zero(grid), _zero(grid), _zero(grid))

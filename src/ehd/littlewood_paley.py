@@ -20,9 +20,11 @@ from .spectral import (
     Grid,
     RealField,
     SpectralField,
+    _check_hermitian,
     _samples_from_coeffs,
     _zero_coeffs,
     backward_transform,
+    forward_transform,
     lp_norm,
 )
 
@@ -94,8 +96,8 @@ def band_range(grid: Grid) -> tuple[int, int]:
 
 
 def band_weight(grid: Grid, j: int) -> np.ndarray:
-    """varphi(2^-j |k|) on the grid's wavenumber lattice, kept on the grid."""
-    return grid.table(("band", j), lambda: varphi(grid.kmag / 2.0**j))
+    """varphi(2^-j |k|) on the grid's block, kept on the grid."""
+    return grid.table(("band", j), lambda: varphi(grid.block.kmag / 2.0**j))
 
 
 def decompose(f: SpectralField) -> list[DyadicBand]:
@@ -111,32 +113,30 @@ def besov_norm(f: SpectralField | RealField, params: BesovParams) -> float:
     """Homogeneous Besov norm over the representable bands.
 
     (sum_j 2^(j s r) ||band_j||_Lp^r)^(1/r), with the supremum over j when
-    r = inf.  Band L^p norms are taken on samples.  Given coefficients, each
-    band is checked as `backward_transform` checks it.  Given a real field,
-    the norm of its `forward_transform`, bit for bit, from the bands of its
-    pruned forward transform (`_block_bands`).
+    r = inf.  Band L^p norms are taken on samples (`_block_bands`).  A real
+    field counts as its `forward_transform`.  Given coefficients, their
+    Hermitian symmetry is checked once, as `backward_transform` checks it:
+    the band weights are real and even in k, so each band of a Hermitian
+    field is Hermitian.
     """
-    bands = _block_bands(f) if isinstance(f, RealField) else (
-        (band.j, backward_transform(band.field)) for band in decompose(f))
-    terms = [2.0 ** (j * params.s) * lp_norm(samples, params.p) for j, samples in bands]
+    if isinstance(f, RealField):
+        f = forward_transform(f)
+    else:
+        _check_hermitian(f)
+    terms = [2.0 ** (j * params.s) * lp_norm(samples, params.p) for j, samples in _block_bands(f)]
     if np.isinf(params.r):
         return float(max(terms))
     return float(sum(t**params.r for t in terms) ** (1.0 / params.r))
 
 
-def _block_bands(f: RealField):
-    """(j, samples of band j) of f's dealiased forward transform: each band
-    is formed on the block and takes the block inverse transform.  The
-    coefficients are the program's own forward transform of real samples,
-    so the bands make no Hermitian check."""
-    grid, block = f.grid, f.grid.block
-    coeffs = block.forward_transform(f)
-    work, full = np.empty_like(coeffs), _zero_coeffs(grid)
+def _block_bands(f: SpectralField):
+    """(j, samples of band j) of f: each band is formed in one work array
+    and takes the block inverse transform, with no Hermitian check."""
+    grid, work = f.grid, np.empty_like(f.coeffs)
+    full = _zero_coeffs(grid)
     j_min, j_max = band_range(grid)
     for j in range(j_min, j_max + 1):
-        weight = grid.table(("band block", j), lambda: block.gather(
-            band_weight(grid, j), np.empty(block.shape)))
-        band = np.multiply(coeffs, weight, out=work)
+        band = np.multiply(f.coeffs, band_weight(grid, j), out=work)
         yield j, RealField(grid, _samples_from_coeffs(grid, band, full))
 
 
@@ -176,13 +176,12 @@ def random_band_field(grid: Grid, j: int, rng) -> SpectralField:
     white-noise band fields would not be (their maxima fall short of the
     band-limited extremizers by a band-dependent factor).
     """
-    phases = np.zeros(grid.spectral_shape, dtype=complex)
+    b = grid.block
+    phases = np.zeros(b.shape, dtype=complex)
     for _ in range(4):
         center = rng.uniform(0.0, 2.0 * np.pi, size=3)
         amp = rng.standard_normal()
-        phases += amp * np.exp(
-            -1j * (grid.kx * center[0] + grid.ky * center[1] + grid.kz * center[2])
-        )
+        phases += amp * np.exp(-1j * (b.kx * center[0] + b.ky * center[1] + b.kz * center[2]))
     return SpectralField(grid, band_weight(grid, j) * phases)
 
 
@@ -218,7 +217,7 @@ def bernstein_check(
     rng = np.random.Generator(np.random.Philox(key=seed))
     scale_pq = 2.0 ** (j * k + 3.0 * j * (1.0 / p - (0.0 if np.isinf(q) else 1.0 / q)))
     scale_pp = 2.0 ** (j * k)
-    alphas = _multi_indices(k)
+    alphas, b = _multi_indices(k), grid.block
 
     ratios, two_sided = [], []
     for _ in range(trials):
@@ -229,11 +228,7 @@ def bernstein_check(
         sup_q = 0.0
         sup_p = 0.0
         for alpha in alphas:
-            factor = (
-                (1j * grid.kx) ** alpha[0]
-                * (1j * grid.ky) ** alpha[1]
-                * (1j * grid.kz) ** alpha[2]
-            )
+            factor = (1j * b.kx) ** alpha[0] * (1j * b.ky) ** alpha[1] * (1j * b.kz) ** alpha[2]
             deriv = backward_transform(SpectralField(grid, f.coeffs * factor))
             sup_q = max(sup_q, lp_norm(deriv, q))
             sup_p = max(sup_p, lp_norm(deriv, p))

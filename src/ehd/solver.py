@@ -23,16 +23,14 @@ A snapshot's coefficients are forward transforms of real samples, or the
 run's dealiased arithmetic on them, so their inverse transforms go through
 `_samples_from_coeffs`, without `backward_transform`'s Hermitian check.
 
-A snapshot's coefficients live on the dealiased block (`Grid.block`): a
-snapshot the run makes carries five block arrays, copied from the step's
-result, which the next step reads, and a user state makes each once, by
-the seam's pruned forward transform of its samples.  The RK3 step and the
-observer fields work on the block alone, and every transform they make
-takes the seam's block mode, which computes only the lines that reach or
-leave the block; each inverse works in a half-spectrum array whose kz
-planes above the block stay +0 (the run's, or one the field makes).  Full
-half-spectrum coefficients (`State.coeffs`, `u_hat`, `v_hat`, `w_hat`,
-`psi_hat`) are scattered from the block on request.
+A snapshot's coefficients live on the dealiased block (`Grid.block`), the
+one spectral layout: a snapshot the run makes carries five block arrays,
+copied from the step's result, which the next step reads, and a user state
+makes each once, by the pruned forward transform of its samples.  Its
+`SpectralField`s (`u_hat`, `v_hat`, `w_hat`, `psi_hat`) hold those arrays.
+Every transform computes only the lines that reach or leave the block;
+each inverse works in a half-spectrum array whose kz planes above the
+block stay +0 (the run's, or one the field makes).
 
 A run's step context is one `_Work`: the grid, the work arrays and the lane
 of the charge terms.  Block arrays become samples in `_materialize` alone
@@ -71,11 +69,13 @@ from .spectral import (
     VectorField,
     _coeffs_from_samples,
     _curl_coeffs,
+    _k_dot,
     _leray_coeffs,
     _poisson_coeffs,
     _samples_from_coeffs,
     _zero_coeffs,
     entry_magnitude,
+    forward_transform,
     power_sum,
     sobolev_weights,
     spectral_power,
@@ -84,6 +84,10 @@ from .spectral import (
 
 DIVERGENCE_TOL = 1e-9
 MEAN_DRIFT_TOL = 1e-10
+# RK3's stability interval on the negative real axis is about [-2.51, 0].
+# The charges relax at a rate up to max v + max w (drift along grad psi,
+# with laplacian(psi) = v - w), so dt * (max v + max w) must stay inside it.
+RK3_REAL_STABILITY = 2.51
 
 
 class BlowUpSuspected(RuntimeError):
@@ -114,12 +118,10 @@ class State:
     Every state holds its coefficients as five arrays on the dealiased
     block (`Grid.block`).  A state the run makes carries the run's, its
     samples are their inverse transforms, and its samples are read-only;
-    any other state makes each field's array, the pruned forward transform
-    of its samples (`Block.forward_transform`), when first asked for.
-    Derived fields are computed on first use and cached.  Observer fields
-    are formed on the block; the full arrays (`coeffs`, `u_hat`, `v_hat`,
-    `w_hat`, `psi_hat`) are the block scattered into zeros, made on
-    request.  Coefficient, power and grad psi arrays are always read-only.
+    any other state makes each field's array, the `forward_transform` of
+    its samples, when first asked for.  Derived fields are computed on
+    first use and cached; observer fields are formed on the block.
+    Coefficient, power and grad psi arrays are always read-only.
     """
 
     u: VectorField
@@ -149,63 +151,52 @@ class State:
         made = self._transforms
         if made[i] is None:
             fields = (*self.u.components, self.v, self.w)
-            made[i] = _readonly(self.grid.block.forward_transform(fields[i]))
+            made[i] = _readonly(forward_transform(fields[i]).coeffs)
         return made[i]
 
     def _blocks(self, count: int = 5) -> list:
         """The block arrays of the first count fields of (ux, uy, uz, v, w)."""
         return [self._field_block(i) for i in range(count)]
 
-    def _full(self, block: np.ndarray) -> SpectralField:
-        """The field whose block array is block: block scattered into zeros,
-        read-only."""
-        g = self.grid
-        return SpectralField(g, _readonly(g.block.scatter(block, _zero_coeffs(g))))
-
     @property
     def coeffs(self) -> tuple:
-        """The (ux, uy, uz, v, w) coefficient arrays (read-only)."""
-        return tuple(self._full(c).coeffs for c in self._blocks())
+        """The (ux, uy, uz, v, w) block arrays (read-only)."""
+        return tuple(self._blocks())
 
     @cached_property
     def u_hat(self) -> VectorField:
-        return VectorField(*(self._full(c) for c in self._blocks(3)))
+        return VectorField(*(SpectralField(self.grid, c) for c in self._blocks(3)))
 
     @property
     def v_hat(self) -> SpectralField:
-        return self._full(self._field_block(3))
+        return SpectralField(self.grid, self._field_block(3))
 
     @property
     def w_hat(self) -> SpectralField:
-        return self._full(self._field_block(4))
-
-    @cached_property
-    def _psi_block(self) -> np.ndarray:
-        """The potential's block array; the Poisson solve raises unless
-        v - w is neutral."""
-        eta = self._field_block(3) - self._field_block(4)
-        return _readonly(_poisson_coeffs(self.grid.block, eta))
+        return SpectralField(self.grid, self._field_block(4))
 
     @cached_property
     def psi_hat(self) -> SpectralField:
-        return self._full(self._psi_block)
+        """The potential; the Poisson solve raises unless v - w is neutral."""
+        eta = self._field_block(3) - self._field_block(4)
+        return SpectralField(self.grid, _readonly(_poisson_coeffs(self.grid.block, eta)))
 
     @cached_property
     def u_power(self) -> tuple:
         """Full-lattice power (`spectral_power`) of each velocity component."""
-        return _readonly(tuple(spectral_power(self.grid, c) for c in self._blocks(3)))
+        return _readonly(tuple(spectral_power(F) for F in self.u_hat.components))
 
     @cached_property
     def v_power(self) -> np.ndarray:
-        return _readonly(spectral_power(self.grid, self._field_block(3)))
+        return _readonly(spectral_power(self.v_hat))
 
     @cached_property
     def w_power(self) -> np.ndarray:
-        return _readonly(spectral_power(self.grid, self._field_block(4)))
+        return _readonly(spectral_power(self.w_hat))
 
     @cached_property
     def psi_power(self) -> np.ndarray:
-        return _readonly(spectral_power(self.grid, self._psi_block))
+        return _readonly(spectral_power(self.psi_hat))
 
     @cached_property
     def u_h3_norm(self) -> float:
@@ -217,7 +208,7 @@ class State:
     @cached_property
     def psi(self) -> RealField:
         g = self.grid
-        return RealField(g, _samples_from_coeffs(g, self._psi_block, _zero_coeffs(g)))
+        return RealField(g, _samples_from_coeffs(g, self.psi_hat.coeffs, _zero_coeffs(g)))
 
     @cached_property
     def omega(self) -> VectorField:
@@ -245,7 +236,8 @@ class State:
         on each snapshot it makes but the last (`_snapshot`)."""
         if not (self._field_block(3).any() or self._field_block(4).any()):
             return None
-        return _readonly(_gradient_samples(self.grid, self._psi_block, _zero_coeffs(self.grid)))
+        return _readonly(_gradient_samples(self.grid, self.psi_hat.coeffs,
+                                           _zero_coeffs(self.grid)))
 
     @cached_property
     def grad_u(self) -> list:
@@ -669,8 +661,9 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     Stage 1 does not depend on dt, so it runs first, on the snapshot's
     samples and grad psi (made with the snapshot by the step before; for a
     user state, its block arrays' samples by `_materialize` and grad psi by
-    `State.grad_psi`); the CFL bound then reads the same arrays, the
-    step's last read of its input, which then drops every cached field.
+    `State.grad_psi`); the CFL bound and, for charges, the relaxation
+    bound then read the same arrays, the step's last read of its input,
+    which then drops every cached field.
     With no charge (grad psi is None) only the three velocity arrays are
     carried: the charge equations are linear and homogeneous in (v, w), so
     zero charges stay exactly zero.
@@ -679,16 +672,21 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     c0 = state._blocks(5 if dpsi is not None else 3)
     samples = state.samples if state._block is not None else _materialize(c0, work, False)[0]
     f1 = _nonlinear(samples, dpsi, work, out=work.stages[0][: len(c0)])
-    dt_stab = cfl_limit(state, control.cfl)
+    limits = {"CFL": cfl_limit(state, control.cfl)}
+    if dpsi is not None:
+        rate = float(state.v.samples.max()) + float(state.w.samples.max())
+        if rate > 0.0:
+            limits["charge relaxation"] = control.cfl * RK3_REAL_STABILITY / rate
     # The step has read its input and stage-1 samples for the last time:
     # their memory (with the input's cached fields) serves the new snapshot.
     # A hook that asks again gets the fields recomputed, same bits.
     state._release()
     del dpsi, samples
-    dt = min(control.dt, dt_stab)
+    limit = min(limits, key=limits.get)
+    dt = min(control.dt, limits[limit])
     if dt < control.dt_min:
         raise BlowUpSuspected(
-            f"time step collapsed: CFL limit {dt_stab:.3e} fell below "
+            f"time step collapsed: {limit} limit {limits[limit]:.3e} fell below "
             f"dt_min {control.dt_min:.3e} at t={state.t:.6f}"
         )
     remaining = control.t_end - state.t
@@ -704,19 +702,18 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
 def step(state: State, control: StepControl) -> State:
     """Advance one time step.
 
-    dt is the base step clamped by the CFL bound and the remaining horizon;
-    a CFL clamp below dt_min, or a non-finite result, aborts the run as a
-    suspected blow-up.
+    dt is the base step clamped by the CFL bound, the charge relaxation
+    bound (`RK3_REAL_STABILITY`) and the remaining horizon; a clamp below
+    dt_min, which names its bound, or a non-finite result, aborts the run
+    as a suspected blow-up.
     """
     _check_finite_state(state, BlowUpSuspected)
     return _step(state, control, _Work(state.grid))
 
 
 def _k_dot_u(state: State) -> np.ndarray:
-    """k.c on the velocity's block in `divergence`'s order: div u / 1j."""
-    block = state.grid.block
-    cx, cy, cz = state._blocks(3)
-    return block.kx * cx + block.ky * cy + block.kz * cz
+    """k.c on the velocity's block, `divergence`'s sum: div u / 1j."""
+    return _k_dot(state.grid.block, *state._blocks(3))
 
 
 def _divergence_bound(state: State) -> tuple[float, float]:

@@ -4,18 +4,17 @@ Fourier convention: a real field is represented as f(x) = sum_k c_k exp(i k.x)
 over integer wavenumbers k, so a unit cosine carries a conjugate pair of
 coefficients of value 1/2, and Parseval reads ||f||_L2^2 = (2*pi)^3 sum |c_k|^2.
 
-Because fields are real, only the half-spectrum kz >= 0 is stored (shape
-(n, n, n/2+1)); the kz < 0 modes are the implied conjugates.  Hermitian
-symmetry then lives on the kz = 0 and kz = n/2 planes, where c(-kx,-ky) must
-equal conj(c(kx,ky)).  Lattice sums over all modes weight the stored interior
-modes by two (`Grid.mult`).  Every spectral field is kept dealiased by the
-2/3 rule (modes with any |k_i| > n/3 are zero), which makes quadratic
-products alias-free and grid sums of triple products exact.
-
-The modes the rule keeps form a box, `Grid.block`: the solver's RK3
-arithmetic runs on that compact array alone, every state keeps its
-coefficients there, and the observers' products are formed there.  Only
-the public fields (`SpectralField`) keep the full half-spectrum layout.
+Every spectral field is dealiased by the 2/3 rule (modes with any |k_i| >
+n/3 are zero), which makes quadratic products alias-free and grid sums of
+triple products exact.  The modes the rule keeps form a box, `Grid.block`,
+and that box is the one spectral layout: a `SpectralField`'s coefficients,
+a state's, the solver's RK3 arithmetic and the observers' products all
+live there.  Because fields are real, only its kz >= 0 half is stored; the
+kz < 0 modes are the implied conjugates, so Hermitian symmetry lives on
+the kz = 0 plane, where c(-kx,-ky) must equal conj(c(kx,ky)).  Lattice
+sums over all modes weight the stored modes off that plane by two
+(`Block.mult`); the power arrays the norms sum keep the half-spectrum
+shape (n, n, n/2+1), zero outside the block.
 
 All operations are pure functions of their field snapshots; constructed
 fields are safe to share across threads.  Each transform runs on one thread
@@ -25,16 +24,13 @@ bitwise deterministic.
 Every transform passes through `_coeffs_from_samples` and
 `_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
 for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
-checks.  Given a block array (every transform of a run, set-up, the
-divergence checks' rare fallback and the report included), they run only
-the 1-D lines that reach or leave the block, bit for bit the full
-transform's block; `forward_transform` and `backward_transform` run the
-full one.
-The helpers take the public call instead, then gather or scatter the
-block, when the binding does not import, when `scipy.fft.rfftn`/`irfftn`
-is no longer the function scipy had at import (a tracer counting
-transforms replaced it), or when the input is not native float64 samples
-or complex128 coefficients.
+checks.  They run only the 1-D lines that reach or leave the block, bit
+for bit the block of the full transform.
+They take the public call instead, then gather or scatter the block, when
+the binding does not import, when `scipy.fft.rfftn`/`irfftn` is no longer
+the function scipy had at import (a tracer counting transforms replaced
+it), or when the input is not native float64 samples or complex128
+coefficients.
 """
 
 from __future__ import annotations
@@ -74,11 +70,12 @@ class ChargeNeutralityError(ValueError):
 
 
 class Grid:
-    """Uniform n^3 periodic grid with wavenumber tables and dealias mask.
+    """Uniform n^3 periodic grid with its wavenumbers and dealiased block.
 
     n must be a power of two >= 8.  Wavenumbers are the integers
     -n/2 .. n/2-1 per axis (kz stored as 0 .. n/2); the unmatched Nyquist
-    row is removed by the dealias mask together with everything above n/3.
+    row lies outside the block, with everything above n/3.  k2 is |k|^2 on
+    the half spectrum, the weight of the full-shape power sums.
     """
 
     def __init__(self, n: int):
@@ -91,28 +88,11 @@ class Grid:
         self.cell_volume = self.spacing**3
 
         k = np.fft.fftfreq(n, d=1.0 / n)  # exact integers 0..n/2-1, -n/2..-1
-        kz_half = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
         self.k1d = k
         self.kx = k[:, None, None]
         self.ky = k[None, :, None]
-        self.kz = kz_half[None, None, :]
+        self.kz = np.fft.rfftfreq(n, d=1.0 / n)[None, None, :]  # 0..n/2
         self.k2 = self.kx**2 + self.ky**2 + self.kz**2
-        self.kmag = np.sqrt(self.k2)
-        inv = np.zeros_like(self.k2)
-        np.divide(1.0, self.k2, out=inv, where=self.k2 > 0)
-        self.inv_k2 = inv
-
-        # Multiplicity of each stored mode in full-lattice sums: interior
-        # kz planes stand for themselves and their conjugates.
-        mult = np.full_like(kz_half, 2.0)
-        mult[0] = 1.0
-        mult[-1] = 1.0
-        self.mult = mult[None, None, :]
-
-        cut = n / 3.0
-        self.dealias_mask = (
-            (np.abs(self.kx) <= cut) & (np.abs(self.ky) <= cut) & (np.abs(self.kz) <= cut)
-        )
 
         x = self.spacing * np.arange(n)
         self.x = x[:, None, None]
@@ -136,6 +116,7 @@ class Grid:
 
     @property
     def spectral_shape(self) -> tuple[int, int, int]:
+        """The half spectrum's shape, that of a full transform."""
         return (self.n, self.n, self.n // 2 + 1)
 
     def __repr__(self):
@@ -143,16 +124,17 @@ class Grid:
 
 
 class Block:
-    """The modes the dealias mask keeps, every |k_i| <= c = n//3, as one
-    compact array of shape (2c+1, 2c+1, c+1), with its own kx, ky, kz, k2,
-    kmag, inv_k2, mult and (all-true) dealias_mask tables under Grid's names.
+    """The modes the 2/3 rule keeps, every |k_i| <= c = n//3, as one compact
+    array of shape (2c+1, 2c+1, c+1), with its kx, ky, kz, k2, kmag, inv_k2,
+    mult (each mode's multiplicity in full-lattice sums: 1 on the kz = 0
+    plane, 2 above it) and all-true dealias_mask tables.
 
     Rows keep the half spectrum's order, k = 0..c then -c..-1, so k = 0 is
-    entry (0, 0, 0).  In the half spectrum the block is four boxes, the low
-    and high kx rows by the low and high ky rows; `pieces` pairs the slices
-    of each in the block and in the full array.  `rows` holds a full
-    array's two slices of kept rows (either axis), `planes` its kept kz
-    planes.
+    entry (0, 0, 0) and row i's mirror -k is row (-i) mod (2c+1).  In the
+    half spectrum the block is four boxes, the low and high kx rows by the
+    low and high ky rows; `pieces` pairs the slices of each in the block
+    and in a half-spectrum array.  `rows` holds a half-spectrum array's two
+    slices of kept rows (either axis), `planes` its kept kz planes.
     """
 
     def __init__(self, grid: Grid):
@@ -163,10 +145,12 @@ class Block:
         self.pieces = [((bx, by, kz), (fx, fy, kz)) for bx, fx in rows for by, fy in rows]
         k = grid.k1d[np.r_[0 : c + 1, n - c : n]]
         self.kx, self.ky, self.kz = k[:, None, None], k[None, :, None], grid.kz[..., kz]
-        for name in ("k2", "kmag", "inv_k2", "dealias_mask"):
-            table = getattr(grid, name)
-            setattr(self, name, self.gather(table, np.empty(self.shape, table.dtype)))
-        self.mult = grid.mult[..., kz]
+        self.k2 = self.kx**2 + self.ky**2 + self.kz**2
+        self.kmag = np.sqrt(self.k2)
+        self.inv_k2 = np.zeros_like(self.k2)
+        np.divide(1.0, self.k2, out=self.inv_k2, where=self.k2 > 0)
+        self.mult = np.where(self.kz == 0, 1.0, 2.0)
+        self.dealias_mask = np.ones(self.shape, dtype=bool)
 
     def gather(self, full: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The block of the half-spectrum array full, in out."""
@@ -179,14 +163,6 @@ class Block:
         for b, f in self.pieces:
             full[f] = block[b]
         return full
-
-    def forward_transform(self, f: RealField) -> np.ndarray:
-        """The block of `forward_transform(f)`'s coefficients, bit for bit,
-        from the block forward transform."""
-        _check_finite(f)
-        coeffs = _coeffs_from_samples(f.grid, f.samples, np.empty(self.shape, dtype=complex))
-        coeffs *= self.dealias_mask
-        return coeffs
 
 
 @dataclass
@@ -204,15 +180,16 @@ class RealField:
 
 @dataclass
 class SpectralField:
-    """Scalar field as half-spectrum complex coefficients (dealiased, Hermitian)."""
+    """Scalar field as complex coefficients on the dealiased block
+    (`Grid.block`), Hermitian on its kz = 0 plane."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != self.grid.spectral_shape:
+        if self.coeffs.shape != self.grid.block.shape:
             raise ValueError(
-                f"expected coefficients of shape {self.grid.spectral_shape}, "
+                f"expected coefficients of the block's shape {self.grid.block.shape}, "
                 f"got {self.coeffs.shape}"
             )
 
@@ -246,51 +223,46 @@ class VectorField:
 # of two, so this equals dividing the unnormalized forward transform by n^3,
 # bit for bit.
 #
-# Given a block array, a helper runs rfftn's/irfftn's 1-D passes one axis at
-# a time in their order (forward z, x, y; inverse x, y, z), on the lines
-# that reach or leave the block only (FFT pruning), with the same inputs:
-# the forward's 1/n^3 becomes three exact factors 1/n (bitwise for inputs
-# within about 1e+-300), and each line the inverse skips holds only +0,
-# which pocketfft maps to +0.
+# Each helper runs rfftn's/irfftn's 1-D passes one axis at a time in their
+# order (forward z, x, y; inverse x, y, z), on the lines that reach or leave
+# the block only (FFT pruning), with the same inputs: the forward's 1/n^3
+# becomes three exact factors 1/n (bitwise for inputs within about
+# 1e+-300), and each line the inverse skips holds only +0, which pocketfft
+# maps to +0.
 def _direct(public, original) -> bool:
     return None not in (_r2c, _c2c, _c2r) and public is original
 
 
-def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block=None) -> np.ndarray:
-    """Coefficients of samples; given block, an array of the block's shape,
-    only the block's, gathered into it."""
+def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """The block of samples' coefficients, gathered into block, an array of
+    the block's shape."""
     if not (_direct(_fft.rfftn, _RFFTN) and samples.dtype == _F8):
         full = _fft.rfftn(samples, norm="forward")
-    elif block is None:
-        return _r2c(samples, (0, 1, 2), True, 2, None, 1)
     else:
         full = _r2c(samples, (2,), True, 2, None, 1)
         kept = full[..., grid.block.planes]
         _c2c(kept, (0,), True, 2, kept, 1)
         for rows in grid.block.rows:
             _c2c(kept[rows], (1,), True, 2, kept[rows], 1)
-    return full if block is None else grid.block.gather(full, block)
+    return grid.block.gather(full, block)
 
 
 def _zero_coeffs(grid: Grid) -> np.ndarray:
-    """A half-spectrum array of +0: a scatter target, or the work array
-    `_samples_from_coeffs` takes with a block array, whose kz planes above
-    the block nothing else writes, so they stay +0."""
+    """A half-spectrum array of +0: the work array `_samples_from_coeffs`
+    takes, whose kz planes above the block nothing writes, so they stay +0;
+    or a scatter target."""
     return np.zeros(grid.spectral_shape, dtype=complex)
 
 
-def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full=None) -> np.ndarray:
-    """Samples of coeffs; given full, a half-spectrum work array whose kz
-    planes above the block hold +0 (`_zero_coeffs`), coeffs is a block array
-    scattered into full's kept planes, which the transform then overwrites."""
-    if full is not None:
-        kept = full[..., grid.block.planes]
-        kept.fill(0.0)
-        coeffs = grid.block.scatter(coeffs, full)
-    if not (_direct(_fft.irfftn, _IRFFTN) and coeffs.dtype == _C16):
-        return _fft.irfftn(coeffs, s=(grid.n,) * 3, norm="forward")
-    if full is None:
-        return _c2r(coeffs, (0, 1, 2), grid.n, False, 0, None, 1)
+def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Samples of the block array coeffs, scattered into the kept kz planes
+    of full, a half-spectrum work array whose planes above the block hold +0
+    (`_zero_coeffs`), which the transform then overwrites."""
+    kept = full[..., grid.block.planes]
+    kept.fill(0.0)
+    full = grid.block.scatter(coeffs, full)
+    if not (_direct(_fft.irfftn, _IRFFTN) and full.dtype == _C16):
+        return _fft.irfftn(full, s=(grid.n,) * 3, norm="forward")
     for rows in grid.block.rows:
         _c2c(kept[:, rows], (0,), False, 0, kept[:, rows], 1)
     _c2c(kept, (1,), False, 0, kept, 1)
@@ -298,13 +270,15 @@ def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full=None) -> np.ndarra
 
 
 def forward_transform(f: RealField) -> SpectralField:
-    """Transform samples to dealiased spectral coefficients.
+    """Transform samples to dealiased spectral coefficients: the block of
+    the full transform's, bit for bit, times the block's all-true mask.
 
     Rejects non-finite input, naming the first offending node.
     """
     _check_finite(f)
-    coeffs = _coeffs_from_samples(f.grid, f.samples)
-    coeffs *= f.grid.dealias_mask
+    block = f.grid.block
+    coeffs = _coeffs_from_samples(f.grid, f.samples, np.empty(block.shape, dtype=complex))
+    coeffs *= block.dealias_mask
     return SpectralField(f.grid, coeffs)
 
 
@@ -317,37 +291,22 @@ def _check_finite(f: RealField):
         )
 
 
-def _mirror_table(grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into a half-spectrum array of the kz = 0 and kz = n/2
-    planes, shape (2, n*n), and of each entry's mirror (-kx, -ky, kz)."""
-    n, nz = grid.n, grid.n // 2 + 1
-    i = np.arange(n)
-    m = -i % n
-    planes = np.array([0, n // 2])[:, None, None]
-    src = (i[:, None] * n + i[None, :]) * nz + planes
-    mirror = (m[:, None] * n + m[None, :]) * nz + planes
-    return src.reshape(2, -1), mirror.reshape(2, -1)
-
-
 def hermitian_defect(F: SpectralField) -> float:
-    """Max |c(k) - conj(c(-k))| over the self-conjugate kz planes.
+    """Max |c(k) - conj(c(-k))| over the self-conjugate kz = 0 plane.
 
-    Away from the kz = 0 and kz = n/2 planes the half-spectrum storage makes
-    the symmetry structural, so these planes carry the entire constraint.
-    The planes are reduced one at a time and a NaN plane maximum drops out
-    of the running maximum.
+    Above that plane the half-spectrum storage makes the symmetry
+    structural, so the plane carries the entire constraint.  A NaN maximum
+    counts as no defect.
     """
-    src, mirror = F.grid.table("mirror", lambda: _mirror_table(F.grid))
-    mirrored = np.conjugate(F.coeffs.take(mirror))
-    diff = np.subtract(F.coeffs.take(src), mirrored, out=mirrored)
-    defect = 0.0
-    for plane_max in np.abs(diff).max(axis=1):
-        defect = max(defect, float(plane_max))
-    return defect
+    plane = F.coeffs[..., 0]
+    mirror = -np.arange(plane.shape[0]) % plane.shape[0]
+    mirrored = np.conjugate(plane[mirror][:, mirror])
+    diff = np.subtract(plane, mirrored, out=mirrored)
+    return max(0.0, float(np.abs(diff).max()))
 
 
-def backward_transform(F: SpectralField) -> RealField:
-    """Transform coefficients back to samples; rejects broken Hermitian symmetry.
+def _check_hermitian(F: SpectralField):
+    """Reject broken Hermitian symmetry.
 
     The tolerance is 1e-12 * max(1, max |c|), so a defect of at most 1e-12
     passes at any scale and the scale is only measured above that.
@@ -358,43 +317,49 @@ def backward_transform(F: SpectralField) -> RealField:
             "coefficients violate c(-k) = conj(c(k)) on a self-conjugate plane; "
             "field is not real"
         )
-    return RealField(F.grid, _samples_from_coeffs(F.grid, F.coeffs))
+
+
+def backward_transform(F: SpectralField) -> RealField:
+    """Transform coefficients back to samples; rejects broken Hermitian
+    symmetry (`_check_hermitian`)."""
+    _check_hermitian(F)
+    return RealField(F.grid, _samples_from_coeffs(F.grid, F.coeffs, _zero_coeffs(F.grid)))
 
 
 def gradient(F: SpectralField) -> VectorField:
     """Spectral gradient: component j is i*k_j*c(k)."""
-    g = F.grid
-    return VectorField(
-        SpectralField(g, 1j * g.kx * F.coeffs),
-        SpectralField(g, 1j * g.ky * F.coeffs),
-        SpectralField(g, 1j * g.kz * F.coeffs),
-    )
+    b = F.grid.block
+    return VectorField(*(SpectralField(F.grid, 1j * kk * F.coeffs) for kk in (b.kx, b.ky, b.kz)))
+
+
+def _k_dot(block: Block, cx, cy, cz, work=None) -> np.ndarray:
+    """kx*cx + ky*cy + kz*cz on block arrays, in that order, in the two
+    arrays of work (new arrays when not given); returns the first."""
+    kd, tmp = work or (np.empty_like(cx), np.empty_like(cx))
+    np.multiply(block.kx, cx, out=kd)
+    kd += np.multiply(block.ky, cy, out=tmp)
+    kd += np.multiply(block.kz, cz, out=tmp)
+    return kd
 
 
 def divergence(U: VectorField) -> SpectralField:
-    g = U.grid
-    # 1j * (kx*cx + ky*cy + kz*cz), in that order, in two arrays.
-    c = np.multiply(g.kx, U.x.coeffs)
-    tmp = np.multiply(g.ky, U.y.coeffs)
-    c += tmp
-    c += np.multiply(g.kz, U.z.coeffs, out=tmp)
-    return SpectralField(g, np.multiply(1j, c, out=c))
+    c = _k_dot(U.grid.block, *(a.coeffs for a in U.components))
+    return SpectralField(U.grid, np.multiply(1j, c, out=c))
 
 
 def laplacian(F: SpectralField) -> SpectralField:
-    return SpectralField(F.grid, -F.grid.k2 * F.coeffs)
+    return SpectralField(F.grid, -F.grid.block.k2 * F.coeffs)
 
 
 def curl(U: VectorField) -> VectorField:
     g = U.grid
-    curl_coeffs = _curl_coeffs(g, U.x.coeffs, U.y.coeffs, U.z.coeffs)
+    curl_coeffs = _curl_coeffs(g.block, U.x.coeffs, U.y.coeffs, U.z.coeffs)
     return VectorField(*(SpectralField(g, c) for c in curl_coeffs))
 
 
-def _curl_coeffs(tables: Grid | Block, cx, cy, cz) -> tuple:
-    """curl on raw coefficient arrays of tables' layout (the grid's half
-    spectrum or its block)."""
-    kx, ky, kz = tables.kx, tables.ky, tables.kz
+def _curl_coeffs(block: Block, cx, cy, cz) -> tuple:
+    """curl on raw block coefficient arrays."""
+    kx, ky, kz = block.kx, block.ky, block.kz
     return 1j * (ky * cz - kz * cy), 1j * (kz * cx - kx * cz), 1j * (kx * cy - ky * cx)
 
 
@@ -404,25 +369,23 @@ def leray_project(U: VectorField) -> VectorField:
     Idempotent; divergence-free fields (including the mean mode) pass through.
     """
     g = U.grid
-    projected = _leray_coeffs(g, *(c.coeffs.copy() for c in U.components))
+    projected = _leray_coeffs(g.block, *(c.coeffs.copy() for c in U.components))
     return VectorField(*(SpectralField(g, c) for c in projected))
 
 
-def _leray_coeffs(tables: Grid | Block, cx, cy, cz, work=None) -> tuple:
-    """leray_project on raw coefficient arrays of tables' layout (the grid's
-    half spectrum or its block), in place; returns them.
+def _leray_coeffs(block: Block, cx, cy, cz, work=None) -> tuple:
+    """leray_project on raw block coefficient arrays, in place; returns them.
 
     Computes c_i - k_i * ((kx*cx + ky*cy + kz*cz) * inv_k2) with the
     operations and operand order of that expression, in the two arrays of
     work (allocated when not given).
     """
-    kd, tmp = work if work is not None else (np.empty_like(cx), np.empty_like(cx))
-    np.multiply(tables.kx, cx, out=kd)
-    kd += np.multiply(tables.ky, cy, out=tmp)
-    kd += np.multiply(tables.kz, cz, out=tmp)
-    kd *= tables.inv_k2
-    for kk, c in zip((tables.kx, tables.ky, tables.kz), (cx, cy, cz)):
-        c -= np.multiply(kk, kd, out=tmp)
+    if work is None:
+        work = (np.empty_like(cx), np.empty_like(cx))
+    kd = _k_dot(block, cx, cy, cz, work)
+    kd *= block.inv_k2
+    for kk, c in zip((block.kx, block.ky, block.kz), (cx, cy, cz)):
+        c -= np.multiply(kk, kd, out=work[1])
     return cx, cy, cz
 
 
@@ -433,12 +396,12 @@ def solve_poisson(eta: SpectralField) -> SpectralField:
     problem has no solution and the call is rejected with the measured net
     charge.
     """
-    return SpectralField(eta.grid, _poisson_coeffs(eta.grid, eta.coeffs))
+    return SpectralField(eta.grid, _poisson_coeffs(eta.grid.block, eta.coeffs))
 
 
-def _poisson_coeffs(tables: Grid | Block, eta: np.ndarray, out=None) -> np.ndarray:
-    """solve_poisson on a raw coefficient array of tables' layout, into out
-    (a new array when not given; out may be eta)."""
+def _poisson_coeffs(block: Block, eta: np.ndarray, out=None) -> np.ndarray:
+    """solve_poisson on a raw block coefficient array, into out (a new array
+    when not given; out may be eta)."""
     mean = eta[0, 0, 0]
     if abs(mean) > NEUTRALITY_TOL:
         raise ChargeNeutralityError(
@@ -446,7 +409,7 @@ def _poisson_coeffs(tables: Grid | Block, eta: np.ndarray, out=None) -> np.ndarr
             f"net charge over the box = {mean.real * VOLUME:.6e}"
         )
     psi = np.negative(eta, out=out)
-    psi *= tables.inv_k2
+    psi *= block.inv_k2
     psi[0, 0, 0] = 0.0
     return psi
 
@@ -463,15 +426,12 @@ def lp_norm(f: RealField, p: float) -> float:
     return float((np.sum(a) * f.grid.cell_volume) ** (1.0 / p))
 
 
-def spectral_power(F: SpectralField | Grid, block: np.ndarray | None = None) -> np.ndarray:
-    """|c_k|^2 with the conjugate modes counted (full-lattice power) of F;
-    given a grid F and block, an array of its block's shape, that of the
-    field whose coefficients block holds (zero elsewhere): formed on the
-    block and scattered into zeros, entry for entry the full formula's."""
-    if block is None:
-        return F.grid.mult * (F.coeffs.real**2 + F.coeffs.imag**2)
-    b = F.block
-    return b.scatter(b.mult * (block.real**2 + block.imag**2), np.zeros(F.spectral_shape))
+def spectral_power(F: SpectralField) -> np.ndarray:
+    """|c_k|^2 with the conjugate modes counted (full-lattice power), formed
+    on the block and scattered into half-spectrum zeros: every lattice sum
+    of it runs over the half spectrum's shape."""
+    b, c = F.grid.block, F.coeffs
+    return b.scatter(b.mult * (c.real**2 + c.imag**2), np.zeros(F.grid.spectral_shape))
 
 
 def power_sum(power: np.ndarray, weights: np.ndarray | None = None) -> float:
@@ -527,8 +487,7 @@ def spectral_tail_fraction(*fields: SpectralField | RealField) -> float:
     """Energy fraction in the outer half of the retained band.
 
     Given several fields (the components of a vector field), the fraction
-    of their summed power; given real fields, that of their
-    `forward_transform`s, bit for bit, from their pruned forward transforms.
+    of their summed power; a real field counts as its `forward_transform`.
     Reported beside grid-max L-inf values, which under-report for
     marginally resolved fields; a large tail means the maximum is not
     trustworthy.
@@ -540,8 +499,7 @@ def spectral_tail_fraction(*fields: SpectralField | RealField) -> float:
     )
     total = tail = 0.0
     for F in fields:
-        real = isinstance(F, RealField)
-        power = spectral_power(g, g.block.forward_transform(F)) if real else spectral_power(F)
+        power = spectral_power(forward_transform(F) if isinstance(F, RealField) else F)
         total += power.sum()
         tail += power[np.broadcast_to(outer, power.shape)].sum()
     if total == 0.0:

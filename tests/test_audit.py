@@ -7,6 +7,7 @@ import pytest
 
 import ehd
 from ehd import AuditLedger, RealField, State, StepControl, VectorField
+from full_layout import layout
 
 PI = math.pi
 BOX_VOLUME = (2.0 * PI) ** 3
@@ -265,10 +266,11 @@ class TestLedgerRecords:
         assert ledger.summary()["min_charge_value"] == 0.5
 
 
-# The audit and energy formulas as each norm formed its own power array,
-# kept to pin the snapshot caches bit for bit.
+# The audit and energy formulas as each norm formed its own power array on
+# the full layout, kept to pin the snapshot caches bit for bit.
 def _old_power(grid, c):
-    return grid.mult * (c.real**2 + c.imag**2)
+    ref = layout(grid.n)
+    return ref.power(ref.spread(c))
 
 
 def _old_l2(F):
@@ -276,11 +278,11 @@ def _old_l2(F):
 
 
 def _old_grad(F):
-    return float(BOX_VOLUME * (F.grid.k2 * _old_power(F.grid, F.coeffs)).sum())
+    return float(BOX_VOLUME * (layout(F.grid.n).k2 * _old_power(F.grid, F.coeffs)).sum())
 
 
 def _old_sobolev(F, s):
-    weights = (1.0 + F.grid.k2) ** s
+    weights = (1.0 + layout(F.grid.n).k2) ** s
     return float(np.sqrt(BOX_VOLUME * (weights * _old_power(F.grid, F.coeffs)).sum()))
 
 
@@ -305,7 +307,8 @@ def _old_values(state):
         d = state.grad_psi
         coupling = 2.0 * float(np.sum((v + w) * (d[0] ** 2 + d[1] ** 2 + d[2] ** 2))
                                * g.cell_volume)
-    lap_psi_sq = float(BOX_VOLUME * ((g.k2**2) * _old_power(g, state.psi_hat.coeffs)).sum())
+    k4 = layout(g.n).k2**2
+    lap_psi_sq = float(BOX_VOLUME * (k4 * _old_power(g, state.psi_hat.coeffs)).sum())
     kinetic = sum(_old_l2(c) for c in u)
     potential = _old_grad(state.psi_hat)
     cross = float(np.sum((v + w) * (v - w) ** 2) * g.cell_volume)

@@ -5,27 +5,34 @@ import numpy as np
 import pytest
 
 import ehd
-from ehd import Grid, RealField, SpectralField, VectorField
+from ehd import Grid
+from full_layout import layout
 
 
 def full_layout_random_smooth(grid, seed, energy, peak):
-    """random_smooth's samples (ux, uy, uz, v, w), formed with the public
-    half-spectrum API: each transform full, each inverse Hermitian-checked."""
+    """random_smooth's samples (ux, uy, uz, v, w), formed on the full
+    layout: each forward transform full, then dealiased, each inverse
+    full."""
+    ref = layout(grid.n)
     rng = np.random.Generator(np.random.Philox(key=seed))
 
-    def smooth():
-        c = ehd.forward_transform(RealField(grid, rng.standard_normal((grid.n,) * 3))).coeffs
-        c *= np.exp(-((grid.kmag / peak) ** 2))
-        c[0, 0, 0] = 0.0
-        return ehd.backward_transform(SpectralField(grid, c))
+    def forward(samples):
+        return ref.forward(samples) * ref.mask
 
-    u_hat = ehd.curl(VectorField(*(ehd.forward_transform(smooth()) for _ in range(3))))
-    scale = np.sqrt(energy / sum(ehd.l2_norm_sq(c) for c in u_hat.components))
-    u = [ehd.backward_transform(SpectralField(grid, c.coeffs * scale)).samples
-         for c in u_hat.components]
+    def smooth():
+        c = forward(rng.standard_normal((grid.n,) * 3))
+        c *= np.exp(-((ref.kmag / peak) ** 2))
+        c[0, 0, 0] = 0.0
+        return ref.inverse(c)
+
+    cx, cy, cz = (forward(smooth()) for _ in range(3))
+    u_hat = (1j * (ref.ky * cz - ref.kz * cy), 1j * (ref.kz * cx - ref.kx * cz),
+             1j * (ref.kx * cy - ref.ky * cx))
+    raw = sum(float((2.0 * np.pi) ** 3 * ref.power(c).sum()) for c in u_hat)
+    u = [ref.inverse(c * np.sqrt(energy / raw)) for c in u_hat]
     charges = []
     for _ in range(2):
-        pert = smooth().samples
+        pert = smooth()
         pert /= max(np.abs(pert).max(), 1e-300)
         charges.append(1.0 + 0.5 * pert)
     return (*u, *charges)

@@ -7,6 +7,7 @@ import pytest
 
 import ehd
 from ehd import BesovParams, RealField, SpectralField
+from full_layout import layout
 from ehd.littlewood_paley import phi, varphi
 
 
@@ -16,7 +17,7 @@ def full(grid, values):
 
 def cos4x_spectral(grid):
     """cos(4 x1) built directly in coefficient space (exact pair at k = +-4)."""
-    coeffs = np.zeros(grid.spectral_shape, dtype=complex)
+    coeffs = np.zeros(grid.block.shape, dtype=complex)
     coeffs[4, 0, 0] = 0.5
     coeffs[-4, 0, 0] = 0.5
     return SpectralField(grid, coeffs)
@@ -69,11 +70,8 @@ class TestBandRange:
             g = ehd.Grid(n)
             j_min, j_max = ehd.band_range(g)
             total = sum(ehd.band_weight(g, j) for j in range(j_min, j_max + 1))
-            shape = g.spectral_shape
-            retained = np.broadcast_to(g.dealias_mask, shape) & (
-                np.broadcast_to(g.kmag, shape) > 0
-            )
-            defect = np.abs(np.broadcast_to(total, shape)[retained] - 1.0).max()
+            retained = g.block.kmag > 0
+            defect = np.abs(total[retained] - 1.0).max()
             assert defect <= 1e-12
 
 
@@ -104,7 +102,7 @@ class TestDecompose:
 
     def test_band_support_annulus(self, grid16, band_limited):
         F = ehd.forward_transform(band_limited(grid16))
-        kmag = np.broadcast_to(grid16.kmag, grid16.spectral_shape)
+        kmag = grid16.block.kmag
         for band in ehd.decompose(F):
             lo, hi = 5.0 * 2.0**band.j / 8.0, 3.0 * 2.0**band.j / 2.0
             outside = (kmag < lo - 1e-12) | (kmag > hi + 1e-12)
@@ -134,7 +132,7 @@ class TestBesovNorm:
         )
 
     def test_zero_field(self, grid16):
-        F = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
+        F = SpectralField(grid16, np.zeros(grid16.block.shape, dtype=complex))
         for params in (BesovParams(0, 2, 2), BesovParams(1.5, 4, 1), BesovParams(-1, math.inf, math.inf)):
             assert ehd.besov_norm(F, params) == 0.0
 
@@ -148,7 +146,7 @@ class TestBesovNorm:
 
     def test_l2_summation_matches_l2_on_plateau_fields(self, grid16, rng):
         """Fields supported where a single band weight is 1 have equal norms."""
-        kmag = np.broadcast_to(grid16.kmag, grid16.spectral_shape)
+        kmag = grid16.block.kmag
         plateau = ((kmag >= 3.0) & (kmag <= 5.0)) | (kmag == 1.0)
         for _ in range(10):
             noise = RealField(grid16, rng.standard_normal((16,) * 3))
@@ -187,11 +185,8 @@ class TestBernstein:
         f = ehd.backward_transform(F)
         sup = 0.0
         for alpha in ((2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)):
-            factor = (
-                (1j * grid16.kx) ** alpha[0]
-                * (1j * grid16.ky) ** alpha[1]
-                * (1j * grid16.kz) ** alpha[2]
-            )
+            b = grid16.block
+            factor = (1j * b.kx) ** alpha[0] * (1j * b.ky) ** alpha[1] * (1j * b.kz) ** alpha[2]
             deriv = ehd.backward_transform(SpectralField(grid16, F.coeffs * factor))
             sup = max(sup, ehd.lp_norm(deriv, 2.0))
         ratio = sup / (2.0 ** (2 * 2) * ehd.lp_norm(f, 2.0))
@@ -231,7 +226,36 @@ class TestBernstein:
 
     def test_band_fields_live_in_band(self, grid16, rng):
         f = ehd.random_band_field(grid16, 2, rng)
-        kmag = np.broadcast_to(grid16.kmag, grid16.spectral_shape)
+        kmag = grid16.block.kmag
         outside = (kmag < 5.0 * 4 / 8 - 1e-12) | (kmag > 3.0 * 4 / 2 + 1e-12)
         assert np.abs(f.coeffs[outside]).max() == 0.0
         assert ehd.hermitian_defect(f) < 1e-12
+
+    @pytest.mark.parametrize("n, j", [(16, 0), (16, 3), (32, 4)])
+    def test_band_field_is_the_block_of_the_full_layout_field(self, n, j):
+        """The same draws as the full layout's field, whose block it is, bit
+        for bit: the modes outside the block are those the 2/3 rule drops."""
+        ref = layout(n)
+        draws = np.random.Generator(np.random.Philox(key=4))
+        phases = np.zeros(ref.shape, dtype=complex)
+        for _ in range(4):
+            center = draws.uniform(0.0, 2.0 * np.pi, size=3)
+            amp = draws.standard_normal()
+            phases += amp * np.exp(
+                -1j * (ref.kx * center[0] + ref.ky * center[1] + ref.kz * center[2]))
+        want = ref.block(varphi(ref.kmag / 2.0**j) * phases)
+        got = ehd.random_band_field(ehd.Grid(n), j, np.random.Generator(np.random.Philox(key=4)))
+        assert got.coeffs.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [16, 32])
+    def test_every_representable_band_gives_finite_ratios(self, n):
+        """The top band raised HermitianSymmetryError while band fields
+        carried weight on the unmatched Nyquist row; on the block every band
+        is dealiased and Hermitian."""
+        grid = ehd.Grid(n)
+        j_min, j_max = ehd.band_range(grid)
+        for j in range(j_min, j_max + 1):
+            report = ehd.bernstein_check(grid, j, k=1, p=2.0, q=math.inf, trials=5, seed=j)
+            ratios = (report.ratio_min, report.ratio_max, report.two_sided_min,
+                      report.two_sided_max)
+            assert all(math.isfinite(r) and r > 0.0 for r in ratios), (j, ratios)

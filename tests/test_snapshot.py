@@ -13,6 +13,8 @@ import scipy.fft
 import ehd
 import ehd.spectral
 from ehd import BesovParams, SpectralField, StepControl
+from ehd.littlewood_paley import varphi
+from full_layout import layout
 
 
 class FFTCounter:
@@ -299,14 +301,14 @@ class TestFinalisation:
 
 
 def _assert_block_of_forward(s, source):
-    """Each block array of s is bitwise the gathered `forward_transform` of
-    the same field of source, and each full array bitwise that block
-    scattered into +0."""
-    b = s.grid.block
-    for f, block, full in zip((*source.u.components, source.v, source.w), s._blocks(), s.coeffs):
-        assert _bits(b.gather(ehd.forward_transform(f).coeffs, np.empty(b.shape, complex))) == (
-            _bits(block))
-        assert _bits(b.scatter(block, np.zeros(s.grid.spectral_shape, complex))) == _bits(full)
+    """Each block array of s is bitwise the block of the full layout's
+    dealiased forward transform of the same field of source, and `coeffs`
+    holds those arrays."""
+    ref = layout(s.grid.n)
+    for f, block, coeffs in zip((*source.u.components, source.v, source.w), s._blocks(),
+                                s.coeffs):
+        assert _bits(ref.block(ref.forward(f.samples) * ref.mask)) == _bits(block)
+        assert coeffs is block
 
 
 def _finished(grid, seed=3, steps=3):
@@ -340,7 +342,8 @@ class TestLazyFields:
 
         c1, c2 = u_hat.x.coeffs, u_hat.y.coeffs
         sq = np.zeros((g.n,) * 3)
-        for coeffs, kk in ((c1, g.kx), (c1, g.ky), (c2, g.kx), (c2, g.ky)):
+        b = g.block
+        for coeffs, kk in ((c1, b.kx), (c1, b.ky), (c2, b.kx), (c2, b.ky)):
             sq += ehd.backward_transform(SpectralField(g, 1j * kk * coeffs)).samples ** 2
         block = ehd.horizontal_block_magnitude(s)
         assert _bits(block.samples) == _bits(np.sqrt(sq))
@@ -405,22 +408,27 @@ def _gradient(F: SpectralField) -> list:
 
 def _full_layout(s) -> dict:
     """The observer fields of s by the full-layout formulas: products of
-    half-spectrum arrays (`State.coeffs`), each transformed in full."""
-    g, c = s.grid, s.coeffs
-    inverse = ehd.spectral._samples_from_coeffs
-    curl = ehd.curl(ehd.VectorField(*(SpectralField(g, a) for a in c[:3])))
-    psi_hat = ehd.solve_poisson(SpectralField(g, c[3] - c[4]))
-    grad_u = [_gradient(SpectralField(g, a)) for a in c[:3]]
-    block = ehd.spectral.entry_magnitude(g, [row[:2] for row in grad_u[:2]])
+    half-spectrum arrays (the block arrays spread into zeros), each
+    transformed in full."""
+    g, ref = s.grid, layout(s.grid.n)
+    c = [ref.spread(a) for a in s.coeffs]
+    kvec = (ref.kx, ref.ky, ref.kz)
+    curl = (1j * (ref.ky * c[2] - ref.kz * c[1]), 1j * (ref.kz * c[0] - ref.kx * c[2]),
+            1j * (ref.kx * c[1] - ref.ky * c[0]))
+    psi_hat = -(c[3] - c[4]) * ref.inv_k2
+    psi_hat[0, 0, 0] = 0.0
+    grad_u = [[ref.inverse(1j * kk * a) for kk in kvec] for a in c[:3]]
+    block = ehd.RealField(g, np.sqrt(sum(d**2 for row in grad_u[:2] for d in row[:2])))
+    F = ref.forward(block.samples) * ref.mask
+    j_min, j_max = ehd.band_range(g)
     charged = c[3].any() or c[4].any()
     return {
-        "omega": [inverse(g, a.coeffs) for a in curl.components],
+        "omega": [ref.inverse(a) for a in curl],
         "grad_u": [d for row in grad_u for d in row],
-        "psi": [inverse(g, psi_hat.coeffs)],
-        "grad_psi": _gradient(psi_hat) if charged else [],
-        "bands": [ehd.backward_transform(b.field).samples
-                  for b in ehd.decompose(ehd.forward_transform(block))],
-        "powers": [ehd.spectral_power(SpectralField(g, a)) for a in (*c, psi_hat.coeffs)],
+        "psi": [ref.inverse(psi_hat)],
+        "grad_psi": [ref.inverse(1j * kk * psi_hat) for kk in kvec] if charged else [],
+        "bands": [ref.inverse(F * varphi(ref.kmag / 2.0**j)) for j in range(j_min, j_max + 1)],
+        "powers": [ref.power(a) for a in (*c, psi_hat)],
         "block": block,
     }
 
@@ -448,7 +456,7 @@ class TestBlockLayout:
             "psi": [s.psi.samples],
             "grad_psi": s.grad_psi or [],
             "bands": [f.samples for _, f in ehd.littlewood_paley._block_bands(
-                ehd.horizontal_block_magnitude(s))],
+                ehd.forward_transform(ehd.horizontal_block_magnitude(s)))],
         }
         assert len(want["grad_psi"]) == (0 if preset == "taylor_green" else 3)
         for name, arrays in got.items():
@@ -471,9 +479,9 @@ class TestBlockLayout:
                    "BESOV_ANISO": lambda: ehd.besov_norm(ehd.forward_transform(want["block"]),
                                                          BesovParams(0.0, p, acc.r))}[kind]()
             assert _bits(ehd.instantaneous_quantity(acc, s)) == _bits(ref), (kind, p)
-        v_power = ehd.spectral_power(ehd.forward_transform(s.v))
-        assert _bits(ehd.spectral_power(g, g.block.forward_transform(s.v))) == (
-            _bits(v_power))
+        ref = layout(n)
+        assert _bits(ehd.spectral_power(ehd.forward_transform(s.v))) == (
+            _bits(ref.power(ref.forward(s.v.samples) * ref.mask)))
 
 
 class TestOnePath:
@@ -514,8 +522,9 @@ class TestOnePath:
 class TestHermitianChecks:
     """A snapshot's coefficients, and the bands of a real field's Besov
     norm, describe real fields by construction, so their inverse transforms
-    make no Hermitian check; `ehd.backward_transform` and the bands of
-    `ehd.besov_norm` given coefficients, which a caller passes, keep theirs."""
+    make no Hermitian check; `ehd.backward_transform` and `ehd.besov_norm`
+    given coefficients, which a caller passes, keep theirs, the norm one
+    check of its input."""
 
     @pytest.fixture
     def checks(self, monkeypatch):
@@ -528,6 +537,19 @@ class TestHermitianChecks:
 
         monkeypatch.setattr(ehd.spectral, "hermitian_defect", counted)
         return calls
+
+    def test_besov_norm_checks_given_coefficients_once(self, grid16, checks):
+        """Not each band: the band weights are real and even in k, so each
+        band of a Hermitian field is Hermitian.  A non-Hermitian input still
+        raises."""
+        F = ehd.forward_transform(ehd.random_smooth(grid16, seed=3).v)
+        checks.clear()
+        ehd.besov_norm(F, BesovParams(0.0, 2.0, 2.0))
+        assert len(checks) == 1
+        coeffs = F.coeffs.copy()
+        coeffs[1, 2, 0] += 1e-3
+        with pytest.raises(ehd.HermitianSymmetryError):
+            ehd.besov_norm(SpectralField(grid16, coeffs), BesovParams(0.0, 2.0, 2.0))
 
     @pytest.mark.parametrize("made_by_run", [True, False])
     def test_snapshot_fields_make_no_check(self, grid16, checks, made_by_run):
@@ -724,6 +746,15 @@ class TestMemory:
         cached = {name for name, attr in vars(ehd.State).items()
                   if isinstance(attr, cached_property)}
         assert "_transforms" in cached and not cached & set(vars(s))
+
+    def test_grid_holds_no_full_table_but_k2(self):
+        """After a bare run every array the grid holds, its tables included,
+        is at most the size of the block, but |k|^2 on the half spectrum."""
+        g = ehd.Grid(16)
+        ehd.run(ehd.random_smooth(g, seed=3), StepControl(dt=1e-3, t_end=2e-3))
+        assert g.tables  # the run built its tables there
+        size = math.prod(g.block.shape)
+        assert [a.shape for a in _arrays_in(vars(g)) if a.size > size and a is not g.k2] == []
 
     def test_weight_tables_live_on_the_grid(self):
         g = ehd.Grid(8)

@@ -7,6 +7,7 @@ import pytest
 import scipy.fft
 
 import ehd
+from full_layout import layout
 from ehd import (
     ChargeNeutralityError,
     Grid,
@@ -35,6 +36,10 @@ def sin_field(grid, k, axis=0):
     return RealField(grid, full(grid, np.sin(k * coord)))
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestGrid:
     def test_resolution_must_be_power_of_two(self):
         for bad in (7, 12, 20, 100):
@@ -53,42 +58,36 @@ class TestGrid:
 
     def test_retained_set_is_symmetric(self, grid16):
         """Every retained wavenumber has its negative retained too."""
-        mask = np.broadcast_to(grid16.dealias_mask, grid16.spectral_shape)
-        kx = np.broadcast_to(grid16.kx, grid16.spectral_shape)
-        ky = np.broadcast_to(grid16.ky, grid16.spectral_shape)
-        kz = np.broadcast_to(grid16.kz, grid16.spectral_shape)
-        retained = {
-            (int(a), int(b), int(c))
-            for a, b, c in zip(kx[mask], ky[mask], kz[mask])
-        }
+        b = grid16.block
+        kx, ky, kz = (np.broadcast_to(k, b.shape).ravel() for k in (b.kx, b.ky, b.kz))
+        retained = {(int(x), int(y), int(z)) for x, y, z in zip(kx, ky, kz)}
         lattice = retained | {(-a, -b, -c) for a, b, c in retained}
         for k in lattice:
             assert (-k[0], -k[1], -k[2]) in lattice
 
-    def test_dealias_mask_cuts_above_third(self, grid16):
-        """|k_i| <= n/3 retained; above (including Nyquist) masked."""
-        assert grid16.dealias_mask[5, 0, 0]  # k = (5,0,0), 5 <= 16/3
-        assert not grid16.dealias_mask[6, 0, 0]
-        assert not grid16.dealias_mask[8, 0, 0]  # Nyquist row zeroed
-        assert not grid16.dealias_mask[0, 0, 8]
+    def test_block_cuts_above_third(self, grid16):
+        """|k_i| <= n/3 retained; above (including the Nyquist row) not stored."""
+        b = grid16.block
+        assert sorted(b.kx.ravel()) == sorted(b.ky.ravel()) == list(range(-5, 6))
+        assert list(b.kz.ravel()) == list(range(6))  # 5 <= 16/3 < 6
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256])
     def test_block_is_exactly_the_dealias_mask(self, n):
-        """The block's gather takes each mode of the dealias mask once and no
-        other; its scatter writes exactly those modes; its tables are the
-        grid's at those modes."""
-        g = Grid(n)
+        """The block's gather takes each mode of the full layout's dealias
+        mask once and no other; its scatter writes exactly those modes; its
+        tables are the full layout's at those modes."""
+        g, ref = Grid(n), layout(n)
         b = g.block
-        shape = g.spectral_shape
-        mask = np.broadcast_to(g.dealias_mask, shape)
-        labels = np.arange(mask.size, dtype=np.int32).reshape(shape)
+        mask = np.broadcast_to(ref.mask, ref.shape)
+        labels = np.arange(mask.size, dtype=np.int32).reshape(ref.shape)
         taken = b.gather(labels, np.empty(b.shape, dtype=labels.dtype))
         assert taken[0, 0, 0] == 0  # k = 0 leads the block
         assert np.array_equal(np.sort(taken, axis=None), labels[mask])
-        assert np.array_equal(b.scatter(np.ones(b.shape, bool), np.zeros(shape, bool)), mask)
-        for name in ("kx", "ky", "kz", "k2", "inv_k2"):
-            want = np.broadcast_to(getattr(g, name), shape).flat[taken]
-            assert np.array_equal(np.broadcast_to(getattr(b, name), b.shape), want)
+        assert np.array_equal(taken, ref.block(labels))
+        assert np.array_equal(b.scatter(np.ones(b.shape, bool), np.zeros(ref.shape, bool)), mask)
+        for name in ("kx", "ky", "kz", "k2", "kmag", "inv_k2", "mult"):
+            want = np.broadcast_to(getattr(ref, name), ref.shape).flat[taken]
+            assert _same_bits(np.broadcast_to(getattr(b, name), b.shape), want), name
         assert b.dealias_mask.all() and b.dealias_mask.shape == b.shape
         assert g.block is b  # built once per grid
 
@@ -130,7 +129,7 @@ class TestTransforms:
 
     def test_backward_single_mode_pair(self, grid16):
         """Coefficient 1/2 at (0,2,0) plus its conjugate synthesize cos(2 x2)."""
-        coeffs = np.zeros(grid16.spectral_shape, dtype=complex)
+        coeffs = np.zeros(grid16.block.shape, dtype=complex)
         coeffs[0, 2, 0] = 0.5
         coeffs[0, -2, 0] = 0.5
         f = ehd.backward_transform(SpectralField(grid16, coeffs))
@@ -138,29 +137,23 @@ class TestTransforms:
 
     def test_backward_zero(self, grid16):
         f = ehd.backward_transform(
-            SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
+            SpectralField(grid16, np.zeros(grid16.block.shape, dtype=complex))
         )
         assert np.all(f.samples == 0)
 
     def test_broken_hermitian_symmetry_rejected(self, grid16):
-        coeffs = np.zeros(grid16.spectral_shape, dtype=complex)
+        coeffs = np.zeros(grid16.block.shape, dtype=complex)
         coeffs[1, 0, 0] = 1.0  # mirror at (-1, 0, 0) missing
         with pytest.raises(HermitianSymmetryError, match="not real"):
             ehd.backward_transform(SpectralField(grid16, coeffs))
 
     def test_hermitian_defect_measures_asymmetry(self, grid16):
-        coeffs = np.zeros(grid16.spectral_shape, dtype=complex)
+        coeffs = np.zeros(grid16.block.shape, dtype=complex)
         coeffs[1, 0, 0] = 1.0
         coeffs[-1, 0, 0] = 1.0  # conjugate of 1.0 is itself: symmetric
         assert ehd.hermitian_defect(SpectralField(grid16, coeffs)) < 1e-15
         coeffs[-1, 0, 0] = 0.5
         assert ehd.hermitian_defect(SpectralField(grid16, coeffs)) == pytest.approx(0.5)
-
-    def test_broken_symmetry_on_nyquist_plane_rejected(self, grid16):
-        coeffs = np.zeros(grid16.spectral_shape, dtype=complex)
-        coeffs[1, 0, grid16.n // 2] = 1.0  # mirror at (-1, 0, n/2) missing
-        with pytest.raises(HermitianSymmetryError):
-            ehd.backward_transform(SpectralField(grid16, coeffs))
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
     def test_symmetry_verdict_is_the_scaled_tolerance(self, scale, grid16, band_limited):
@@ -181,10 +174,6 @@ class TestTransforms:
             assert rejected == old, defect
             verdicts.append(rejected)
         assert verdicts[0] is False and verdicts[-1] is True
-
-
-def _same_bits(a, b):
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _layout(a, layout):
@@ -211,29 +200,39 @@ def calls(monkeypatch):
 class TestDirectBinding:
     """The seam calls pocketfft's binding; its bits are the public call's."""
 
-    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
-    @pytest.mark.parametrize("n", [8, 16, 32, 64])
-    def test_bitwise_the_public_call(self, n, layout, calls, rng):
-        grid = Grid(n)
-        x = _layout(rng.standard_normal((n,) * 3), layout)
-        c = ehd.spectral._coeffs_from_samples(grid, x)
-        assert _same_bits(c, scipy.fft.rfftn(x, norm="forward"))
-        c = _layout(c, layout)
-        y = ehd.spectral._samples_from_coeffs(grid, c)
-        assert _same_bits(y, scipy.fft.irfftn(c, s=(n,) * 3, norm="forward"))
-        assert calls == ["_r2c", "_c2r"]
-
-    @pytest.mark.parametrize("dtype, out", [
-        (np.int64, np.complex128), (">f8", np.complex128), (np.float32, np.complex64)])
-    def test_other_sample_types_take_the_public_call(self, dtype, out, grid8, calls):
+    @pytest.mark.parametrize("dtype", [np.int64, ">f8", np.float32])
+    def test_other_sample_types_take_the_public_call(self, dtype, grid8, calls):
         """The binding raises on int64 and '>f8', where scipy converts."""
         x = (np.arange(8**3).reshape((8,) * 3) % 7).astype(dtype)
         F = ehd.forward_transform(RealField(grid8, x))
-        expected = scipy.fft.rfftn(x, norm="forward")
-        expected *= grid8.dealias_mask
-        assert F.coeffs.dtype == out
+        ref = layout(8)
+        expected = ref.block(scipy.fft.rfftn(x, norm="forward")).astype(complex)
+        expected *= ref.block(np.broadcast_to(ref.mask, ref.shape))
         assert _same_bits(F.coeffs, expected)
         assert calls == []
+
+
+class TestPublicTransforms:
+    """forward_transform is the block of the full layout's forward
+    transform, and backward_transform the full layout's inverse of a
+    dealiased field, bit for bit; both take the binding's pruned passes."""
+
+    @pytest.mark.parametrize("memory", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    def test_bitwise_the_full_layout(self, n, memory, calls, rng):
+        grid, ref = Grid(n), layout(n)
+        inputs = list(_forward_inputs(n, rng))
+        for name, x in inputs:
+            x = _layout(x, memory)
+            F = ehd.forward_transform(RealField(grid, x))
+            assert _same_bits(F.coeffs, ref.block(ref.forward(x) * ref.mask)), name
+            f = ehd.backward_transform(F)
+            assert _same_bits(f.samples, ref.inverse(ref.spread(F.coeffs))), name
+        assert calls == (["_r2c"] + ["_c2c"] * 6 + ["_c2r"]) * len(inputs)
+
+    def test_full_shape_coefficients_rejected(self, grid16):
+        with pytest.raises(ValueError, match=r"block's shape \(11, 11, 6\), got \(16, 16, 9\)"):
+            SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
 
 
 def _forward_inputs(n, rng):
@@ -272,16 +271,15 @@ class TestBlockMode:
     1/n^3 is applied as three factors 1/n, whose products over- or underflow
     at other magnitudes than the full transform's."""
 
-    @pytest.mark.parametrize("layout", ["C", "F", "read-only"])
+    @pytest.mark.parametrize("memory", ["C", "F", "read-only"])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
-    def test_forward_is_the_gathered_public_call(self, n, layout, calls, rng):
-        grid = Grid(n)
+    def test_forward_is_the_gathered_public_call(self, n, memory, calls, rng):
+        grid, ref = Grid(n), layout(n)
         block = grid.block
         inputs = list(_forward_inputs(n, rng))
         for name, x in inputs:
-            x = _layout(x, layout)
-            expected = block.gather(scipy.fft.rfftn(x, norm="forward"),
-                                    np.empty(block.shape, complex))
+            x = _layout(x, memory)
+            expected = ref.block(ref.forward(x))
             out = np.full(block.shape, np.nan, complex)
             assert ehd.spectral._coeffs_from_samples(grid, x, out) is out
             assert _same_bits(out, expected), name
@@ -293,15 +291,13 @@ class TestBlockMode:
         """One work array for every call, its kept kz planes NaN to start:
         nothing carries over from one call to the next, and the planes above
         the block stay +0."""
-        grid = Grid(n)
+        grid, ref = Grid(n), layout(n)
         block = grid.block
         work = np.zeros(grid.spectral_shape, complex)
         work[..., block.planes] = np.nan
         inputs = list(_block_inputs(block.shape, rng))
         for name, c in inputs:
-            expected = scipy.fft.irfftn(
-                block.scatter(c, np.zeros(grid.spectral_shape, complex)), s=(n,) * 3,
-                norm="forward")
+            expected = ref.inverse(ref.spread(c))
             assert _same_bits(ehd.spectral._samples_from_coeffs(grid, c, work), expected), name
         assert not work[..., block.planes.stop:].view(np.int64).any()
         # x on the block's ky rows of the kept planes, y on those planes, z on every line.
@@ -326,12 +322,10 @@ class TestBlockMode:
                                                            monkeypatch):
         """Without any one binding name, or with scipy.fft's functions
         replaced, both helpers make the full public transform: same bits."""
-        block = grid16.block
+        block, ref = grid16.block, layout(16)
         x = rng.standard_normal((16,) * 3)
         c = next(_block_inputs(block.shape, rng))[1]
-        expected = (ehd.spectral._coeffs_from_samples(grid16, x, np.empty(block.shape, complex)),
-                    ehd.spectral._samples_from_coeffs(
-                        grid16, c, np.zeros(grid16.spectral_shape, complex)))
+        expected = (ref.block(ref.forward(x)), ref.inverse(ref.spread(c)))
         public = []
         for name in ("rfftn", "irfftn"):
             fn = getattr(scipy.fft, name)
@@ -351,13 +345,11 @@ class TestBlockMode:
 
 
 def _roll_defect(F):
-    """hermitian_defect as the np.roll expression it replaced."""
-    defect = 0.0
-    for iz in (0, F.grid.n // 2):
-        plane = F.coeffs[:, :, iz]
-        mirrored = np.conj(np.roll(plane[::-1, ::-1], (1, 1), axis=(0, 1)))
-        defect = max(defect, float(np.abs(plane - mirrored).max()))
-    return defect
+    """hermitian_defect as the np.roll expression on the kz = 0 plane of the
+    full layout, where a NaN maximum counts as no defect."""
+    plane = layout(F.grid.n).spread(F.coeffs)[:, :, 0]
+    mirrored = np.conj(np.roll(plane[::-1, ::-1], (1, 1), axis=(0, 1)))
+    return max(0.0, float(np.abs(plane - mirrored).max()))
 
 
 def _rejected(F):
@@ -368,20 +360,21 @@ def _rejected(F):
     return False
 
 
-class TestMirrorTable:
-    """hermitian_defect gathers the mirrored planes through a table on the
-    Grid: the same value as np.roll, and the same verdict for any input."""
+class TestHermitianDefect:
+    """hermitian_defect mirrors the block's kz = 0 plane by its row order
+    (row i to row -i mod 2c+1): the same value as np.roll on the full
+    layout's plane, and the same verdict for any input."""
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
     def test_same_value_as_roll(self, n, scale, band_limited):
         grid = ehd.Grid(n)
-        h = n // 2
+        c = n // 3
         symmetric = scale * ehd.forward_transform(band_limited(grid)).coeffs
         assert ehd.hermitian_defect(SpectralField(grid, symmetric)) == _roll_defect(
             SpectralField(grid, symmetric))
         defects = [((1, 2, 0), 1e-13), ((-3, 1, 0), 2e-12j), ((0, 0, 0), 1e-9j),
-                   ((1, 0, h), 1e-6), ((2, -1, h), 3e-3 + 1e-3j), ((h, h, h), 0.5j)]
+                   ((c, -c, 0), 1e-6), ((-1, 0, 0), 3e-3 + 1e-3j), ((c, c, 0), 0.5j)]
         for index, delta in defects:
             coeffs = symmetric.copy()
             coeffs[index] += scale * delta
@@ -394,16 +387,14 @@ class TestMirrorTable:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
     def test_same_verdict_for_non_finite(self, n, bad, band_limited):
         grid = ehd.Grid(n)
-        h = n // 2
         symmetric = ehd.forward_transform(band_limited(grid)).coeffs
         cases = [
             [((1, 2, 0), bad)],
             [((0, 0, 0), bad)],
-            [((1, 2, h), bad)],
-            [((1, 2, 0), bad), ((2, 1, h), 1e-3)],  # real defect in plane n/2 only
-            [((1, 2, h), bad), ((2, 1, 0), 1e-3)],
-            [((1, 2, 0), bad), ((2, 1, h), bad)],
-            [((1, 2, 3), bad)],  # off the self-conjugate planes
+            [((1, 2, 1), bad)],  # off the self-conjugate plane
+            [((1, 2, 0), bad), ((2, 1, 0), 1e-3)],  # a NaN maximum hides the defect
+            [((1, 2, 1), bad), ((2, 1, 0), 1e-3)],
+            [((1, 2, 0), bad), ((2, 1, 1), bad)],
         ]
         for case in cases:
             coeffs = symmetric.copy()
@@ -415,21 +406,6 @@ class TestMirrorTable:
             assert _rejected(F) == old_rejects, case
             new = ehd.hermitian_defect(F)
             assert new == old or (math.isnan(new) and math.isnan(old)), case
-
-    def test_nan_plane_does_not_hide_a_defect_in_the_other(self, grid16, band_limited):
-        coeffs = ehd.forward_transform(band_limited(grid16)).coeffs
-        coeffs[1, 2, 0] = np.nan
-        coeffs[2, 1, grid16.n // 2] += 1e-3
-        F = SpectralField(grid16, coeffs)
-        with np.errstate(invalid="ignore"):
-            assert ehd.hermitian_defect(F) == pytest.approx(1e-3)
-            assert _rejected(F)
-
-    def test_table_lives_on_the_grid(self):
-        g = ehd.Grid(8)
-        ehd.hermitian_defect(SpectralField(g, np.zeros(g.spectral_shape, dtype=complex)))
-        src, mirror = g.tables["mirror"]
-        assert src.shape == mirror.shape == (2, 64)
 
 
 class TestOperators:
@@ -495,8 +471,8 @@ class TestOperators:
     def test_fields_of_the_wrong_shape_rejected(self, grid8, grid16):
         with pytest.raises(ValueError, match=r"expected samples of shape \(16, 16, 16\)"):
             RealField(grid16, np.zeros((8,) * 3))
-        with pytest.raises(ValueError, match=r"expected coefficients of shape \(16, 16, 9\)"):
-            SpectralField(grid16, np.zeros(grid8.spectral_shape, dtype=complex))
+        with pytest.raises(ValueError, match=r"block's shape \(11, 11, 6\), got \(5, 5, 3\)"):
+            SpectralField(grid16, np.zeros(grid8.block.shape, dtype=complex))
 
     def test_mixed_representations_rejected(self, grid16):
         f = cos_field(grid16, 1)
@@ -548,22 +524,24 @@ class TestLerayProjection:
 
     def test_in_place_operators_are_bitwise_the_expressions(self, grid16, band_limited):
         """leray_project, divergence and solve_poisson compute in place, yet
-        equal their expression forms bit for bit and leave their input alone."""
-        g = grid16
+        equal the block of their expression forms on the full layout bit
+        for bit, and leave their input alone."""
+        g, ref = grid16, layout(16)
         U = ehd.vector_forward(VectorField(*[band_limited(g) for _ in range(3)]))
         cx, cy, cz = (c.coeffs.copy() for c in U.components)
-        kd = (g.kx * cx + g.ky * cy + g.kz * cz) * g.inv_k2
-        want = [cx - g.kx * kd, cy - g.ky * kd, cz - g.kz * kd,
-                1j * (g.kx * cx + g.ky * cy + g.kz * cz)]
+        fx, fy, fz = (ref.spread(c) for c in (cx, cy, cz))
+        kd = (ref.kx * fx + ref.ky * fy + ref.kz * fz) * ref.inv_k2
+        want = [fx - ref.kx * kd, fy - ref.ky * kd, fz - ref.kz * kd,
+                1j * (ref.kx * fx + ref.ky * fy + ref.kz * fz)]
         eta = ehd.forward_transform(band_limited(g)).coeffs
         eta[0, 0, 0] = 0.0
-        psi = -eta * g.inv_k2
+        psi = -ref.spread(eta) * ref.inv_k2
         psi[0, 0, 0] = 0.0
         got = [*(c.coeffs for c in ehd.leray_project(U).components),
                ehd.divergence(U).coeffs,
                ehd.solve_poisson(SpectralField(g, eta)).coeffs]
         for a, b in zip(got, [*want, psi], strict=True):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+            assert np.array_equal(a.view(np.int64), ref.block(b).view(np.int64))
         for c, before in zip(U.components, (cx, cy, cz)):
             assert np.array_equal(c.coeffs.view(np.int64), before.view(np.int64))
 
@@ -587,7 +565,7 @@ class TestPoisson:
         assert np.abs(psi.samples - expected).max() < 1e-13
 
     def test_zero_source(self, grid16):
-        eta = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
+        eta = SpectralField(grid16, np.zeros(grid16.block.shape, dtype=complex))
         psi = ehd.solve_poisson(eta)
         assert np.all(psi.coeffs == 0)
 
@@ -681,17 +659,18 @@ class TestNorms:
         assert ehd.spectral_tail_fraction(ehd.forward_transform(cos_field(grid16, 1))) < 1e-28
         high = ehd.forward_transform(cos_field(grid16, 5))
         assert ehd.spectral_tail_fraction(high) == pytest.approx(1.0)
-        zero = SpectralField(grid16, np.zeros(grid16.spectral_shape, dtype=complex))
+        zero = SpectralField(grid16, np.zeros(grid16.block.shape, dtype=complex))
         assert ehd.spectral_tail_fraction(zero) == 0.0
 
     def test_tail_fraction_of_several_fields(self, grid16, band_limited):
-        from ehd.spectral import spectral_power
-
+        """The fraction of the full layout's powers, in its summation order."""
         fields = [ehd.forward_transform(band_limited(grid16)) for _ in range(3)]
-        g = grid16
-        cap = np.floor(g.n / 3.0) / 2
-        outer = (np.abs(g.kx) > cap) | (np.abs(g.ky) > cap) | (np.abs(g.kz) > cap)
-        powers = [spectral_power(F) for F in fields]
+        ref = layout(16)
+        cap = np.floor(ref.n / 3.0) / 2
+        outer = (np.abs(ref.kx) > cap) | (np.abs(ref.ky) > cap) | (np.abs(ref.kz) > cap)
+        powers = [ref.power(ref.spread(F.coeffs)) for F in fields]
+        for F, P in zip(fields, powers):
+            assert _same_bits(ehd.spectral_power(F), P)
         tail = sum(float(P[np.broadcast_to(outer, P.shape)].sum()) for P in powers)
         total = sum(float(P.sum()) for P in powers)
         assert ehd.spectral_tail_fraction(*fields) == tail / total  # same summation order
