@@ -50,12 +50,12 @@ def positivity_term(state: State) -> float:
 
 def kinetic_energy(state: State) -> float:
     """||u||^2."""
-    return sum(power_sum(p) for p in state.u_power)
+    return sum(power_sum(state.grid, p) for p in state.u_power)
 
 
 def potential_energy(state: State) -> float:
     """||grad psi||^2."""
-    return power_sum(state.psi_power, state.grid.k2)
+    return power_sum(state.grid, state.psi_power, state.grid.block.k2)
 
 
 def _velocity_energy(state: State) -> float:
@@ -65,7 +65,7 @@ def _velocity_energy(state: State) -> float:
 
 def _charge_energy(state: State) -> float:
     """||v||^2 + ||w||^2."""
-    return power_sum(state.v_power) + power_sum(state.w_power)
+    return power_sum(state.grid, state.v_power) + power_sum(state.grid, state.w_power)
 
 
 def log_sobolev_ratio(state: State) -> float:
@@ -85,13 +85,13 @@ def log_sobolev_ratio(state: State) -> float:
 
 def y_growth(state: State) -> float:
     """Y(t) = e + ||u||_H3^2 + ||v||_H2^2 + ||w||_H2^2."""
-    h2 = sobolev_weights(state.grid, 2.0)
+    g, h2 = state.grid, sobolev_weights(state.grid, 2.0)
     # Each H2 norm is the root `sobolev_norm` takes, squared: the same bits.
     return (
         math.e
         + state.u_h3_norm ** 2
-        + math.sqrt(power_sum(state.v_power, h2)) ** 2
-        + math.sqrt(power_sum(state.w_power, h2)) ** 2
+        + math.sqrt(power_sum(g, state.v_power, h2)) ** 2
+        + math.sqrt(power_sum(g, state.w_power, h2)) ** 2
     )
 
 
@@ -106,8 +106,8 @@ def interpolation_ratios(f: RealField) -> tuple[float, float]:
     if not f.samples.any():
         return (math.nan, math.nan)
     power = spectral_power(forward_transform(f))
-    l2_sq = power_sum(power)
-    grad_sq = power_sum(power, f.grid.k2)
+    l2_sq = power_sum(f.grid, power)
+    grad_sq = power_sum(f.grid, power, f.grid.block.k2)
     if grad_sq <= 1e-24 * max(l2_sq, 1e-300):
         return (math.nan, math.nan)
     l2 = math.sqrt(l2_sq)
@@ -192,8 +192,8 @@ class AuditLedger:
 
     def update(self, state: State, dt: float) -> AuditRecord:
         """Accumulate dissipation integrals (trapezoid) and evaluate all monitors."""
-        g = state.grid
-        lap_psi_sq = power_sum(state.psi_power, g.table("k4", lambda: g.k2**2))
+        g, k2 = state.grid, state.grid.block.k2
+        lap_psi_sq = power_sum(g, state.psi_power, k2**2)
         dpsi = state.grad_psi  # shared with the solver's CFL bound and stage 1
         coupling = 0.0
         if dpsi is not None:
@@ -202,9 +202,9 @@ class AuditLedger:
 
         integrands = {
             "charges": 2.0
-            * (power_sum(state.v_power, g.k2) + power_sum(state.w_power, g.k2)),
+            * (power_sum(g, state.v_power, k2) + power_sum(g, state.w_power, k2)),
             "cross": positivity_term(state),
-            "vel": 2.0 * (sum(power_sum(p, g.k2) for p in state.u_power) + lap_psi_sq),
+            "vel": 2.0 * (sum(power_sum(g, p, k2) for p in state.u_power) + lap_psi_sq),
             "coupling": coupling,
         }
         if self._last is not None and dt > 0.0:

@@ -265,13 +265,12 @@ class _Orchestra:
 def cmd_run(config: RunConfig) -> int:
     """Wire solver + criteria + audit observers, run, and write all outputs."""
     t_start = time.monotonic()
-    state0 = _build_initial_state(config)
     control = StepControl(
         dt=config.dt, cfl=config.cfl, t_end=config.t_end, dt_min=config.dt_min
     )
     with contextlib.ExitStack() as files:
         orchestra = _Orchestra(config, files)
-        run_report = run(state0, control, hooks=[orchestra])
+        run_report = run(_build_initial_state(config), control, hooks=[orchestra])
     if orchestra.ledger is None:  # run() rejected the initial state
         return _err(EXIT_INVARIANT, f"initial state rejected: {run_report.diagnostic}")
 

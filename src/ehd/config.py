@@ -88,11 +88,11 @@ _SCALAR_KEYS = {
 }
 
 # Peak memory of `ehd run`, in states (a state is five n^3 float64 fields):
-# the snapshot, the RK3 stage and work arrays (with the second lane's, its
-# scatter array among them, at 64^3), and the observers' fields.
-# tracemalloc measured 11.5 states at 32^3 and 12.2 at 64^3 on two lanes
-# (11.3 on one; random_smooth and charged_shear with the default observers
-# and checkpoint_every = 2; taylor_green 10.5 and 10.3).
+# the snapshot, the RK3 stage and work arrays (the second lane's too, at
+# 64^3) and the observers' fields.  tracemalloc measured 8.6 states at 32^3
+# and 9.2 at 64^3 on two lanes (8.4 on one; random_smooth and charged_shear
+# with the default observers and checkpoint_every = 2; taylor_green 7.6 and
+# 7.4).  The bound stays 13 until a 128^3 run is measured.
 RUN_PEAK_STATES = 13
 
 

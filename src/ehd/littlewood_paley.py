@@ -157,13 +157,8 @@ class BernsteinReport:
 
 def _multi_indices(k: int):
     """All 3d derivative multi-indices of total order k."""
-    out = []
-    for combo in itertools.combinations_with_replacement(range(3), k):
-        alpha = [0, 0, 0]
-        for axis in combo:
-            alpha[axis] += 1
-        out.append(tuple(alpha))
-    return out
+    combos = itertools.combinations_with_replacement(range(3), k)
+    return [tuple(combo.count(axis) for axis in range(3)) for combo in combos]
 
 
 def random_band_field(grid: Grid, j: int, rng) -> SpectralField:
@@ -174,7 +169,9 @@ def random_band_field(grid: Grid, j: int, rng) -> SpectralField:
     at band j+1 are dyadic dilates of packets at band j, so the ensemble is
     scale-covariant and measured Bernstein ratios are comparable across bands;
     white-noise band fields would not be (their maxima fall short of the
-    band-limited extremizers by a band-dependent factor).
+    band-limited extremizers by a band-dependent factor).  The top band
+    (`band_range`'s j_max) is the exception: the dealias box cuts its
+    annulus, so its packets are not dilates of the band below's.
     """
     b = grid.block
     phases = np.zeros(b.shape, dtype=complex)
@@ -200,7 +197,9 @@ def bernstein_check(
     sup_{|alpha|=k} ||d^alpha f||_Lq against the scaling
     2^(jk + 3j(1/p - 1/q)) ||f||_Lp, plus the same-exponent ratio against
     2^(jk) ||f||_Lp (the two-sided comparison).  Reports min and max over
-    trials; the constants are expected to be stable in j.
+    trials.  The constants are stable in j but at the top band, whose
+    annulus the dealias box cuts: at 32^3 (100 trials, seed 21) band 4
+    reads ratio_max 0.023, bands 2 and 3 0.093 and 0.091.
     """
     if not 1 <= p <= q:
         raise ValueError(f"exponents must satisfy 1 <= p <= q <= inf, got p={p}, q={q}")

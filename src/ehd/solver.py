@@ -23,11 +23,11 @@ A snapshot's coefficients are forward transforms of real samples, or the
 run's dealiased arithmetic on them, so their inverse transforms go through
 `_samples_from_coeffs`, without `backward_transform`'s Hermitian check.
 
-A snapshot's coefficients live on the dealiased block (`Grid.block`), the
-one spectral layout: a snapshot the run makes carries five block arrays,
-copied from the step's result, which the next step reads, and a user state
-makes each once, by the pruned forward transform of its samples.  Its
-`SpectralField`s (`u_hat`, `v_hat`, `w_hat`, `psi_hat`) hold those arrays.
+A snapshot's coefficients and powers live on the dealiased block
+(`Grid.block`), the one spectral layout: a snapshot the run makes carries
+five block arrays, copied from the step's result, which the next step
+reads, and a user state makes each once, by the pruned forward transform
+of its samples; `u_hat`, `v_hat`, `w_hat` and `psi_hat` hold those arrays.
 Every transform computes only the lines that reach or leave the block;
 each inverse works in a half-spectrum array whose kz planes above the
 block stay +0 (the run's, or one the field makes).
@@ -119,9 +119,10 @@ class State:
     block (`Grid.block`).  A state the run makes carries the run's, its
     samples are their inverse transforms, and its samples are read-only;
     any other state makes each field's array, the `forward_transform` of
-    its samples, when first asked for.  Derived fields are computed on
-    first use and cached; observer fields are formed on the block.
-    Coefficient, power and grad psi arrays are always read-only.
+    its samples, when first asked for.  Derived fields but zeta and eta are
+    cached on first use; observer fields are formed on the block, and the
+    power arrays are block arrays.  Coefficient, power and grad psi arrays
+    are always read-only.
     """
 
     u: VectorField
@@ -202,8 +203,8 @@ class State:
     def u_h3_norm(self) -> float:
         """||u||_H3, from the velocity power: the root of the summed squares
         of the components' norms, each the root `sobolev_norm` takes."""
-        weights = sobolev_weights(self.grid, 3.0)
-        return math.sqrt(sum(math.sqrt(power_sum(p, weights)) ** 2 for p in self.u_power))
+        g, weights = self.grid, sobolev_weights(self.grid, 3.0)
+        return math.sqrt(sum(math.sqrt(power_sum(g, p, weights)) ** 2 for p in self.u_power))
 
     @cached_property
     def psi(self) -> RealField:
@@ -221,11 +222,11 @@ class State:
         """Pointwise magnitude of the vorticity."""
         return vector_magnitude(self.omega)
 
-    @cached_property
+    @property
     def zeta(self) -> RealField:
         return RealField(self.grid, self.v.samples + self.w.samples)
 
-    @cached_property
+    @property
     def eta(self) -> RealField:
         return RealField(self.grid, self.v.samples - self.w.samples)
 
@@ -774,8 +775,9 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     t0 = time.monotonic()
     status = RunStatus.COMPLETED
     diagnostic = None
-    s, steps = state0, 0
     work = _Work(state0.grid, _lanes_pay(state0.grid))
+    s, steps = state0, 0
+    del state0  # the run holds the state in s alone, so step 1 can free it
     try:
         validate_initial_state(s)
         # A user state makes each field's block array, by the pruned forward

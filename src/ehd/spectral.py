@@ -13,8 +13,8 @@ live there.  Because fields are real, only its kz >= 0 half is stored; the
 kz < 0 modes are the implied conjugates, so Hermitian symmetry lives on
 the kz = 0 plane, where c(-kx,-ky) must equal conj(c(kx,ky)).  Lattice
 sums over all modes weight the stored modes off that plane by two
-(`Block.mult`); the power arrays the norms sum keep the half-spectrum
-shape (n, n, n/2+1), zero outside the block.
+(`Block.mult`).  Powers and norm weights are block arrays; a norm sums
+its product in half-spectrum zeros (`_spread`), in the full layout's order.
 
 All operations are pure functions of their field snapshots; constructed
 fields are safe to share across threads.  Each transform runs on one thread
@@ -74,8 +74,7 @@ class Grid:
 
     n must be a power of two >= 8.  Wavenumbers are the integers
     -n/2 .. n/2-1 per axis (kz stored as 0 .. n/2); the unmatched Nyquist
-    row lies outside the block, with everything above n/3.  k2 is |k|^2 on
-    the half spectrum, the weight of the full-shape power sums.
+    row lies outside the block, with everything above n/3.
     """
 
     def __init__(self, n: int):
@@ -83,8 +82,7 @@ class Grid:
         if n < 8 or (n & (n - 1)) != 0:
             raise ValueError(f"grid resolution must be a power of two >= 8, got {n}")
         self.n = n
-        self.length = 2.0 * np.pi
-        self.spacing = self.length / n
+        self.spacing = 2.0 * np.pi / n
         self.cell_volume = self.spacing**3
 
         k = np.fft.fftfreq(n, d=1.0 / n)  # exact integers 0..n/2-1, -n/2..-1
@@ -92,7 +90,6 @@ class Grid:
         self.kx = k[:, None, None]
         self.ky = k[None, :, None]
         self.kz = np.fft.rfftfreq(n, d=1.0 / n)[None, None, :]  # 0..n/2
-        self.k2 = self.kx**2 + self.ky**2 + self.kz**2
 
         x = self.spacing * np.arange(n)
         self.x = x[:, None, None]
@@ -249,8 +246,7 @@ def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block: np.ndarray) -> 
 
 def _zero_coeffs(grid: Grid) -> np.ndarray:
     """A half-spectrum array of +0: the work array `_samples_from_coeffs`
-    takes, whose kz planes above the block nothing writes, so they stay +0;
-    or a scatter target."""
+    takes, whose kz planes above the block nothing writes, so they stay +0."""
     return np.zeros(grid.spectral_shape, dtype=complex)
 
 
@@ -275,20 +271,18 @@ def forward_transform(f: RealField) -> SpectralField:
 
     Rejects non-finite input, naming the first offending node.
     """
-    _check_finite(f)
+    _check_finite(f.samples, "sample", lambda node: f"grid node {node}")
     block = f.grid.block
     coeffs = _coeffs_from_samples(f.grid, f.samples, np.empty(block.shape, dtype=complex))
     coeffs *= block.dealias_mask
     return SpectralField(f.grid, coeffs)
 
 
-def _check_finite(f: RealField):
-    finite = np.isfinite(f.samples)
+def _check_finite(values: np.ndarray, what: str, where):
+    finite = np.isfinite(values)
     if not finite.all():
-        node = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise NonFiniteFieldError(
-            f"non-finite sample {f.samples[node]} at grid node {node}"
-        )
+        index = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise NonFiniteFieldError(f"non-finite {what} {values[index]} at {where(index)}")
 
 
 def hermitian_defect(F: SpectralField) -> float:
@@ -306,11 +300,14 @@ def hermitian_defect(F: SpectralField) -> float:
 
 
 def _check_hermitian(F: SpectralField):
-    """Reject broken Hermitian symmetry.
+    """Reject non-finite coefficients (a NaN hides any defect), then broken symmetry.
 
     The tolerance is 1e-12 * max(1, max |c|), so a defect of at most 1e-12
     passes at any scale and the scale is only measured above that.
     """
+    b = F.grid.block
+    _check_finite(F.coeffs, "coefficient", lambda i: f"block entry {i}, wavenumber "
+                  f"{tuple(int(k.flat[j]) for k, j in zip((b.kx, b.ky, b.kz), i))}")
     defect = hermitian_defect(F)
     if defect > 1e-12 and defect > 1e-12 * max(1.0, float(np.abs(F.coeffs).max())):
         raise HermitianSymmetryError(
@@ -320,8 +317,8 @@ def _check_hermitian(F: SpectralField):
 
 
 def backward_transform(F: SpectralField) -> RealField:
-    """Transform coefficients back to samples; rejects broken Hermitian
-    symmetry (`_check_hermitian`)."""
+    """Transform coefficients back to samples; rejects non-finite
+    coefficients, naming the first, and broken Hermitian symmetry."""
     _check_hermitian(F)
     return RealField(F.grid, _samples_from_coeffs(F.grid, F.coeffs, _zero_coeffs(F.grid)))
 
@@ -427,36 +424,40 @@ def lp_norm(f: RealField, p: float) -> float:
 
 
 def spectral_power(F: SpectralField) -> np.ndarray:
-    """|c_k|^2 with the conjugate modes counted (full-lattice power), formed
-    on the block and scattered into half-spectrum zeros: every lattice sum
-    of it runs over the half spectrum's shape."""
+    """|c_k|^2 with the conjugate modes counted (full-lattice power), on the block."""
     b, c = F.grid.block, F.coeffs
-    return b.scatter(b.mult * (c.real**2 + c.imag**2), np.zeros(F.grid.spectral_shape))
+    return b.mult * (c.real**2 + c.imag**2)
 
 
-def power_sum(power: np.ndarray, weights: np.ndarray | None = None) -> float:
-    """(2*pi)^3 sum weights * power: the squared norm whose Fourier weights
-    are weights (1 when None) of the field with full-lattice power power."""
-    if weights is None:
-        return float(VOLUME * power.sum())
-    return float(VOLUME * (weights * power).sum())
+def _spread(grid: Grid, block: np.ndarray) -> np.ndarray:
+    """The real block array block in fresh half-spectrum zeros: summed there,
+    it keeps the full layout's summation order, hence its norms' bits."""
+    return grid.block.scatter(block, np.zeros(grid.spectral_shape))
+
+
+def power_sum(grid: Grid, power: np.ndarray, weights: np.ndarray | None = None) -> float:
+    """(2*pi)^3 sum weights * power, block arrays: the squared norm with
+    Fourier weights weights (1 when None) of the field of full-lattice power power."""
+    if weights is not None:
+        power = weights * power
+    return float(VOLUME * _spread(grid, power).sum())
 
 
 def sobolev_weights(grid: Grid, s: float) -> np.ndarray:
-    """(1 + |k|^2)^s, kept on the grid."""
-    return grid.table(("sobolev", float(s)), lambda: (1.0 + grid.k2) ** s)
+    """(1 + |k|^2)^s on the block, kept on the grid."""
+    return grid.table(("sobolev", float(s)), lambda: (1.0 + grid.block.k2) ** s)
 
 
 def l2_norm_sq(F: SpectralField) -> float:
     """||f||_L2^2 from coefficients (Parseval)."""
-    return power_sum(spectral_power(F))
+    return power_sum(F.grid, spectral_power(F))
 
 
 def sobolev_norm(F: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm ((2*pi)^3 sum (1+|k|^2)^s |c_k|^2)^(1/2)."""
     if s < 0:
         raise ValueError(f"Sobolev index must satisfy s >= 0, got {s}")
-    return math.sqrt(power_sum(spectral_power(F), sobolev_weights(F.grid, s)))
+    return math.sqrt(power_sum(F.grid, spectral_power(F), sobolev_weights(F.grid, s)))
 
 
 def vector_forward(U: VectorField) -> VectorField:
@@ -493,15 +494,14 @@ def spectral_tail_fraction(*fields: SpectralField | RealField) -> float:
     trustworthy.
     """
     g = fields[0].grid
-    cap = np.floor(g.n / 3.0)
-    outer = (
-        (np.abs(g.kx) > cap / 2) | (np.abs(g.ky) > cap / 2) | (np.abs(g.kz) > cap / 2)
-    )
+    half = np.floor(g.n / 3.0) / 2
+    outer = (np.abs(g.kx) > half) | (np.abs(g.ky) > half) | (np.abs(g.kz) > half)
     total = tail = 0.0
     for F in fields:
-        power = spectral_power(forward_transform(F) if isinstance(F, RealField) else F)
+        F = forward_transform(F) if isinstance(F, RealField) else F
+        power = _spread(g, spectral_power(F))
         total += power.sum()
-        tail += power[np.broadcast_to(outer, power.shape)].sum()
+        tail += power[outer].sum()
     if total == 0.0:
         return 0.0
     return float(tail / total)

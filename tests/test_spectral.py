@@ -1,6 +1,7 @@
 """Transforms, differential operators, projection, Poisson solve, norms."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -352,18 +353,11 @@ def _roll_defect(F):
     return max(0.0, float(np.abs(plane - mirrored).max()))
 
 
-def _rejected(F):
-    try:
-        ehd.backward_transform(F)
-    except HermitianSymmetryError:
-        return True
-    return False
-
-
 class TestHermitianDefect:
     """hermitian_defect mirrors the block's kz = 0 plane by its row order
     (row i to row -i mod 2c+1): the same value as np.roll on the full
-    layout's plane, and the same verdict for any input."""
+    layout's plane for any input.  The checks reject a non-finite
+    coefficient before they measure the defect."""
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
@@ -385,16 +379,24 @@ class TestHermitianDefect:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("n", [8, 16, 64])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
-    def test_same_verdict_for_non_finite(self, n, bad, band_limited):
+    def test_non_finite_coefficients_rejected(self, n, bad, band_limited):
+        """Every non-finite coefficient is rejected, by `backward_transform`
+        and by `besov_norm` given coefficients, naming the first offending
+        block entry and its wavenumber, on or off the self-conjugate plane
+        and beside a defect its NaN would hide; `hermitian_defect` keeps
+        its value."""
         grid = ehd.Grid(n)
+        c = n // 3
         symmetric = ehd.forward_transform(band_limited(grid)).coeffs
-        cases = [
+        cases = [  # the first entry of each case comes first in the block's order
             [((1, 2, 0), bad)],
             [((0, 0, 0), bad)],
             [((1, 2, 1), bad)],  # off the self-conjugate plane
             [((1, 2, 0), bad), ((2, 1, 0), 1e-3)],  # a NaN maximum hides the defect
             [((1, 2, 1), bad), ((2, 1, 0), 1e-3)],
             [((1, 2, 0), bad), ((2, 1, 1), bad)],
+            [((-1, 0, 0), bad)],
+            [((c, -c, c), bad)],
         ]
         for case in cases:
             coeffs = symmetric.copy()
@@ -402,10 +404,15 @@ class TestHermitianDefect:
                 coeffs[index] += value
             F = SpectralField(grid, coeffs)
             old = _roll_defect(F)
-            old_rejects = old > 1e-12 and old > 1e-12 * max(1.0, float(np.abs(coeffs).max()))
-            assert _rejected(F) == old_rejects, case
             new = ehd.hermitian_defect(F)
             assert new == old or (math.isnan(new) and math.isnan(old)), case
+            k = case[0][0]
+            entry = tuple(i % size for i, size in zip(k, grid.block.shape))
+            named = re.escape(f"block entry {entry}, wavenumber {k}")
+            with pytest.raises(NonFiniteFieldError, match=named):
+                ehd.backward_transform(F)
+            with pytest.raises(NonFiniteFieldError, match=named):
+                ehd.besov_norm(F, ehd.BesovParams(0.0, 2.0, 2.0))
 
 
 class TestOperators:
@@ -663,14 +670,17 @@ class TestNorms:
         assert ehd.spectral_tail_fraction(zero) == 0.0
 
     def test_tail_fraction_of_several_fields(self, grid16, band_limited):
-        """The fraction of the full layout's powers, in its summation order."""
+        """The fraction of the full layout's powers, in its summation order;
+        each power is the block of the reference's, and its sum the
+        reference's full-shape sum, bit for bit."""
         fields = [ehd.forward_transform(band_limited(grid16)) for _ in range(3)]
         ref = layout(16)
         cap = np.floor(ref.n / 3.0) / 2
         outer = (np.abs(ref.kx) > cap) | (np.abs(ref.ky) > cap) | (np.abs(ref.kz) > cap)
         powers = [ref.power(ref.spread(F.coeffs)) for F in fields]
         for F, P in zip(fields, powers):
-            assert _same_bits(ehd.spectral_power(F), P)
+            assert _same_bits(ehd.spectral_power(F), ref.block(P))
+            assert ehd.l2_norm_sq(F) == float((2.0 * PI) ** 3 * P.sum())
         tail = sum(float(P[np.broadcast_to(outer, P.shape)].sum()) for P in powers)
         total = sum(float(P.sum()) for P in powers)
         assert ehd.spectral_tail_fraction(*fields) == tail / total  # same summation order
