@@ -89,10 +89,13 @@ _SCALAR_KEYS = {
 
 # Peak memory of `ehd run`, in states (a state is five n^3 float64 fields):
 # the snapshot, the RK3 stage and work arrays (the second lane's too, at
-# 64^3) and the observers' fields.  tracemalloc measured 8.6 states at 32^3
-# and 9.2 at 64^3 on two lanes (8.4 on one; random_smooth and charged_shear
-# with the default observers and checkpoint_every = 2; taylor_green 7.6 and
-# 7.4).  The bound stays 13 until a 128^3 run is measured.
+# 64^3) and the observers' fields, which stay alive beside the next step
+# where the worker runs it (the step lane).  tracemalloc measured, for
+# random_smooth and charged_shear with the default observers and
+# checkpoint_every = 2, 7.5 states at 32^3 with the step lane and 7.0 at
+# 64^3 with the charge lane, 6.4 and 6.2 on one CPU; taylor_green 5.6 and
+# 5.4 (step lane), 5.4 and 5.2 (one CPU).  The bound stays 13 until a
+# 128^3 run is measured.
 RUN_PEAK_STATES = 13
 
 

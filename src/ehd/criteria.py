@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 from .littlewood_paley import BesovParams, besov_norm
 from .solver import BlowUpSuspected, State
-from .spectral import (
-    RealField,
-    entry_magnitude,
-    lp_norm,
-    vector_magnitude,
-)
+from .spectral import RealField, lp_norm, vector_magnitude
 
 
 class CriterionKind(str, enum.Enum):
@@ -83,9 +78,10 @@ def horizontal_block_magnitude(state: State) -> RealField:
 
     The four entries are collapsed to one scalar before any band norm is
     taken; any fixed finite-dimensional norm here changes constants only.
-    The entries are the snapshot's shared velocity-gradient samples.
+    The snapshot builds it with |grad u|, in one pass over the gradient
+    (`State.grad_u_magnitudes`).
     """
-    return entry_magnitude(state.grid, [row[:2] for row in state.grad_u[:2]])
+    return state.grad_u_magnitudes[1]
 
 
 def instantaneous_quantity(acc: CriterionAccumulator, state: State) -> float:

@@ -13,11 +13,12 @@ decaying exponential factors appear).
 The run loop steps one snapshot (a `State`) at a time.  Hooks receive that
 snapshot; its derived fields are computed on first use, once, and shared by
 every hook and by the next step, so hooks must treat them as read-only.
-When the hooks return, the run drops the fields that only observers read,
-and a step drops every cached field of its input once it has read it.  The
-arrays the next step reuses (samples, coefficients, grad psi) and the power
-arrays the observers' norms share are flagged read-only, and writing into
-them raises.
+A snapshot's cached fields are dropped once its hooks have returned and the
+next step has read it.  The arrays the next step reuses (samples,
+coefficients, grad psi) and the power arrays the observers' norms share are
+flagged read-only, and writing into them raises.  The observers' |omega|
+and |grad u| are streamed from the coefficients (`_streamed_magnitudes`):
+omega and grad u themselves are made only for a caller that asks.
 
 A snapshot's coefficients are forward transforms of real samples, or the
 run's dealiased arithmetic on them, so their inverse transforms go through
@@ -32,17 +33,20 @@ Every transform computes only the lines that reach or leave the block;
 each inverse works in a half-spectrum array whose kz planes above the
 block stay +0 (the run's, or one the field makes).
 
-A run's step context is one `_Work`: the grid, the work arrays and the lane
-of the charge terms.  Block arrays become samples in `_materialize` alone
-(RK stages 2 and 3, stage 1 of a user state, each new snapshot): the lane
-makes those of w and, when asked, of grad psi, the calling thread those of
-u and v.  A charged right-hand side then forks the lane for the charge
-terms beside the momentum terms.  Each output keeps its serial operations,
-so the bits do not depend on the lanes.  The lane is a worker thread that
-`_Work` owns, with work arrays of its own, where a second core pays
-(`_lanes_pay`); otherwise each task runs after the calling thread's part.
-Both lanes have joined before `_materialize` or `_nonlinear` returns or
-raises, so hooks run on the calling thread, and no thread outlives `run`.
+A run's step context is one `_Work`: the grid, the work arrays and the
+run's one worker thread, where a second core pays (`_lanes_pay`).  Block
+arrays become samples in `_materialize` alone (RK stages 2 and 3, stage 1
+of a user state, each new snapshot): the lane makes those of w and, when
+asked, of grad psi, the stepping thread those of u and v.  A charged
+right-hand side then forks the lane for the charge terms beside the
+momentum terms.  The lane is the worker, with work arrays of its own, for
+a charged step at 64^3 or more; otherwise each task runs after the
+stepping thread's part, and from 32^3 up the worker takes the step lane
+instead: `run` hands it step k + 1 while the calling thread runs the hooks
+of snapshot k.  Each output keeps its serial operations, so the bits do
+not depend on the lanes.  Every task has joined before the function that
+forked it returns or raises, so hooks run on the calling thread, and no
+thread outlives `run`.
 """
 
 from __future__ import annotations
@@ -73,13 +77,12 @@ from .spectral import (
     _leray_coeffs,
     _poisson_coeffs,
     _samples_from_coeffs,
+    _streamed_magnitudes,
     _zero_coeffs,
-    entry_magnitude,
     forward_transform,
     power_sum,
     sobolev_weights,
     spectral_power,
-    vector_magnitude,
 )
 
 DIVERGENCE_TOL = 1e-9
@@ -219,8 +222,10 @@ class State:
 
     @cached_property
     def omega_magnitude(self) -> RealField:
-        """Pointwise magnitude of the vorticity."""
-        return vector_magnitude(self.omega)
+        """Pointwise magnitude of the vorticity, bitwise that of `omega`,
+        streamed over the curl components without keeping them."""
+        g = self.grid
+        return _streamed_magnitudes(g, _curl_coeffs(g.block, *self._blocks(3)))[0]
 
     @property
     def zeta(self) -> RealField:
@@ -247,9 +252,19 @@ class State:
         return [_gradient_samples(g, c, full) for c in self._blocks(3)]
 
     @cached_property
+    def grad_u_magnitudes(self) -> list:
+        """The pointwise Frobenius magnitudes of the velocity gradient and
+        of its horizontal block (d1 u1, d2 u1, d1 u2, d2 u2), bitwise those
+        of `grad_u`'s entries, streamed in one pass over the nine without
+        keeping them."""
+        g, work = self.grid, np.empty(self.grid.block.shape, dtype=complex)
+        entries = (d for c in self._blocks(3) for d in _gradient_blocks(g.block, c, work))
+        return _streamed_magnitudes(g, entries, part=(0, 1, 3, 4))
+
+    @property
     def grad_u_magnitude(self) -> RealField:
         """Pointwise Frobenius magnitude of the velocity gradient."""
-        return entry_magnitude(self.grid, self.grad_u)
+        return self.grad_u_magnitudes[0]
 
     def _release(self, keep=()):
         """Drop the fields computed on first use, except those named in keep;
@@ -325,41 +340,61 @@ def _diffusion_factors(grid: Grid, dt: float):
     return entry[1:]
 
 
+def _gradient_blocks(block, coeffs: np.ndarray, work: np.ndarray):
+    """The block arrays of the gradient of the field with block array
+    coeffs, each i*k*coeffs formed in work (an array of the block's shape),
+    which the next one overwrites."""
+    for kk in (block.kx, block.ky, block.kz):
+        yield np.multiply(1j * kk, coeffs, out=work)
+
+
 def _gradient_samples(grid: Grid, coeffs: np.ndarray, full: np.ndarray, work=None) -> list:
-    """Samples of the gradient of the field with block array coeffs: each
-    i*k*coeffs, formed in work (an array of the block's shape, allocated
-    when not given), takes the block inverse transform with the work array
-    full."""
+    """Samples of the gradient of the field with block array coeffs
+    (`_gradient_blocks`, in work, allocated when not given), by block
+    inverse transforms with the work array full."""
     if work is None:
         work = np.empty_like(coeffs)
-    b = grid.block
-    return [_samples_from_coeffs(grid, np.multiply(1j * kk, coeffs, out=work), full)
-            for kk in (b.kx, b.ky, b.kz)]
+    return [_samples_from_coeffs(grid, c, full)
+            for c in _gradient_blocks(grid.block, coeffs, work)]
 
 
-def _lanes_pay(grid: Grid) -> bool:
-    """Whether a worker lane pays for its hand-offs: two CPUs in this
-    process's affinity mask and a grid of 64^3 or more.  At 32^3 a bare run
-    is about 25% faster on two lanes, but with observers between steps the
-    steps ran 9.7% slower on two lanes than on one."""
+def _lanes_pay(grid: Grid, charged: bool) -> tuple[bool, bool]:
+    """(charge lane, step lane): whether the run's worker thread makes the
+    charge terms beside the momentum terms, or the next step beside the
+    hooks.  Both need two CPUs in this process's affinity mask.  A charged
+    step at 64^3 or more keeps the charge lane; otherwise, from 32^3 up,
+    the worker takes the next step.
+
+    On a shared 2-vCPU VM, the step lane raised the steps per second of a
+    plain `ehd run` (its default observers, 20 steps) by a median 28% on
+    an uncharged 32^3 restart writing a checkpoint each step (6 of 6
+    pairs; 18-52% in 5 more), by 48-78% on the same at 64^3 (3 of 3), and
+    by a median 3-13% on a charged 32^3 run (12 of 16 pairs), whose step
+    runs 1.3-1.8x slower beside the hooks:
+    both threads make many short numpy and transform calls and hand the
+    interpreter lock back and forth.  At 16^3 that contention doubled a
+    charged step plus its hooks (4.4 to 8.7 ms), so it stays inline."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity masks on this platform
         cpus = os.cpu_count() or 1
-    return cpus >= 2 and grid.n >= 64
+    lane = cpus >= 2 and charged and grid.n >= 64
+    return lane, cpus >= 2 and grid.n >= 32 and not lane
 
 
 class _Work:
     """One run's step context: its grid, the work arrays it reuses in every
-    RK stage of every step, and the lane of its charge terms, a worker
-    thread of its own when lane is true, else the calling thread.
+    RK stage of every step, and its worker thread, which makes the charge
+    terms (lane) or runs the next step beside the hooks (step_lane); with
+    neither, the calling thread does all.
 
     real holds two sample arrays and spectral two arrays of the shape of
     the grid's block; full is the work array of the block inverse
     transforms (`_samples_from_coeffs`), which zero its kept kz planes,
     scatter the block into them and transform them in place.  The lane's
     work arrays (side) have the same layout.  Nothing else writes either
-    full array, so their kz planes above the block stay +0.0.
+    full array, so their kz planes above the block stay +0.0.  One step at
+    a time uses them, on whichever thread runs it.
 
     Allocating them once per run, not once per stage, keeps freed
     multi-megabyte blocks from going back to the system and being faulted
@@ -367,11 +402,12 @@ class _Work:
     faults per step).
     """
 
-    def __init__(self, grid: Grid, lane: bool = False):
+    def __init__(self, grid: Grid, lane: bool = False, step_lane: bool = False):
         self.grid = grid
         self.block = grid.block
         self.real, self.spectral, self.full = self._arrays()
-        self.pool = ThreadPoolExecutor(1, "ehd-lane") if lane else None
+        self.lane, self.step_lane = lane, step_lane
+        self.pool = ThreadPoolExecutor(1, "ehd-lane") if lane or step_lane else None
 
     def _arrays(self) -> tuple:
         return ([np.empty((self.grid.n,) * 3) for _ in range(2)],
@@ -385,20 +421,24 @@ class _Work:
         uses them), or these when the lane runs inline.  It holds the
         arrays, never self: a reference cycle would keep a finished run's
         arrays until the garbage collector runs."""
-        return self._arrays() if self.pool is not None else (self.real, self.spectral, self.full)
+        return self._arrays() if self.lane else (self.real, self.spectral, self.full)
+
+    def submit(self, task, *args):
+        """The future of task(*args), started on the worker in a copy of the
+        caller's context (numpy's errstate is context-local)."""
+        return self.pool.submit(contextvars.copy_context().run, task, *args)
 
     @contextmanager
     def beside(self, task, *args):
         """Run task(*args) in the lane while the with-body runs: on the
-        worker, in a copy of the caller's context (numpy's errstate is
-        context-local), or after the body without one.  Both have finished
-        when the block exits; when both raise, the body's exception wins,
-        as in that serial order."""
-        if self.pool is None:
+        worker (`submit`), or after the body when the lane is inline.  Both
+        have finished when the block exits; when both raise, the body's
+        exception wins, as in that serial order."""
+        if not self.lane:
             yield
             task(*args)
             return
-        pending = self.pool.submit(contextvars.copy_context().run, task, *args)
+        pending = self.submit(task, *args)
         try:
             yield
         except BaseException:
@@ -656,7 +696,7 @@ def _before_end(t: float, control: StepControl) -> bool:
     return t < control.t_end - 1e-12 * max(1.0, control.t_end)
 
 
-def _step(state: State, control: StepControl, work: _Work) -> State:
+def _step(state: State, control: StepControl, work: _Work, release: bool = True) -> State:
     """Shared stepping core.
 
     Stage 1 does not depend on dt, so it runs first, on the snapshot's
@@ -664,7 +704,7 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     user state, its block arrays' samples by `_materialize` and grad psi by
     `State.grad_psi`); the CFL bound and, for charges, the relaxation
     bound then read the same arrays, the step's last read of its input,
-    which then drops every cached field.
+    which then drops every cached field if release is true.
     With no charge (grad psi is None) only the three velocity arrays are
     carried: the charge equations are linear and homogeneous in (v, w), so
     zero charges stay exactly zero.
@@ -681,7 +721,8 @@ def _step(state: State, control: StepControl, work: _Work) -> State:
     # The step has read its input and stage-1 samples for the last time:
     # their memory (with the input's cached fields) serves the new snapshot.
     # A hook that asks again gets the fields recomputed, same bits.
-    state._release()
+    if release:
+        state._release()
     del dpsi, samples
     limit = min(limits, key=limits.get)
     dt = min(control.dt, limits[limit])
@@ -757,26 +798,33 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
     the initial state with dt = 0 so time-integral accumulators can record
     the t = 0 integrand.  derived is state again (observers take state
     alone).  Its fields are computed on first use, shared by all hooks and
-    the next step, and read-only; once the hooks of a snapshot the run
-    made return, the run drops every field the next step does not read,
-    and each step drops every field of its input once it has read it.
-    Each snapshot the run makes passes `_check_run_invariants` first.
-    Hooks run on the calling thread; the worker lane of the charge terms,
-    which the run's `_Work` owns (see the module docstring), is idle while
-    they run and shut down before run returns or raises.
+    the next step, and read-only.  Each snapshot the run makes passes
+    `_check_run_invariants` before its hooks see it.
+    Hooks run on the calling thread, one snapshot at a time, in order.
+    Where the run's worker takes the step lane (`_lanes_pay`), step k + 1
+    runs on it while the hooks of snapshot k run, from step 2 on (the t = 0
+    hooks and step 1 run first, inline); snapshot k keeps its cached fields
+    until both are done.  Otherwise the hooks come first, the run then
+    drops every field the next step does not read, and the step drops the
+    rest once it has read them.  The worker (see the module docstring) is
+    shut down before run returns or raises.
     An initial state that fails validation ends the run before any hook is
     called, as an invariant violation.  A hook raising BlowUpSuspected or
     InvariantViolation ends the run with that status, its message the
     diagnostic; a NonFiniteFieldError (a non-finite field a hook
-    transformed) counts as a suspected blow-up.
+    transformed) counts as a suspected blow-up.  A hook that raises ends
+    the run at its snapshot: a step running beside it is waited for, and
+    its result or failure discarded.  A failing step counts only once the
+    hooks of the snapshot before it have returned.
     """
     from .checkpoint import state_checksum
 
     t0 = time.monotonic()
     status = RunStatus.COMPLETED
     diagnostic = None
-    work = _Work(state0.grid, _lanes_pay(state0.grid))
-    s, steps = state0, 0
+    work = _Work(state0.grid, *_lanes_pay(state0.grid, bool(
+        state0.v.samples.any() or state0.w.samples.any())))
+    s, steps, dt, ahead = state0, 0, 0.0, None
     del state0  # the run holds the state in s alone, so step 1 can free it
     try:
         validate_initial_state(s)
@@ -785,18 +833,29 @@ def run(state0: State, control: StepControl, hooks=()) -> RunReport:
         # made here, in set-up.
         s._blocks()
         means = (float(np.mean(s.v.samples)), float(np.mean(s.w.samples)))
-        for hook in hooks:
-            hook(s, s, 0.0)
-        while _before_end(s.t, control):
-            t_prev = s.t
-            s = _step(s, control, work)
-            steps += 1
+        while True:
+            if steps and work.step_lane and _before_end(s.t, control):
+                ahead = work.submit(_step, s, control, work, False)
+            try:
+                for hook in hooks:
+                    hook(s, s, dt)
+            except BaseException:
+                if ahead is not None:
+                    ahead.exception()  # waits for the step, whose outcome is dropped
+                raise
+            if ahead is None:
+                # Of its cached fields the next step reads grad psi alone;
+                # the step's arrays reuse the memory of the others.
+                if steps:
+                    s._release(keep=("grad_psi",))
+                if not _before_end(s.t, control):
+                    break
+                new = _step(s, control, work)
+            else:
+                new, ahead = ahead.result(), None
+                s._release()
+            s, steps, dt = new, steps + 1, new.t - s.t
             _check_run_invariants(s, *means)
-            for hook in hooks:
-                hook(s, s, s.t - t_prev)
-            # Of its cached fields the next step reads grad psi alone; the
-            # step's arrays reuse the memory of the others.
-            s._release(keep=("grad_psi",))
     except (BlowUpSuspected, NonFiniteFieldError) as exc:
         status, diagnostic = RunStatus.BLOW_UP_SUSPECTED, str(exc)
     except (InvariantViolation, ChargeNeutralityError) as exc:

@@ -354,10 +354,12 @@ def curl(U: VectorField) -> VectorField:
     return VectorField(*(SpectralField(g, c) for c in curl_coeffs))
 
 
-def _curl_coeffs(block: Block, cx, cy, cz) -> tuple:
-    """curl on raw block coefficient arrays."""
+def _curl_coeffs(block: Block, cx, cy, cz):
+    """curl on raw block coefficient arrays, one component at a time."""
     kx, ky, kz = block.kx, block.ky, block.kz
-    return 1j * (ky * cz - kz * cy), 1j * (kz * cx - kx * cz), 1j * (kx * cy - ky * cx)
+    yield 1j * (ky * cz - kz * cy)
+    yield 1j * (kz * cx - kx * cz)
+    yield 1j * (kx * cy - ky * cx)
 
 
 def leray_project(U: VectorField) -> VectorField:
@@ -477,6 +479,21 @@ def entry_magnitude(grid: Grid, rows) -> RealField:
     for d in rest:
         sq += d**2
     return RealField(grid, np.sqrt(sq, out=sq))
+
+
+def _streamed_magnitudes(grid: Grid, blocks, part=()) -> list:
+    """`entry_magnitude` of the inverse transforms of the block arrays that
+    blocks yields, and of those at the positions part lists, with the same
+    bits: each transform is squared once, added to the running sums in
+    order and dropped, so the entries are never alive together."""
+    full, total, part_total = _zero_coeffs(grid), None, None
+    for i, c in enumerate(blocks):
+        sq = _samples_from_coeffs(grid, c, full)
+        np.square(sq, out=sq)
+        if i in part:
+            part_total = sq.copy() if part_total is None else np.add(part_total, sq, out=part_total)
+        total = sq if total is None else np.add(total, sq, out=total)
+    return [RealField(grid, np.sqrt(a, out=a)) for a in (total, part_total) if a is not None]
 
 
 def vector_magnitude(U: VectorField) -> RealField:

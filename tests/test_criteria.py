@@ -163,9 +163,9 @@ class TestObserve:
 
     def test_non_finite_integrand_signals_blow_up(self, grid16):
         s = shear_state(grid16)
-        bad = np.zeros((16,) * 3)
-        bad[0, 0, 0] = np.inf
-        s.omega.x.samples[:] = bad
+        # BKM reads the snapshot's cached |omega|, streamed from the
+        # coefficients; the inf goes where it reads.
+        s.omega_magnitude.samples[0, 0, 0] = np.inf
         acc = ehd.make_accumulator("BKM")
         with pytest.raises(BlowUpSuspected, match="non-finite"):
             ehd.observe(acc, s, 0.0)

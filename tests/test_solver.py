@@ -1,8 +1,10 @@
 """Right-hand sides, the integrating-factor step, and the run loop."""
 
 import gc
+import json
 import math
 import os
+import shutil
 import sys
 import threading
 import weakref
@@ -959,14 +961,20 @@ class TestLanes:
         """Two steps from a user state: each of their six stages makes the
         charge terms.  The w samples are made by RK stages 2 and 3, by
         stage 1 of step 1 (which inverts the initial coefficients), and for
-        each new snapshot, the first one with grad psi."""
-        threads = on_threads(monkeypatch, task)
+        each new snapshot, the first one with grad psi.  At 32^3 each task
+        runs on the thread of its step: step 1 on the calling thread, step 2
+        on the worker (the step lane)."""
+        threads, stepping = on_threads(monkeypatch, task), on_threads(monkeypatch, "_step")
         control = StepControl(dt=5e-4, t_end=1e-3)
         ehd.run(ehd.charged_shear(grid64), control)
         assert len(threads) == LANE_TASKS[task] and threading.main_thread() not in threads
+        assert stepping == [threading.main_thread()] * 2
         threads.clear()
+        stepping.clear()
         ehd.run(ehd.charged_shear(grid32), control)
-        assert threads == [threading.main_thread()] * LANE_TASKS[task]
+        first = {"_lane_samples": 4, "_charge_terms": 3}[task]
+        assert stepping[0] is threading.main_thread() is not stepping[1]
+        assert threads == [stepping[0]] * first + [stepping[1]] * (LANE_TASKS[task] - first)
 
     def test_one_cpu_starts_no_thread(self, grid64, monkeypatch, one_cpu):
         start = threading.Thread.start
@@ -1130,3 +1138,124 @@ class TestLanes:
                     pass
         finally:
             work.close()
+
+
+def _run_tree(tmp_path, capsys, initial) -> tuple:
+    """`ehd run` of initial at 32^3 for four steps, a checkpoint after
+    each: exit code, stdout, report.json without wall_clock, and the bytes
+    of every other file written.  The output directory is removed, so the
+    next run writes the same paths."""
+    from ehd import cli
+
+    out = tmp_path / "out"
+    config = tmp_path / "run.cfg"
+    config.write_text(f"grid_n = 32\nt_end = 2e-3\ninitial_condition = {initial}\n"
+                      f"checkpoint_every = 1\noutput_dir = {out}\n")
+    code = cli.main(["run", str(config)])
+    files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+    report = json.loads(files.pop("report.json"))
+    report.pop("wall_clock")
+    shutil.rmtree(out)
+    return code, capsys.readouterr().out, report, files
+
+
+@pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs in the affinity mask")
+class TestStepLane:
+    """From 32^3 up, unless a charged step takes the charge lane, the
+    worker runs step k + 1 while the calling thread runs the hooks of
+    snapshot k."""
+
+    @pytest.mark.parametrize("initial", ["random_smooth(seed=7)", "charged_shear",
+                                         "taylor_green", "restart"])
+    def test_cli_run_is_byte_identical_inline(self, initial, grid32, tmp_path, capsys,
+                                              monkeypatch):
+        if initial == "restart":
+            path = tmp_path / "restart.ehds"
+            u = ehd.random_smooth(grid32, seed=5).u
+            ehd.write_checkpoint(path, State(u=u, v=zero_field(grid32), w=zero_field(grid32)))
+            initial = f"from_checkpoint(path={path})"
+        stepping = on_threads(monkeypatch, "_step")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter lock over often
+        try:
+            lane = _run_tree(tmp_path, capsys, initial)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(stepping) == 4 and threading.main_thread() not in stepping[1:]
+        with monkeypatch.context() as m:
+            pin_to_one_cpu(m)
+            inline = _run_tree(tmp_path, capsys, initial)
+        assert stepping[4:] == [threading.main_thread()] * 4
+        # Three CSVs, a checkpoint of each step and the final one.
+        assert lane[0] == 0 and len(lane[3]) == 8
+        assert lane == inline
+
+    @pytest.mark.parametrize("hook_raises", [True, False])
+    def test_a_hook_failure_wins_over_the_step_beside_it(self, hook_raises, grid32,
+                                                         monkeypatch):
+        """Step 3 fails while the hooks of snapshot 2 run.  A hook that
+        raises at snapshot 2, after the step has failed, ends the run there
+        with its own status and diagnostic; otherwise the step's failure
+        ends it, once the hooks have returned."""
+        advance, failed = solver._advance, threading.Event()
+
+        def fails_in_step_3(c0, f1, dt, work):
+            if len(calls) == 2:
+                failed.set()
+                raise InvariantViolation("step 3 failed (test)")
+            calls.append(threading.current_thread())
+            return advance(c0, f1, dt, work)
+
+        def hook(s, d, dt):
+            if s.step_index == 2:
+                assert failed.wait(timeout=60)
+                if hook_raises:
+                    raise BlowUpSuspected("observer saw a blow-up (test)")
+
+        calls = []
+        monkeypatch.setattr(solver, "_advance", fails_in_step_3)
+        report = ehd.run(ehd.charged_shear(grid32), StepControl(dt=5e-4, t_end=3e-3),
+                         hooks=[hook])
+        assert calls[1] is not threading.main_thread()
+        if hook_raises:
+            assert report.status is RunStatus.BLOW_UP_SUSPECTED
+            assert report.diagnostic == "observer saw a blow-up (test)"
+        else:
+            assert report.status is RunStatus.INVARIANT_VIOLATION
+            assert report.diagnostic == "step 3 failed (test)"
+        assert report.steps == report.final_state.step_index == 2
+
+    @pytest.mark.parametrize("preset", ["charged_shear", "taylor_green"])
+    def test_hooks_run_on_the_calling_thread_and_no_thread_outlives_run(self, preset, grid32,
+                                                                        monkeypatch):
+        """Also when run is called off the main thread, and when a hook
+        raises while a step runs beside it."""
+        control = StepControl(dt=5e-4, t_end=2e-3)
+        stepping = on_threads(monkeypatch, "_step")
+
+        def caller(checks):
+            here, before, seen = threading.current_thread(), threading.active_count(), []
+
+            def hook(s, d, dt):
+                seen.append(threading.current_thread())
+                if s.step_index == 2 and checks:
+                    raise ValueError("observer bug (test)")
+
+            ehd.run(getattr(ehd, preset)(grid32), control, hooks=[hook])
+            checks.append(threading.active_count() == before)
+            checks.append(here not in stepping[-3:])  # steps 2 to 4 ran on the worker
+            try:
+                ehd.run(getattr(ehd, preset)(grid32), control, hooks=[hook])
+            except ValueError as exc:
+                checks.append(str(exc) == "observer bug (test)")
+            checks.append(threading.active_count() == before)
+            checks.append(seen == [here] * 8)  # t = 0 and four steps, then t = 0 to step 2
+
+        checks = []
+        caller(checks)
+        assert checks == [True] * 5
+        checks.clear()
+        thread = threading.Thread(target=caller, args=(checks,))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and checks == [True] * 5
