@@ -29,15 +29,18 @@ A snapshot's coefficients and powers live on the dealiased block
 five block arrays, copied from the step's result, which the next step
 reads, and a user state makes each once, by the pruned forward transform
 of its samples; `u_hat`, `v_hat`, `w_hat` and `psi_hat` hold those arrays.
-Every transform computes only the lines that reach or leave the block;
-each inverse works in a half-spectrum array whose kz planes above the
-block stay +0 (the run's, or one the field makes).
+Every transform computes only the lines that reach or leave the block,
+in a half-spectrum work array: a step's in that of its thread (`_Work`),
+an observer's in one the field makes.  A step's flux forwards write every
+plane of theirs, so each inverse zeroes its array whole before it
+scatters the block.
 
 A run's step context is one `_Work`: the grid, the work arrays and the
 run's one worker thread, where a second core pays (`_lanes_pay`).  Block
 arrays become samples in `_materialize` alone (RK stages 2 and 3, stage 1
 of a user state, each new snapshot): the lane makes those of w and, when
-asked, of grad psi, the stepping thread those of u and v.  A charged
+asked, of grad psi, into arrays the stepping thread allocates before it
+forks the lane, and the stepping thread makes those of u and v.  A charged
 right-hand side then forks the lane for the charge terms beside the
 momentum terms.  The lane is the worker, with work arrays of its own, for
 a charged step at 64^3 or more; otherwise each task runs after the
@@ -348,14 +351,16 @@ def _gradient_blocks(block, coeffs: np.ndarray, work: np.ndarray):
         yield np.multiply(1j * kk, coeffs, out=work)
 
 
-def _gradient_samples(grid: Grid, coeffs: np.ndarray, full: np.ndarray, work=None) -> list:
+def _gradient_samples(grid: Grid, coeffs: np.ndarray, full: np.ndarray, work=None,
+                      out=(None,) * 3) -> list:
     """Samples of the gradient of the field with block array coeffs
     (`_gradient_blocks`, in work, allocated when not given), by block
-    inverse transforms with the work array full."""
+    inverse transforms with the work array full, into the three arrays of
+    out (new arrays where None)."""
     if work is None:
         work = np.empty_like(coeffs)
-    return [_samples_from_coeffs(grid, c, full)
-            for c in _gradient_blocks(grid.block, coeffs, work)]
+    return [_samples_from_coeffs(grid, c, full, o)
+            for c, o in zip(_gradient_blocks(grid.block, coeffs, work), out)]
 
 
 def _lanes_pay(grid: Grid, charged: bool) -> tuple[bool, bool]:
@@ -389,17 +394,23 @@ class _Work:
     neither, the calling thread does all.
 
     real holds two sample arrays and spectral two arrays of the shape of
-    the grid's block; full is the work array of the block inverse
-    transforms (`_samples_from_coeffs`), which zero its kept kz planes,
-    scatter the block into them and transform them in place.  The lane's
-    work arrays (side) have the same layout.  Nothing else writes either
-    full array, so their kz planes above the block stay +0.0.  One step at
-    a time uses them, on whichever thread runs it.
+    the grid's block; full is the half-spectrum work array of the
+    transforms: each flux forward's r2c pass writes all of it
+    (`_coeffs_from_samples`), and each inverse zeroes it, scatters the
+    block into its kept kz planes and transforms them in place
+    (`_samples_from_coeffs`).  The lane's work arrays (side) have the same
+    layout, so the worker's forwards write into side's full array and its
+    inverses into sample arrays the stepping thread made: the worker
+    allocates no transform output.  One step at a time uses them, on
+    whichever thread runs it.
 
-    Allocating them once per run, not once per stage, keeps freed
-    multi-megabyte blocks from going back to the system and being faulted
-    in again as fresh pages (at 64^3, 8,700 instead of 18,000 minor page
-    faults per step).
+    Allocating them once per run, not once per stage or transform, keeps
+    freed multi-megabyte blocks from going back to the system and being
+    faulted in again as fresh pages.  Steps 3 to 6 of a charged 64^3 run
+    faulted 3,600-7,700 minor pages each on two lanes, and 0-4,200
+    inline, while the worker and the flux forwards made their own
+    outputs; with the outputs written into these arrays, 0-160 either
+    way (2-vCPU VM).
     """
 
     def __init__(self, grid: Grid, lane: bool = False, step_lane: bool = False):
@@ -481,27 +492,30 @@ def _add_term(block, total, d, f, work):
         total += np.multiply((block.kx, block.ky, block.kz)[d], f, out=work)
 
 
-def _lane_samples(grid: Grid, c, side, out: list, grad: bool):
-    """Appended to out: the samples of w, then of grad psi if grad is true,
-    from the block arrays c = (v, w), with the work arrays side
-    (`_Work.side`); the Poisson solve raises unless v - w is neutral."""
+def _lane_samples(grid: Grid, c, side, out: list):
+    """The samples of w into out[0] and, given four arrays, those of grad
+    psi into out[1:], from the block arrays c = (v, w), with the work
+    arrays side (`_Work.side`); the Poisson solve raises unless v - w is
+    neutral."""
     _, (cwork, flux), full = side
-    out.append(_samples_from_coeffs(grid, c[1], full))
-    if grad:
+    _samples_from_coeffs(grid, c[1], full, out[0])
+    if len(out) > 1:
         psi = _poisson_coeffs(grid.block, np.subtract(c[0], c[1], out=flux), out=flux)
-        out.append(_gradient_samples(grid, psi, full, cwork))
+        _gradient_samples(grid, psi, full, cwork, out[1:])
 
 
 def _materialize(c, work: _Work, grad: bool) -> tuple:
     """(samples, dpsi): the inverse transforms of the block arrays c =
     (ux, uy, uz, v, w), or (ux, uy, uz) alone, and the samples of grad psi
     if grad is true, else None.  Given five, the lane (`_Work.beside`) makes
-    w and grad psi (`_lane_samples`) beside u and v; neither writes c."""
-    grid, lane = work.grid, []
-    with (work.beside(_lane_samples, grid, c[3:], work.side, lane, grad)
-          if len(c) == 5 else nullcontext()):
+    w and grad psi (`_lane_samples`) beside u and v, into arrays this thread
+    allocates first, so the worker allocates no output; neither writes c."""
+    grid = work.grid
+    lane = [np.empty((grid.n,) * 3) for _ in range(4 if grad else 1)] if len(c) == 5 else []
+    with (work.beside(_lane_samples, grid, c[3:], work.side, lane)
+          if lane else nullcontext()):
         samples = [_samples_from_coeffs(grid, a, work.full) for a in c[:4]]
-    return samples + lane[:1], (lane[1] if grad else None)
+    return samples + lane[:1], (lane[1:] if grad else None)
 
 
 def _charge_terms(grid: Grid, samples, dpsi, out, side):
@@ -512,13 +526,13 @@ def _charge_terms(grid: Grid, samples, dpsi, out, side):
     v down and w up the potential gradient, flux u_d q +- q d_d(psi).
     """
     block = grid.block
-    (prod, rwork), (cwork, flux), _ = side
+    (prod, rwork), (cwork, flux), full = side
     u, (v, w) = samples[:3], samples[3:]
     for q, drift, total in ((v, np.add, out[0]), (w, np.subtract, out[1])):
         for d in range(3):
             np.multiply(u[d], q, out=prod)
             drift(prod, np.multiply(q, dpsi[d], out=rwork), out=prod)
-            _add_term(block, total, d, _coeffs_from_samples(grid, prod, flux), cwork)
+            _add_term(block, total, d, _coeffs_from_samples(grid, prod, flux, full), cwork)
         _finish_divergence(block, total)
 
 
@@ -557,7 +571,7 @@ def _nonlinear(samples, dpsi, work: _Work, *, out):
             np.multiply(u[i], u[j], out=prod)  # u_i u_j - d_i(psi) d_j(psi)
             if charged:
                 np.subtract(prod, np.multiply(dpsi[i], dpsi[j], out=rwork), out=prod)
-            f = _coeffs_from_samples(grid, prod, flux)
+            f = _coeffs_from_samples(grid, prod, flux, work.full)
             _add_term(block, nu[i], j, f, cwork)
             if i != j:
                 _add_term(block, nu[j], i, f, cwork)

@@ -25,7 +25,8 @@ Every transform passes through `_coeffs_from_samples` and
 `_samples_from_coeffs`, which call scipy's pocketfft binding directly, bit
 for bit what `scipy.fft.rfftn`/`irfftn` return without their per-call
 checks.  They run only the 1-D lines that reach or leave the block, bit
-for bit the block of the full transform.
+for bit the block of the full transform.  A caller may give each the
+array its output lands in (the forward's r2c pass, the inverse's samples).
 They take the public call instead, then gather or scatter the block, when
 the binding does not import, when `scipy.fft.rfftn`/`irfftn` is no longer
 the function scipy had at import (a tracer counting transforms replaced
@@ -230,13 +231,15 @@ def _direct(public, original) -> bool:
     return None not in (_r2c, _c2c, _c2r) and public is original
 
 
-def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block: np.ndarray) -> np.ndarray:
+def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block: np.ndarray,
+                         work: np.ndarray | None = None) -> np.ndarray:
     """The block of samples' coefficients, gathered into block, an array of
-    the block's shape."""
+    the block's shape.  The r2c pass writes every kz plane of work, a
+    half-spectrum work array (a new array when not given)."""
     if not (_direct(_fft.rfftn, _RFFTN) and samples.dtype == _F8):
         full = _fft.rfftn(samples, norm="forward")
     else:
-        full = _r2c(samples, (2,), True, 2, None, 1)
+        full = _r2c(samples, (2,), True, 2, work, 1)
         kept = full[..., grid.block.planes]
         _c2c(kept, (0,), True, 2, kept, 1)
         for rows in grid.block.rows:
@@ -245,24 +248,29 @@ def _coeffs_from_samples(grid: Grid, samples: np.ndarray, block: np.ndarray) -> 
 
 
 def _zero_coeffs(grid: Grid) -> np.ndarray:
-    """A half-spectrum array of +0: the work array `_samples_from_coeffs`
-    takes, whose kz planes above the block nothing writes, so they stay +0."""
+    """A half-spectrum array of +0: a work array for the seam's transforms."""
     return np.zeros(grid.spectral_shape, dtype=complex)
 
 
-def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full: np.ndarray) -> np.ndarray:
-    """Samples of the block array coeffs, scattered into the kept kz planes
-    of full, a half-spectrum work array whose planes above the block hold +0
-    (`_zero_coeffs`), which the transform then overwrites."""
+def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
+    """Samples of the block array coeffs, in out (a new array when not
+    given).  full is a half-spectrum work array, which a forward may have
+    left written in every plane: it is zeroed whole, the block is scattered
+    into its kept kz planes, and the transform overwrites those."""
+    full.fill(0.0)
     kept = full[..., grid.block.planes]
-    kept.fill(0.0)
     full = grid.block.scatter(coeffs, full)
     if not (_direct(_fft.irfftn, _IRFFTN) and full.dtype == _C16):
-        return _fft.irfftn(full, s=(grid.n,) * 3, norm="forward")
+        samples = _fft.irfftn(full, s=(grid.n,) * 3, norm="forward")
+        if out is None:
+            return samples
+        np.copyto(out, samples)
+        return out
     for rows in grid.block.rows:
         _c2c(kept[:, rows], (0,), False, 0, kept[:, rows], 1)
     _c2c(kept, (1,), False, 0, kept, 1)
-    return _c2r(full, (2,), grid.n, False, 0, None, 1)
+    return _c2r(full, (2,), grid.n, False, 0, out, 1)
 
 
 def forward_transform(f: RealField) -> SpectralField:

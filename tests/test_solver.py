@@ -749,21 +749,18 @@ class TestInPlaceArithmetic:
     @pytest.mark.parametrize("preset", ["random_smooth", "taylor_green"])
     def test_work_arrays_carry_nothing_between_steps(self, preset, lane, grid16):
         """Steps reusing one set of work arrays, the lane's own among them,
-        filled with NaN to start (the block of each scatter array too),
-        equal steps with fresh ones: nothing is read before it is written.
-        The block inverse transforms work in the kept kz planes of both
-        scatter arrays; the planes above the block stay +0.0."""
+        filled with NaN to start (every plane of both half-spectrum arrays,
+        which the forwards write whole and each inverse zeroes), equal
+        steps with fresh ones: nothing is read before it is written."""
         control = StepControl(t_end=1.0)
         s = ehd.random_smooth(grid16, seed=5) if preset == "random_smooth" else (
             ehd.taylor_green(grid16))
         work = solver._Work(grid16, lane)
         try:
             real, spectral, side_full = work.side
-            for a in (*work.real, *work.spectral, *real, *spectral,
+            for a in (*work.real, *work.spectral, work.full, *real, *spectral, side_full,
                       *(x for stage in work.stages for x in stage)):
                 a.fill(np.nan)
-            for f in (work.full, side_full):
-                grid16.block.scatter(np.full(grid16.block.shape, np.nan), f)
             for _ in range(3):
                 reused = solver._step(s, control, work)
                 fresh = solver._step(s, control, solver._Work(grid16))
@@ -771,8 +768,6 @@ class TestInPlaceArithmetic:
                 s = reused
         finally:
             work.close()
-        for f in (work.full, side_full):
-            assert not f[..., grid16.block.planes.stop:].view(np.int64).any()
 
 
 class TestUnchargedPath:
@@ -975,6 +970,56 @@ class TestLanes:
         first = {"_lane_samples": 4, "_charge_terms": 3}[task]
         assert stepping[0] is threading.main_thread() is not stepping[1]
         assert threads == [stepping[0]] * first + [stepping[1]] * (LANE_TASKS[task] - first)
+
+    @pytest.mark.skipif(_cpus() < 2, reason="needs two CPUs in the affinity mask")
+    def test_the_worker_allocates_no_transform_output(self, grid64, monkeypatch):
+        """Two charged steps at 64^3: every binding call that makes a
+        transform's output off the calling thread is given its output
+        array.  Each flux forward writes its r2c pass into the work array of
+        its thread: `_nonlinear`'s into `_Work.full`, the lane's
+        `_charge_terms` into the full array of `_Work.side`; the lane's
+        inverses fill the sample arrays `_materialize` made."""
+        made, seen = [], []
+
+        class Recorded(solver._Work):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def recorded(name, out_at):
+            binding = getattr(spectral, name)
+
+            def call(*args):
+                caller = sys._getframe(2)  # above the seam, and any comprehension
+                while caller.f_code.co_name.startswith("<"):
+                    caller = caller.f_back
+                seen.append((name, threading.current_thread(), caller.f_code.co_name,
+                             args[out_at]))
+                return binding(*args)
+
+            monkeypatch.setattr(spectral, name, call)
+
+        recorded("_r2c", 4)
+        recorded("_c2r", 5)
+        monkeypatch.setattr(solver, "_Work", Recorded)
+        ehd.run(ehd.charged_shear(grid64), StepControl(dt=5e-4, t_end=1e-3))
+        (work,) = made
+        main = threading.main_thread()
+        off_main = [(name, caller) for name, thread, caller, out in seen if thread is not main]
+        assert off_main and all(out is not None for _, thread, _, out in seen
+                                if thread is not main)
+        forwards = {"_nonlinear": [], "_charge_terms": []}
+        for name, thread, caller, out in seen:
+            if name == "_r2c" and caller in forwards:
+                forwards[caller].append((thread is main, out))
+        # Six flux forwards in each of the two steps' three stages.
+        assert len(forwards["_nonlinear"]) == len(forwards["_charge_terms"]) == 36
+        assert all(on_main and out is work.full for on_main, out in forwards["_nonlinear"])
+        assert all(not on_main and out is work.side[2]
+                   for on_main, out in forwards["_charge_terms"])
+        # The lane's inverses: w, and grad psi through `_gradient_samples`.
+        assert {caller for name, caller in off_main if name == "_c2r"} == {
+            "_lane_samples", "_gradient_samples"}
 
     def test_one_cpu_starts_no_thread(self, grid64, monkeypatch, one_cpu):
         start = threading.Thread.start

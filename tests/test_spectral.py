@@ -275,6 +275,8 @@ class TestBlockMode:
     @pytest.mark.parametrize("memory", ["C", "F", "read-only"])
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_forward_is_the_gathered_public_call(self, n, memory, calls, rng):
+        """With and without a half-spectrum work array: given one, the r2c
+        pass writes every plane of it, and the block lands there too."""
         grid, ref = Grid(n), layout(n)
         block = grid.block
         inputs = list(_forward_inputs(n, rng))
@@ -284,25 +286,35 @@ class TestBlockMode:
             out = np.full(block.shape, np.nan, complex)
             assert ehd.spectral._coeffs_from_samples(grid, x, out) is out
             assert _same_bits(out, expected), name
+            work = np.full(grid.spectral_shape, np.nan, complex)
+            out = np.full(block.shape, np.nan, complex)
+            assert ehd.spectral._coeffs_from_samples(grid, x, out, work) is out
+            assert _same_bits(out, expected) and not np.isnan(work).any(), name
+            assert _same_bits(block.gather(work, np.empty_like(out)), out), name
         # z on every line, x on the kept kz planes, y on their kept kx rows.
-        assert calls == ["_r2c", "_c2c", "_c2c", "_c2c"] * len(inputs)
+        assert calls == ["_r2c", "_c2c", "_c2c", "_c2c"] * 2 * len(inputs)
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64])
     def test_inverse_is_the_public_call_of_the_scatter(self, n, calls, rng):
-        """One work array for every call, its kept kz planes NaN to start:
-        nothing carries over from one call to the next, and the planes above
-        the block stay +0."""
+        """One work array for every call, NaN in every plane before each, as
+        a forward may leave it (`_coeffs_from_samples` writes every plane):
+        the inverse zeroes the whole array, so nothing carries over from one
+        call to the next.  Given an output array, it returns that array,
+        with the same bits."""
         grid, ref = Grid(n), layout(n)
         block = grid.block
-        work = np.zeros(grid.spectral_shape, complex)
-        work[..., block.planes] = np.nan
+        work = np.empty(grid.spectral_shape, complex)
         inputs = list(_block_inputs(block.shape, rng))
         for name, c in inputs:
             expected = ref.inverse(ref.spread(c))
+            work.fill(np.nan)
             assert _same_bits(ehd.spectral._samples_from_coeffs(grid, c, work), expected), name
-        assert not work[..., block.planes.stop:].view(np.int64).any()
+            work.fill(np.nan)
+            out = np.full((n,) * 3, np.nan)
+            assert ehd.spectral._samples_from_coeffs(grid, c, work, out) is out
+            assert _same_bits(out, expected), name
         # x on the block's ky rows of the kept planes, y on those planes, z on every line.
-        assert calls == ["_c2c", "_c2c", "_c2c", "_c2r"] * len(inputs)
+        assert calls == ["_c2c", "_c2c", "_c2c", "_c2r"] * 2 * len(inputs)
 
     @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
     def test_binding_maps_plus_zero_lines_to_plus_zero(self, n):
@@ -322,7 +334,8 @@ class TestBlockMode:
     def test_fallback_gathers_and_scatters_the_public_call(self, missing, grid16, rng,
                                                            monkeypatch):
         """Without any one binding name, or with scipy.fft's functions
-        replaced, both helpers make the full public transform: same bits."""
+        replaced, both helpers make the full public transform: same bits,
+        and the inverse still fills the output array it is given."""
         block, ref = grid16.block, layout(16)
         x = rng.standard_normal((16,) * 3)
         c = next(_block_inputs(block.shape, rng))[1]
@@ -337,10 +350,12 @@ class TestBlockMode:
             monkeypatch.setattr(ehd.spectral, "_IRFFTN", scipy.fft.irfftn)
             monkeypatch.setattr(ehd.spectral, missing, None)
         work = np.full(grid16.spectral_shape, np.nan, complex)
-        work[..., block.planes.stop:] = 0.0
-        got = (ehd.spectral._coeffs_from_samples(grid16, x, np.empty(block.shape, complex)),
-               ehd.spectral._samples_from_coeffs(grid16, c, work))
+        out = np.full((16,) * 3, np.nan)
+        got = (ehd.spectral._coeffs_from_samples(grid16, x, np.empty(block.shape, complex),
+                                                 np.empty_like(work)),
+               ehd.spectral._samples_from_coeffs(grid16, c, work, out))
         assert public == ["rfftn", "irfftn"]
+        assert got[1] is out
         for a, b in zip(got, expected):
             assert _same_bits(a, b)
 
