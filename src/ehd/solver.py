@@ -74,8 +74,10 @@ from .spectral import (
     RealField,
     SpectralField,
     VectorField,
+    _add_term,
     _coeffs_from_samples,
     _curl_coeffs,
+    _gradient_blocks,
     _k_dot,
     _leray_coeffs,
     _poisson_coeffs,
@@ -94,6 +96,9 @@ MEAN_DRIFT_TOL = 1e-10
 # The charges relax at a rate up to max v + max w (drift along grad psi,
 # with laplacian(psi) = v - w), so dt * (max v + max w) must stay inside it.
 RK3_REAL_STABILITY = 2.51
+# -i, the factor of each right-hand side's k.F sum: its real part is +0, not
+# the literal -1j's -0, so a zero sum gives +0 and zero charges stay +0.
+_MINUS_I = complex(0.0, -1.0)
 
 
 class BlowUpSuspected(RuntimeError):
@@ -343,14 +348,6 @@ def _diffusion_factors(grid: Grid, dt: float):
     return entry[1:]
 
 
-def _gradient_blocks(block, coeffs: np.ndarray, work: np.ndarray):
-    """The block arrays of the gradient of the field with block array
-    coeffs, each i*k*coeffs formed in work (an array of the block's shape),
-    which the next one overwrites."""
-    for kk in (block.kx, block.ky, block.kz):
-        yield np.multiply(1j * kk, coeffs, out=work)
-
-
 def _gradient_samples(grid: Grid, coeffs: np.ndarray, full: np.ndarray, work=None,
                       out=(None,) * 3) -> list:
     """Samples of the gradient of the field with block array coeffs
@@ -477,21 +474,6 @@ class _Work:
         return np.zeros((self.grid.n,) * 3), np.zeros(self.block.shape, dtype=complex)
 
 
-def _finish_divergence(block, a: np.ndarray) -> np.ndarray:
-    """-1j * a * mask, in place: the last two factors of a divergence term."""
-    np.multiply(-1j, a, out=a)
-    return np.multiply(a, block.dealias_mask, out=a)
-
-
-def _add_term(block, total, d, f, work):
-    """total = kx*f for d = 0, else total += k_d*f (formed in work): a
-    divergence sum in order."""
-    if d == 0:
-        np.multiply(block.kx, f, out=total)
-    else:
-        total += np.multiply((block.kx, block.ky, block.kz)[d], f, out=work)
-
-
 def _lane_samples(grid: Grid, c, side, out: list):
     """The samples of w into out[0] and, given four arrays, those of grad
     psi into out[1:], from the block arrays c = (v, w), with the work
@@ -533,7 +515,7 @@ def _charge_terms(grid: Grid, samples, dpsi, out, side):
             np.multiply(u[d], q, out=prod)
             drift(prod, np.multiply(q, dpsi[d], out=rwork), out=prod)
             _add_term(block, total, d, _coeffs_from_samples(grid, prod, flux, full), cwork)
-        _finish_divergence(block, total)
+        np.multiply(_MINUS_I, total, out=total)
 
 
 def _nonlinear(samples, dpsi, work: _Work, *, out):
@@ -553,9 +535,10 @@ def _nonlinear(samples, dpsi, work: _Work, *, out):
     differs from -(u.grad)u + lap(psi) grad(psi) by a pure gradient, which
     the projection annihilates exactly.
 
-    Each term is -1j*(kx*F_x + ky*F_y + kz*F_z)*mask over transformed fluxes
-    F, accumulated in place with that expression's operations and operand
-    order, so the result is bitwise the expression's.
+    Each term is -i*(kx*F_x + ky*F_y + kz*F_z) over transformed fluxes F
+    (-i as `_MINUS_I`), accumulated in place with that expression's
+    operations and operand order (`_add_term`), so the result is bitwise
+    the expression's.
     """
     grid, block = work.grid, work.block
     prod, rwork = work.real
@@ -575,7 +558,7 @@ def _nonlinear(samples, dpsi, work: _Work, *, out):
             _add_term(block, nu[i], j, f, cwork)
             if i != j:
                 _add_term(block, nu[j], i, f, cwork)
-        _leray_coeffs(block, *(_finish_divergence(block, a) for a in nu), work.spectral)
+        _leray_coeffs(block, *(np.multiply(_MINUS_I, a, out=a) for a in nu), work.spectral)
     return tuple(out)
 
 
@@ -674,10 +657,8 @@ def _advance(c0, f1, dt: float, work: _Work):
         np.multiply(dt / 6.0, fa, out=fa)
         np.add(np.multiply(e_full, a, out=tmp), fa, out=fa)
 
-    # Re-project and re-mask against roundoff drift.
+    # Re-project against roundoff drift.
     _leray_coeffs(work.block, *c1[:3], work.spectral)
-    for a in c1:
-        np.multiply(a, work.block.dealias_mask, out=a)
     return tuple(c1)
 
 

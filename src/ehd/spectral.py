@@ -30,8 +30,8 @@ array its output lands in (the forward's r2c pass, the inverse's samples).
 They take the public call instead, then gather or scatter the block, when
 the binding does not import, when `scipy.fft.rfftn`/`irfftn` is no longer
 the function scipy had at import (a tracer counting transforms replaced
-it), or when the input is not native float64 samples or complex128
-coefficients.
+it), or when the forward's input is not native float64 samples.  The
+inverse scatters any coefficients into its complex128 work array first.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ try:
 except ImportError:
     _r2c = _c2c = _c2r = None
 _RFFTN, _IRFFTN = _fft.rfftn, _fft.irfftn
-_F8, _C16 = np.dtype(np.float64), np.dtype(np.complex128)
+_F8 = np.dtype(np.float64)
 
 VOLUME = (2.0 * np.pi) ** 3
 
@@ -123,9 +123,9 @@ class Grid:
 
 class Block:
     """The modes the 2/3 rule keeps, every |k_i| <= c = n//3, as one compact
-    array of shape (2c+1, 2c+1, c+1), with its kx, ky, kz, k2, kmag, inv_k2,
-    mult (each mode's multiplicity in full-lattice sums: 1 on the kz = 0
-    plane, 2 above it) and all-true dealias_mask tables.
+    array of shape (2c+1, 2c+1, c+1), with its kx, ky, kz, k2, kmag, inv_k2
+    and mult (each mode's multiplicity in full-lattice sums: 1 on the kz = 0
+    plane, 2 above it) tables.  Keeping these modes alone is the dealiasing.
 
     Rows keep the half spectrum's order, k = 0..c then -c..-1, so k = 0 is
     entry (0, 0, 0) and row i's mirror -k is row (-i) mod (2c+1).  In the
@@ -148,7 +148,6 @@ class Block:
         self.inv_k2 = np.zeros_like(self.k2)
         np.divide(1.0, self.k2, out=self.inv_k2, where=self.k2 > 0)
         self.mult = np.where(self.kz == 0, 1.0, 2.0)
-        self.dealias_mask = np.ones(self.shape, dtype=bool)
 
     def gather(self, full: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The block of the half-spectrum array full, in out."""
@@ -261,7 +260,7 @@ def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full: np.ndarray,
     full.fill(0.0)
     kept = full[..., grid.block.planes]
     full = grid.block.scatter(coeffs, full)
-    if not (_direct(_fft.irfftn, _IRFFTN) and full.dtype == _C16):
+    if not _direct(_fft.irfftn, _IRFFTN):
         samples = _fft.irfftn(full, s=(grid.n,) * 3, norm="forward")
         if out is None:
             return samples
@@ -275,15 +274,13 @@ def _samples_from_coeffs(grid: Grid, coeffs: np.ndarray, full: np.ndarray,
 
 def forward_transform(f: RealField) -> SpectralField:
     """Transform samples to dealiased spectral coefficients: the block of
-    the full transform's, bit for bit, times the block's all-true mask.
+    the full transform's, bit for bit.
 
     Rejects non-finite input, naming the first offending node.
     """
     _check_finite(f.samples, "sample", lambda node: f"grid node {node}")
-    block = f.grid.block
-    coeffs = _coeffs_from_samples(f.grid, f.samples, np.empty(block.shape, dtype=complex))
-    coeffs *= block.dealias_mask
-    return SpectralField(f.grid, coeffs)
+    coeffs = np.empty(f.grid.block.shape, dtype=complex)
+    return SpectralField(f.grid, _coeffs_from_samples(f.grid, f.samples, coeffs))
 
 
 def _check_finite(values: np.ndarray, what: str, where):
@@ -333,17 +330,32 @@ def backward_transform(F: SpectralField) -> RealField:
 
 def gradient(F: SpectralField) -> VectorField:
     """Spectral gradient: component j is i*k_j*c(k)."""
-    b = F.grid.block
-    return VectorField(*(SpectralField(F.grid, 1j * kk * F.coeffs) for kk in (b.kx, b.ky, b.kz)))
+    g = F.grid
+    return VectorField(*(SpectralField(g, c) for c in _gradient_blocks(g.block, F.coeffs)))
+
+
+def _gradient_blocks(block: Block, coeffs: np.ndarray, work: np.ndarray | None = None):
+    """The block arrays of the gradient of the field with block array
+    coeffs, each i*k*coeffs, formed in work (an array of the block's shape),
+    which the next one overwrites, or in new arrays when work is None."""
+    for kk in (block.kx, block.ky, block.kz):
+        yield np.multiply(1j * kk, coeffs, out=work)
+
+
+def _add_term(block: Block, total, d, f, work):
+    """total = kx*f for d = 0, else total += k_d*f (in work): a k.F sum in order."""
+    if d == 0:
+        np.multiply(block.kx, f, out=total)
+    else:
+        total += np.multiply((block.kx, block.ky, block.kz)[d], f, out=work)
 
 
 def _k_dot(block: Block, cx, cy, cz, work=None) -> np.ndarray:
-    """kx*cx + ky*cy + kz*cz on block arrays, in that order, in the two
-    arrays of work (new arrays when not given); returns the first."""
+    """kx*cx + ky*cy + kz*cz on block arrays, in that order (`_add_term`), in
+    the two arrays of work (new arrays when not given); returns the first."""
     kd, tmp = work or (np.empty_like(cx), np.empty_like(cx))
-    np.multiply(block.kx, cx, out=kd)
-    kd += np.multiply(block.ky, cy, out=tmp)
-    kd += np.multiply(block.kz, cz, out=tmp)
+    for d, c in enumerate((cx, cy, cz)):
+        _add_term(block, kd, d, c, tmp)
     return kd
 
 
@@ -423,7 +435,7 @@ def _poisson_coeffs(block: Block, eta: np.ndarray, out=None) -> np.ndarray:
 
 def lp_norm(f: RealField, p: float) -> float:
     """L^p norm as the uniform Riemann sum; p = inf is the grid maximum."""
-    if p < 1:
+    if not p >= 1:
         raise ValueError(f"Lebesgue exponent must satisfy p >= 1, got {p}")
     if np.isinf(p):
         # max |samples| without an |samples| array; abs() clears the sign of -0.0 and NaN.
@@ -465,7 +477,7 @@ def l2_norm_sq(F: SpectralField) -> float:
 
 def sobolev_norm(F: SpectralField, s: float) -> float:
     """Inhomogeneous H^s norm ((2*pi)^3 sum (1+|k|^2)^s |c_k|^2)^(1/2)."""
-    if s < 0:
+    if not s >= 0:
         raise ValueError(f"Sobolev index must satisfy s >= 0, got {s}")
     return math.sqrt(power_sum(F.grid, spectral_power(F), sobolev_weights(F.grid, s)))
 
@@ -478,22 +490,12 @@ def vector_backward(U: VectorField) -> VectorField:
     return VectorField(*[backward_transform(c) for c in U.components])
 
 
-def entry_magnitude(grid: Grid, rows) -> RealField:
-    """Pointwise sqrt of the sum of squares of every entry of rows, in row
-    order: a vector's magnitude, or a grad_u block's.  The sum starts from the
-    first square, which is the sum from zero bit for bit (0 + x is x)."""
-    first, *rest = [d for row in rows for d in row]
-    sq = first**2
-    for d in rest:
-        sq += d**2
-    return RealField(grid, np.sqrt(sq, out=sq))
-
-
 def _streamed_magnitudes(grid: Grid, blocks, part=()) -> list:
-    """`entry_magnitude` of the inverse transforms of the block arrays that
-    blocks yields, and of those at the positions part lists, with the same
-    bits: each transform is squared once, added to the running sums in
-    order and dropped, so the entries are never alive together."""
+    """The pointwise magnitudes of the inverse transforms of the block
+    arrays that blocks yields, and of those at the positions part lists,
+    bitwise `vector_magnitude`'s sum of squares over that many entries:
+    each transform is squared once, added to the running sums in order and
+    dropped, so the entries are never alive together."""
     full, total, part_total = _zero_coeffs(grid), None, None
     for i, c in enumerate(blocks):
         sq = _samples_from_coeffs(grid, c, full)
@@ -505,8 +507,13 @@ def _streamed_magnitudes(grid: Grid, blocks, part=()) -> list:
 
 
 def vector_magnitude(U: VectorField) -> RealField:
-    """Pointwise Euclidean magnitude of a real vector field."""
-    return entry_magnitude(U.grid, [[c.samples for c in U.components]])
+    """Pointwise Euclidean magnitude of a real vector field; the sum of squares
+    starts from the first, bitwise the sum from zero (0 + x is x)."""
+    first, *rest = (c.samples for c in U.components)
+    sq = first**2
+    for d in rest:
+        sq += d**2
+    return RealField(U.grid, np.sqrt(sq, out=sq))
 
 
 def spectral_tail_fraction(*fields: SpectralField | RealField) -> float:

@@ -1,7 +1,8 @@
-"""No module of src/ehd but its __init__ imports a name it never uses, and
-no module defines a private module-level function or class that nothing in
-src/ehd refers to.  A refactor that stops using an import, or the last
-caller of a helper, fails here instead of leaving the dead line behind."""
+"""No module of src/ehd but its __init__ imports a name it never uses, no
+module defines a private module-level function or class that nothing in
+src/ehd refers to, and the grid keeps no table that nothing reads.  A
+refactor that stops using an import, the last caller of a helper or the
+last reader of a table fails here instead of leaving the dead line behind."""
 
 import ast
 from pathlib import Path
@@ -54,3 +55,19 @@ def test_every_private_definition_is_referenced(module):
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name.startswith("_") and not node.name.startswith("__")}
     assert sorted(defined - referenced_names()) == []
+
+
+@pytest.mark.parametrize("cls", ["Grid", "Block"])
+def test_every_table_is_read(cls):
+    """Each attribute the constructor sets is read somewhere in src/ehd
+    outside that constructor (the block's constructor reads the grid's)."""
+    body = next(n for n in TREES["spectral.py"].body if isinstance(n, ast.ClassDef) and n.name == cls)
+    init = next(n for n in body.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    inside = {id(node) for node in ast.walk(init)}
+    tables = {node.attr for node in ast.walk(init) if isinstance(node, ast.Attribute)
+              and isinstance(node.ctx, ast.Store)
+              and isinstance(node.value, ast.Name) and node.value.id == "self"}
+    read = {node.attr for tree in TREES.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in inside}
+    assert tables and sorted(tables - read) == []

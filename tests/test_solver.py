@@ -858,17 +858,8 @@ class TestMaxMagnitude:
 
 
 def _old_vector_magnitude(x, y, z):
-    """spectral.vector_magnitude before it summed through entry_magnitude."""
+    """spectral.vector_magnitude as one expression, summed from zero."""
     return np.sqrt(x**2 + y**2 + z**2)
-
-
-def _old_entry_magnitude(rows):
-    """spectral.entry_magnitude before its sum started from the first square."""
-    sq = np.zeros(rows[0][0].shape)
-    for row in rows:
-        for d in row:
-            sq += d**2
-    return np.sqrt(sq)
 
 
 class TestPointwiseMagnitude:
@@ -877,10 +868,6 @@ class TestPointwiseMagnitude:
         for name, fields in _fields_for_max_magnitude(rng):
             got = ehd.vector_magnitude(VectorField(*(RealField(grid8, a) for a in fields)))
             want = _old_vector_magnitude(*fields)
-            assert np.array_equal(got.samples.view(np.int64), want.view(np.int64)), name
-            rows = [fields[:2], fields[2:]]
-            got = spectral.entry_magnitude(grid8, rows)
-            want = _old_entry_magnitude(rows)
             assert np.array_equal(got.samples.view(np.int64), want.view(np.int64)), name
 
 
